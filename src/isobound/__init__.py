@@ -15,8 +15,8 @@ from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
                        prism_k4, search_gadgets)
 from .graph import (GenerationError, Graph, Graph6ParseError, StructuralProfile,
                     complete_graph, cycle_graph, emit_edge_list, emit_graph6,
-                    from_edge_list, girth, is_connected, parse_edge_list,
-                    parse_graph6, path_graph, random_bipartite_min_degree_graph,
+                    girth, is_connected, parse_edge_list, parse_graph6,
+                    path_graph, random_bipartite_min_degree_graph,
                     random_min_degree_graph, random_regular_graph,
                     structural_profile)
 from .greedy import (GreedyRule, GreedyStep, GreedyTrace, TraceVerification,
@@ -60,7 +60,6 @@ __all__ = [
     "emit_edge_list",
     "emit_graph6",
     "exact_isolation_number",
-    "from_edge_list",
     "girth",
     "greedy_isolating_set",
     "is_connected",

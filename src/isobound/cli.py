@@ -11,21 +11,32 @@ usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
+
+# hashlib maps OpenSSL, about 3.5 MB resident, so prefer the lean
+# builtin module, as the standard library's random module does
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
-from .graph import (GenerationError, Graph, Graph6ParseError, emit_graph6,
-                    parse_edge_list, parse_graph6, random_min_degree_graph,
-                    random_regular_graph, structural_profile)
+from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list,
+                    emit_graph6, parse_edge_list, parse_graph6,
+                    random_min_degree_graph, random_regular_graph,
+                    structural_profile)
 from .greedy import GreedyTrace, greedy_isolating_set, verify_trace
-from .lpweights import build_constraints, check_feasible, solve_min_omega
+from .lpweights import VARIANTS, build_constraints, check_feasible, solve_min_omega
 from .residual import WeightVector, is_isolating
 
 
@@ -39,43 +50,39 @@ def _load_graph(path: str, fmt: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _load_weights(path: str) -> WeightVector:
+def _load_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
+        return json.load(fh)
+
+
+def _load_weights(path: str) -> WeightVector:
+    data = _load_json(path)
     # accept a bare weight vector, an LP solution, or any run report
     # that carries one (lp-weights stores "witness", greedy "weights")
-    if "witness" in data and "omega" not in data:
+    if isinstance(data, dict) and "witness" in data and "omega" not in data:
         data = data["witness"]
-    if "results" in data:
-        inner = data["results"]
+    if isinstance(data, dict) and "results" in data:
+        inner = data["results"] if isinstance(data["results"], dict) else {}
         data = inner.get("witness") or inner.get("weights")
         if data is None:
             raise ValueError("report JSON carries no weight vector")
     return WeightVector.from_json_dict(data)
 
 
-def _emit_report(args, report: dict) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+def _fingerprint(G: Graph) -> dict:
+    """O(n + m) stand-in for the input graph in a run report."""
+    digest = sha256(emit_edge_list(G).encode()).hexdigest()
+    return {"n": G.n, "m": G.num_edges, "sha256": digest}
 
 
-def _report_skeleton(args, command: str) -> dict:
-    return {
-        "command": command,
-        "argv": list(getattr(args, "_argv", [])),
-        "version": __version__,
-    }
-
-
-def _cmd_greedy(args) -> int:
-    t0 = time.monotonic()
+def _cmd_greedy(args, report: dict) -> int:
     G = _load_graph(args.infile, args.format)
     if args.weights:
         wv = _load_weights(args.weights)
     else:
         sol = solve_min_omega(build_constraints(args.delta, args.variant))
         wv = sol.witness
-    S, trace = greedy_isolating_set(G, wv, args.variant)
+    S, trace = greedy_isolating_set(G, wv)
     bound = math.floor(wv.omega * G.n)
     profile = structural_profile(G)
     precondition = profile.min_degree >= args.delta
@@ -94,8 +101,7 @@ def _cmd_greedy(args) -> int:
     print(f"precondition (min degree >= {args.delta}, {args.variant}): "
           f"{str(precondition).lower()}")
     print("steps: " + ", ".join(f"{k} x{v}" for k, v in sorted(rules.items())))
-    report = _report_skeleton(args, "greedy")
-    report["input"] = {"graph6": emit_graph6(G)}
+    report["input"] = {"graph": _fingerprint(G)}
     report["results"] = {
         "size": len(S),
         "set": list(S),
@@ -105,14 +111,11 @@ def _cmd_greedy(args) -> int:
         "weights": wv.to_json_dict(),
         "trace": trace.to_json_dict(),
     }
-    report["timing_seconds"] = time.monotonic() - t0
-    _emit_report(args, report)
     ok = isolating and (not precondition or len(S) <= bound)
     return 0 if ok else 1
 
 
-def _cmd_exact(args) -> int:
-    t0 = time.monotonic()
+def _cmd_exact(args, report: dict) -> int:
     G = _load_graph(args.infile, args.format)
     result = exact_isolation_number(G, size_cap=args.cap)
     if result.witness is None:
@@ -121,44 +124,35 @@ def _cmd_exact(args) -> int:
         print(f"iota = {result.iota}")
         print(f"witness = {list(result.witness)}")
     print(f"explored = {result.explored}")
-    report = _report_skeleton(args, "exact")
-    report["input"] = {"graph6": emit_graph6(G)}
+    report["input"] = {"graph": _fingerprint(G)}
     report["results"] = {
         "iota": result.iota,
         "witness": None if result.witness is None else list(result.witness),
         "explored": result.explored,
         "size_cap": result.size_cap,
     }
-    report["timing_seconds"] = time.monotonic() - t0
-    _emit_report(args, report)
     return 0
 
 
-def _cmd_lp_weights(args) -> int:
-    t0 = time.monotonic()
+def _cmd_lp_weights(args, report: dict) -> int:
     cs = build_constraints(args.delta, args.variant)
     sol = solve_min_omega(cs)
     print(f"omega = {sol.optimal_omega}")
     print(f"witness = {json.dumps(sol.witness.to_json_dict())}")
     print(f"tight rows = {[cs.rows[i].tag for i in sol.tight_rows]}")
-    report = _report_skeleton(args, "lp-weights")
     report["input"] = {"delta": args.delta, "variant": args.variant}
     report["results"] = sol.to_json_dict()
     report["results"]["tight_row_tags"] = [cs.rows[i].tag for i in sol.tight_rows]
-    report["timing_seconds"] = time.monotonic() - t0
-    _emit_report(args, report)
     return 0
 
 
-def _cmd_check_weights(args) -> int:
-    t0 = time.monotonic()
+def _cmd_check_weights(args, report: dict) -> int:
     cs = build_constraints(args.delta, args.variant)
     wv = _load_weights(args.weights)
     ok, violations = check_feasible(cs, wv)
     print(f"feasible: {str(ok).lower()}")
     for v in violations:
         print(f"violated row {v.index} [{v.row.tag}]: {v.row} (slack {v.slack})")
-    report = _report_skeleton(args, "check-weights")
     report["input"] = {"delta": args.delta, "variant": args.variant,
                        "weights": wv.to_json_dict()}
     report["results"] = {
@@ -168,9 +162,43 @@ def _cmd_check_weights(args) -> int:
             for v in violations
         ],
     }
-    report["timing_seconds"] = time.monotonic() - t0
-    _emit_report(args, report)
     return 0 if ok else 1
+
+
+def _cmd_certify_edge(args, report: dict) -> int:
+    G = _load_graph(args.infile, args.format)
+    gadget = Gadget(G, (args.x, args.y), args.b, G.n)
+    cert = certify_special_edge(gadget)
+    print(json.dumps(cert.to_json_dict(), indent=2))
+    report["input"] = {"graph": _fingerprint(G), "x": args.x, "y": args.y, "b": args.b}
+    report["results"] = cert.to_json_dict()
+    return 0 if cert.valid else 1
+
+
+def _cmd_verify_bound(args, report: dict) -> int:
+    G = _load_graph(args.infile, args.format)
+    wv = _load_weights(args.weights)
+    data = _load_json(args.trace)
+    if isinstance(data, dict) and isinstance(data.get("results"), dict):
+        data = data["results"].get("trace")
+    trace = GreedyTrace.from_json_dict(data)
+    outcome = verify_trace(G, trace, wv)
+    for key, val in outcome.to_json_dict().items():
+        print(f"{key}: {str(val).lower()}")
+    report["input"] = {"graph": _fingerprint(G), "weights": wv.to_json_dict()}
+    report["results"] = outcome.to_json_dict()
+    return 0 if outcome else 1
+
+
+def _run_reported(cmd, args) -> int:
+    """Run a report command, then stamp its report and write it to --out."""
+    t0 = time.monotonic()
+    report = {"command": args.command, "argv": args.argv, "version": __version__}
+    code = cmd(args, report)
+    report["timing_seconds"] = time.monotonic() - t0
+    if args.out:
+        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return code
 
 
 def _cmd_gen(args) -> int:
@@ -183,7 +211,6 @@ def _cmd_gen(args) -> int:
             return 2
         gadget = prism_k4() if args.family == "prism-chain" else metacirculant_14()
         G = chain(gadget, args.s)
-        fingerprint = {"family": args.family, "s": args.s}
     else:
         missing = [f for f, v in (("--n", args.n), ("--param", args.param),
                                   ("--seed", args.seed)) if v is None]
@@ -194,49 +221,13 @@ def _cmd_gen(args) -> int:
             G = random_min_degree_graph(args.n, args.param, args.seed)
         else:
             G = random_regular_graph(args.n, args.param, args.seed)
-        fingerprint = {"random": args.random, "n": args.n,
-                       "param": args.param, "seed": args.seed}
     text = emit_graph6(G) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    if args.graph_out:
+        Path(args.graph_out).write_text(text)
     else:
         sys.stdout.write(text)
     print(f"n = {G.n}, m = {G.num_edges}", file=sys.stderr)
     return 0
-
-
-def _cmd_certify_edge(args) -> int:
-    t0 = time.monotonic()
-    G = _load_graph(args.infile, args.format)
-    gadget = Gadget(G, (args.x, args.y), args.b, G.n)
-    cert = certify_special_edge(gadget)
-    print(json.dumps(cert.to_json_dict(), indent=2))
-    report = _report_skeleton(args, "certify-edge")
-    report["input"] = {"graph6": emit_graph6(G), "x": args.x, "y": args.y, "b": args.b}
-    report["results"] = cert.to_json_dict()
-    report["timing_seconds"] = time.monotonic() - t0
-    _emit_report(args, report)
-    return 0 if cert.valid else 1
-
-
-def _cmd_verify_bound(args) -> int:
-    t0 = time.monotonic()
-    G = _load_graph(args.infile, args.format)
-    wv = _load_weights(args.weights)
-    with open(args.trace) as fh:
-        data = json.load(fh)
-    if "results" in data:
-        data = data["results"]["trace"]
-    trace = GreedyTrace.from_json_dict(data)
-    outcome = verify_trace(G, trace, wv)
-    for key, val in outcome.to_json_dict().items():
-        print(f"{key}: {str(val).lower()}")
-    report = _report_skeleton(args, "verify-bound")
-    report["input"] = {"graph6": emit_graph6(G), "weights": wv.to_json_dict()}
-    report["results"] = outcome.to_json_dict()
-    report["timing_seconds"] = time.monotonic() - t0
-    _emit_report(args, report)
-    return 0 if outcome else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,36 +242,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("auto", "graph6", "edgelist"),
                        default="auto")
 
-    p = sub.add_parser("greedy", help="run the rule-based greedy")
-    add_graph_input(p)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--variant", choices=("general", "triangle-free", "girth5"),
-                   default="general")
-    p.add_argument("--weights", help="weight-vector JSON; default: solve the LP")
-    p.add_argument("--out", help="write a JSON run report here")
-    p.set_defaults(func=_cmd_greedy)
+    def add_weight_class(p):
+        p.add_argument("--delta", type=int, required=True)
+        p.add_argument("--variant", choices=VARIANTS, default="general")
 
-    p = sub.add_parser("exact", help="exact isolation number (small graphs)")
+    def reported(name, cmd, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", help="write a JSON run report here")
+        p.set_defaults(func=functools.partial(_run_reported, cmd))
+        return p
+
+    p = reported("greedy", _cmd_greedy, "run the rule-based greedy")
+    add_graph_input(p)
+    add_weight_class(p)
+    p.add_argument("--weights", help="weight-vector JSON; default: solve the LP")
+
+    p = reported("exact", _cmd_exact, "exact isolation number (small graphs)")
     add_graph_input(p)
     p.add_argument("--cap", type=int, default=None,
                    help="decision mode: find any set of size <= CAP or certify none")
-    p.add_argument("--out", help="write a JSON run report here")
-    p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("lp-weights", help="optimal weights for (delta, variant)")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--variant", choices=("general", "triangle-free", "girth5"),
-                   default="general")
-    p.add_argument("--out", help="write a JSON run report here")
-    p.set_defaults(func=_cmd_lp_weights)
+    add_weight_class(reported("lp-weights", _cmd_lp_weights,
+                              "optimal weights for (delta, variant)"))
 
-    p = sub.add_parser("check-weights", help="feasibility of a weight vector")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--variant", choices=("general", "triangle-free", "girth5"),
-                   default="general")
+    p = reported("check-weights", _cmd_check_weights, "feasibility of a weight vector")
+    add_weight_class(p)
     p.add_argument("--weights", required=True)
-    p.add_argument("--out", help="write a JSON run report here")
-    p.set_defaults(func=_cmd_check_weights)
 
     p = sub.add_parser("gen", help="generate instances (graph6)")
     p.add_argument("--family", choices=("prism-chain", "meta-chain"))
@@ -289,30 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--param", type=int, help="degree bound / regularity degree")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write graph6 here instead of stdout")
+    p.add_argument("--out", dest="graph_out", help="write graph6 here instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("certify-edge", help="special-edge gadget certificate")
+    p = reported("certify-edge", _cmd_certify_edge, "special-edge gadget certificate")
     add_graph_input(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--out", help="write a JSON run report here")
-    p.set_defaults(func=_cmd_certify_edge)
 
-    p = sub.add_parser("verify-bound", help="independently replay a greedy trace")
+    p = reported("verify-bound", _cmd_verify_bound, "independently replay a greedy trace")
     add_graph_input(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--out", help="write a JSON run report here")
-    p.set_defaults(func=_cmd_verify_bound)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
-    args._argv = list(sys.argv[1:] if argv is None else argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ValueError, Graph6ParseError, GenerationError,

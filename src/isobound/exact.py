@@ -130,7 +130,8 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None,
     search([], set())
     if best_witness is None:
         return ExactResult(None, None, explored, size_cap)
-    assert is_isolating(G, best_witness)
+    if not is_isolating(G, best_witness):
+        raise AssertionError("search returned a non-isolating witness")
     return ExactResult(len(best_witness), best_witness, explored, size_cap)
 
 
@@ -211,17 +212,13 @@ def path_cycle_min_isolating(F: Graph) -> tuple[int, ...]:
     ends = [v for v in range(n) if F.degree(v) == 1]
     if ends:
         order = _walk_order(F, min(ends))
-        assert len(order) == n
+        if len(order) != n:
+            raise AssertionError("path walk missed a vertex")
         return tuple(sorted(_dp_line(order, cyclic=False)))
     order = _walk_order(F, 0)
-    assert len(order) == n
+    if len(order) != n:
+        raise AssertionError("cycle walk missed a vertex")
     window = dict.fromkeys([order[-1], order[0], order[1], order[2]])
-    best: list[int] | None = None
-    for anchor in window:
-        k = order.index(anchor)
-        rot = order[k:] + order[:k]
-        sol = _dp_line(rot, cyclic=True)
-        if best is None or len(sol) < len(best):
-            best = sol
-    assert best is not None
-    return tuple(sorted(best))
+    sols = [_dp_line(order[k:] + order[:k], cyclic=True) for k in map(order.index, window)]
+    # min keeps the first shortest solution, as the anchor order dictates
+    return tuple(sorted(min(sols, key=len)))

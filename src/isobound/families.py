@@ -27,7 +27,7 @@ class Gadget:
 
     def __post_init__(self):
         x, y = self.special_edge
-        if not self.F.has_edge(x, y):
+        if not (0 <= x < self.F.n and 0 <= y < self.F.n and self.F.has_edge(x, y)):
             raise ValueError(f"special edge ({x}, {y}) is not an edge of F")
         degs = {self.F.degree(v) for v in range(self.F.n)}
         if len(degs) != 1:

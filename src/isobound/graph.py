@@ -122,11 +122,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from explicit edges, collapsing duplicates."""
-    return Graph(n, edges)
-
-
 @dataclass(frozen=True)
 class StructuralProfile:
     """Degree, connectivity, and cycle data used as algorithm preconditions.

@@ -28,6 +28,7 @@ step above cost. Ties always break to the lowest vertex index.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -36,8 +37,6 @@ from .exact import path_cycle_min_isolating
 from .graph import Graph
 from .residual import (Color, ResidualState, WeightVector, compute_residual,
                        is_isolating, total_weight)
-
-VARIANTS = ("general", "triangle-free", "girth5")
 
 
 class GreedyRule(IntEnum):
@@ -90,30 +89,33 @@ class GreedyTrace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GreedyTrace":
+        if not isinstance(d, dict):
+            raise ValueError(f"trace JSON must be an object, got {type(d).__name__}")
         try:
-            steps = tuple(
-                GreedyStep(GreedyRule[s["rule"]], tuple(s["set"]), Fraction(s["xi"]))
-                for s in d["steps"]
-            )
-            return cls(int(d["n"]), steps, tuple(d["final_set"]),
-                       Fraction(d["initial_weight"]))
+            steps = []
+            for s in d["steps"]:
+                if s["rule"] not in GreedyRule.__members__:
+                    raise ValueError(f"trace JSON names unknown rule {s['rule']!r}")
+                vertices = tuple(map(operator.index, s["set"]))
+                steps.append(GreedyStep(GreedyRule[s["rule"]], vertices, Fraction(s["xi"])))
+            final_set = tuple(map(operator.index, d["final_set"]))
+            return cls(int(d["n"]), tuple(steps), final_set, Fraction(d["initial_weight"]))
         except KeyError as e:
             raise ValueError(f"trace JSON missing key {e.args[0]!r}") from None
+        except (TypeError, ZeroDivisionError, OverflowError) as e:
+            raise ValueError(f"malformed trace JSON: {e}") from None
 
 
 def _is_c5(comp: tuple[int, ...], wdeg: dict[int, int]) -> bool:
     return len(comp) == 5 and all(wdeg[v] == 2 for v in comp)
 
 
-def select_desirable(state: ResidualState, variant: str = "general") -> tuple[GreedyRule, frozenset[int]]:
+def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     """First applicable rule and its set, with lowest-index tie-breaking.
 
-    The variant does not change rule logic (it only decides which
-    weight vector makes the steps pay for themselves) but is accepted
-    here so call sites read uniformly.
+    No variant enters here: the variant only decides which weight vector
+    makes the steps pay for themselves.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if not state.whites:
         raise ValueError("no white vertex: the current set is already isolating")
     G = state.graph
@@ -143,8 +145,9 @@ def select_desirable(state: ResidualState, variant: str = "general") -> tuple[Gr
             sub, back = G.induced_subgraph(comp)
             local = path_cycle_min_isolating(sub)
             A = frozenset(back[i] for i in local)
-            assert 3 * len(A) <= len(comp), \
-                f"R5 set of size {len(A)} on a {len(comp)}-vertex component"
+            if 3 * len(A) > len(comp):
+                raise AssertionError(
+                    f"R5 set of size {len(A)} on a {len(comp)}-vertex component")
             return GreedyRule.R5, A
 
     comp_id: dict[int, int] = {}
@@ -170,40 +173,40 @@ def select_desirable(state: ResidualState, variant: str = "general") -> tuple[Gr
         return GreedyRule.R7, frozenset((comp[0],))
     v1 = comp[0]
     inner = [u for u in G.neighbors(v1) if u in comp]
-    assert len(inner) == 2, "endgame component is not a 5-cycle"
+    if len(inner) != 2:
+        raise AssertionError("endgame component is not a 5-cycle")
     return GreedyRule.R7, frozenset(inner)
 
 
-def greedy_isolating_set(G: Graph, wv: WeightVector,
-                         variant: str = "general") -> tuple[tuple[int, ...], GreedyTrace]:
+def greedy_isolating_set(G: Graph, wv: WeightVector) -> tuple[tuple[int, ...], GreedyTrace]:
     """Run the rules to exhaustion and return (S, trace).
 
     Always terminates with an isolating S on any graph. The per-step
     xi >= |A| guarantees, and with them |S| <= omega*n, hold when the
-    graph meets the variant's degree/girth precondition and wv is
-    feasible for the matching constraint system; otherwise the trace is
-    advisory.
+    graph meets a variant's degree/girth precondition and wv is
+    feasible for that variant's constraint system; otherwise the trace
+    is advisory.
     """
     D: set[int] = set()
     state = compute_residual(G, D)
     w_cur = total_weight(state, wv)
     steps: list[GreedyStep] = []
     while state.whites:
-        rule, A = select_desirable(state, variant)
-        if rule >= GreedyRule.R3:
-            assert state.delta_w() <= 3 and state.delta_b() <= 4, \
-                f"{rule.name} fired with degrees past the R1/R2 stage"
-        if rule >= GreedyRule.R5:
-            assert state.delta_w() <= 2 and state.delta_b() <= 3, \
-                f"{rule.name} fired with degrees past the R3/R4 stage"
+        rule, A = select_desirable(state)
+        if rule >= GreedyRule.R3 and (state.delta_w() > 3 or state.delta_b() > 4):
+            raise AssertionError(f"{rule.name} fired with degrees past the R1/R2 stage")
+        if rule >= GreedyRule.R5 and (state.delta_w() > 2 or state.delta_b() > 3):
+            raise AssertionError(f"{rule.name} fired with degrees past the R3/R4 stage")
         white_before = len(state.whites)
         D |= A
         state = compute_residual(G, D)
         w_new = total_weight(state, wv)
         steps.append(GreedyStep(rule, tuple(sorted(A)), w_cur - w_new))
-        assert len(state.whites) < white_before, f"{rule.name} made no progress"
+        if len(state.whites) >= white_before:
+            raise AssertionError(f"{rule.name} made no progress")
         w_cur = w_new
-    assert w_cur == 0, "non-white endstate must weigh nothing"
+    if w_cur != 0:
+        raise AssertionError("non-white endstate must weigh nothing")
     S = tuple(sorted(D))
     trace = GreedyTrace(G.n, tuple(steps), S, wv.omega * G.n)
     return S, trace
@@ -217,15 +220,19 @@ class TraceVerification:
     desirable: every replayed xi(A) >= |A|.
     isolating: the final set isolates the graph.
     partition_ok: the steps are disjoint and their union is the recorded set.
+    header_ok: the trace's n and initial weight omega*n match the graph
+    and the weights.
     """
 
     xi_matches: bool
     desirable: bool
     isolating: bool
     partition_ok: bool
+    header_ok: bool
 
     def __bool__(self) -> bool:
-        return self.xi_matches and self.desirable and self.isolating and self.partition_ok
+        return (self.xi_matches and self.desirable and self.isolating
+                and self.partition_ok and self.header_ok)
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,6 +240,7 @@ class TraceVerification:
             "desirable": self.desirable,
             "isolating": self.isolating,
             "partition_ok": self.partition_ok,
+            "header_ok": self.header_ok,
             "verified": bool(self),
         }
 
@@ -267,4 +275,6 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
         w_cur = w_new
     if tuple(sorted(D)) != tuple(trace.D):
         partition_ok = False
-    return TraceVerification(xi_matches, desirable, is_isolating(G, D), partition_ok)
+    header_ok = trace.n == G.n and trace.initial_weight == wv.omega * G.n
+    return TraceVerification(xi_matches, desirable, is_isolating(G, D), partition_ok,
+                             header_ok)

@@ -232,7 +232,8 @@ def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
     # small equal betas satisfies every row
     probe = WeightVector(Fraction(100), Fraction(1, 100), Fraction(1, 100),
                          Fraction(1, 100), Fraction(1, 100))
-    assert check_feasible(cs, probe)[0], "constraint system rejected the large-omega probe"
+    if not check_feasible(cs, probe)[0]:
+        raise AssertionError("constraint system rejected the large-omega probe")
 
     irows = _integer_rows(cs)
     n_rows = len(irows)

@@ -109,10 +109,14 @@ class WeightVector:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightVector":
+        if not isinstance(d, dict):
+            raise ValueError(f"weight vector JSON must be an object, got {type(d).__name__}")
         try:
             return cls(*(Fraction(d[k]) for k in ("omega", "beta1", "beta2", "beta3", "beta4")))
         except KeyError as e:
             raise ValueError(f"weight vector JSON missing key {e.args[0]!r}") from None
+        except (TypeError, ZeroDivisionError, OverflowError) as e:
+            raise ValueError(f"malformed weight vector JSON: {e}") from None
 
 
 class ResidualState:

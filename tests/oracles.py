@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from isobound import Graph, from_edge_list
+from isobound import Graph
 
 
 def closed_neighborhood(G: Graph, S) -> set[int]:
@@ -46,4 +46,4 @@ def triangles(G: Graph) -> list[tuple[int, int, int]]:
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return from_edge_list(n, edges)
+    return Graph(n, edges)

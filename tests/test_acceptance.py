@@ -100,7 +100,7 @@ def test_acceptance_4_greedy_bound_triangle_free():
             if is_connected(g):
                 break
         assert structural_profile(g).triangle_free
-        S, trace = greedy_isolating_set(g, wv, "triangle-free")
+        S, trace = greedy_isolating_set(g, wv)
         assert is_isolating(g, S)
         assert len(S) <= math.floor(F(3, 10) * g.n), f"graph {i} exceeds bound"
         for step in trace.steps:
@@ -182,7 +182,7 @@ def test_acceptance_8_family_ratio():
         profile = structural_profile(h)
         assert profile.min_degree == profile.max_degree == 4
         assert profile.is_connected and profile.triangle_free
-        S, _ = greedy_isolating_set(h, wv, "triangle-free")
+        S, _ = greedy_isolating_set(h, wv)
         assert is_isolating(h, S)
         assert len(S) >= cert.chain_lower_bound(s) == 3 * s
     print(f"acceptance 8 (prism chain iota = 4 = n/4 in {elapsed:.1f}s; "

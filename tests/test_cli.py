@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,60 @@ def test_verify_rejects_tampered_trace(chain_file, tmp_path, capsys):
     assert main(["verify-bound", "--in", chain_file, "--trace", str(bad),
                  "--weights", str(wfile)]) == 1
     assert "partition_ok: false" in capsys.readouterr().out
+
+
+def test_verify_rejects_wrong_header(chain_file, tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    run = tmp_path / "run.json"
+    main(["lp-weights", "--delta", "4", "--out", str(wfile)])
+    main(["greedy", "--in", chain_file, "--delta", "4",
+          "--weights", str(wfile), "--out", str(run)])
+    trace = json.loads(run.read_text())["results"]["trace"]
+    trace["n"], trace["initial_weight"] = 999, "0"
+    bad = tmp_path / "header.json"
+    bad.write_text(json.dumps(trace))
+    capsys.readouterr()
+    assert main(["verify-bound", "--in", chain_file, "--trace", str(bad),
+                 "--weights", str(wfile)]) == 1
+    text = capsys.readouterr().out
+    assert "header_ok: false" in text and "verified: false" in text
+    assert "xi_matches: true" in text and "partition_ok: true" in text
+
+
+def test_report_fingerprints_the_input(chain_file, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["exact", "--in", chain_file, "--out", str(out)]) == 0
+    G = chain(prism_k4(), 2)
+    digest = hashlib.sha256(emit_edge_list(G).encode()).hexdigest()
+    report = json.loads(out.read_text())
+    assert report["input"] == {"graph": {"n": 16, "m": 32, "sha256": digest}}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"], {"n": 16, "steps": 5}),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"], [1, 2]),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": 16, "initial_weight": "1", "final_set": [0],
+      "steps": [{"rule": "R1", "set": [0], "xi": "1/0"}]}),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": 16, "initial_weight": "1", "final_set": [0],
+      "steps": [{"rule": "R9", "set": [0], "xi": "1"}]}),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"], [1]),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"], 5),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"],
+     dict(TF_VECTOR, omega=float("inf"))),
+], ids=["steps-not-list", "trace-is-array", "xi-divides-by-zero", "unknown-rule",
+        "weights-is-array", "weights-is-number", "weight-is-infinite"])
+def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, capsys):
+    bad, weights = tmp_path / "bad.json", tmp_path / "w.json"
+    bad.write_text(json.dumps(payload))
+    weights.write_text(json.dumps(TF_VECTOR))
+    argv = [a.format(bad=bad, weights=weights) for a in argv]
+    if argv[0] == "verify-bound":
+        argv += ["--in", chain_file]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_weights_feasible_and_not(tmp_path, capsys):

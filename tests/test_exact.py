@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from isobound import (SearchBudgetExceeded, complete_graph, cycle_graph,
-                      exact_isolation_number, from_edge_list, is_isolating,
+from isobound import (Graph, SearchBudgetExceeded, complete_graph, cycle_graph,
+                      exact_isolation_number, is_isolating,
                       path_cycle_min_isolating, path_graph, prism_k4,
                       metacirculant_14)
 
@@ -11,11 +11,11 @@ from oracles import brute_force_isolation, is_isolating_direct, random_graph
 
 
 def test_known_values():
-    assert exact_isolation_number(from_edge_list(2, [(0, 1)])).iota == 1
+    assert exact_isolation_number(Graph(2, [(0, 1)])).iota == 1
     assert exact_isolation_number(prism_k4().F).iota == 2
     assert exact_isolation_number(metacirculant_14().F).iota == 3
     assert exact_isolation_number(complete_graph(5)).iota == 1
-    assert exact_isolation_number(from_edge_list(3, [])).iota == 0
+    assert exact_isolation_number(Graph(3, [])).iota == 0
 
 
 def test_witness_is_isolating_and_minimal():
@@ -101,8 +101,8 @@ def test_dp_rejects_non_path_cycle():
     with pytest.raises(ValueError):
         path_cycle_min_isolating(complete_graph(4))
     with pytest.raises(ValueError):
-        path_cycle_min_isolating(from_edge_list(4, [(0, 1), (2, 3)]))
-    star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+        path_cycle_min_isolating(Graph(4, [(0, 1), (2, 3)]))
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ValueError):
         path_cycle_min_isolating(star)
 

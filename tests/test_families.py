@@ -66,6 +66,9 @@ def test_gadget_validation():
     k4 = complete_graph(4)
     with pytest.raises(ValueError, match="not an edge"):
         Gadget(prism_k4().F, (0, 5), b=2, c=8)
+    for outside in ((8, 0), (-8, 1)):
+        with pytest.raises(ValueError, match="not an edge"):
+            Gadget(prism_k4().F, outside, b=2, c=8)
     with pytest.raises(ValueError, match="regular"):
         Gadget(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]), (0, 1), b=1, c=4)
     with pytest.raises(ValueError, match="order"):

@@ -4,35 +4,35 @@ import networkx as nx
 import pytest
 
 from isobound import (GenerationError, Graph, Graph6ParseError, complete_graph,
-                      cycle_graph, emit_edge_list, emit_graph6, from_edge_list,
-                      parse_edge_list, parse_graph6, path_graph,
-                      random_bipartite_min_degree_graph, random_min_degree_graph,
-                      random_regular_graph, structural_profile)
+                      cycle_graph, emit_edge_list, emit_graph6, parse_edge_list,
+                      parse_graph6, path_graph, random_bipartite_min_degree_graph,
+                      random_min_degree_graph, random_regular_graph,
+                      structural_profile)
 
 from oracles import random_graph, triangles
 
 
 def test_from_edge_list_basic():
-    k2 = from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     assert k2.n == 2 and k2.num_edges == 1
-    c5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert all(c5.degree(v) == 2 for v in range(5))
     # duplicates collapse, including reversed duplicates
-    g = from_edge_list(3, [(0, 1), (1, 0)])
+    g = Graph(3, [(0, 1), (1, 0)])
     assert g.num_edges == 1 and g.has_edge(0, 1)
 
 
 def test_from_edge_list_rejects_bad_input():
     with pytest.raises(ValueError, match=r"\(0, 5\)"):
-        from_edge_list(3, [(0, 5)])
+        Graph(3, [(0, 5)])
     with pytest.raises(ValueError, match="self-loop"):
-        from_edge_list(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(-1, [])
 
 
 def test_neighbors_sorted_and_symmetric():
-    g = from_edge_list(5, [(3, 1), (3, 0), (3, 4), (0, 1)])
+    g = Graph(5, [(3, 1), (3, 0), (3, 4), (0, 1)])
     assert g.neighbors(3) == (0, 1, 4)
     for u in range(5):
         for v in g.neighbors(u):
@@ -40,7 +40,7 @@ def test_neighbors_sorted_and_symmetric():
 
 
 def test_induced_subgraph_mapping():
-    g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
     sub, back = g.induced_subgraph([1, 2, 4])
     assert back == (1, 2, 4)
     assert set(sub.edges()) == {(0, 1), (0, 2)}  # 1-2 and 1-4 in parent labels
@@ -64,8 +64,8 @@ def test_graph6_known_strings():
     assert parse_graph6("D~{") == complete_graph(5)
     # "A?" is the 2-vertex empty graph; "A_" already carries the edge
     assert parse_graph6("A?").num_edges == 0
-    assert parse_graph6("A_") == from_edge_list(2, [(0, 1)])
-    assert parse_graph6(">>graph6<<A_") == from_edge_list(2, [(0, 1)])
+    assert parse_graph6("A_") == Graph(2, [(0, 1)])
+    assert parse_graph6(">>graph6<<A_") == Graph(2, [(0, 1)])
 
 
 def test_graph6_errors_carry_offsets():
@@ -101,14 +101,14 @@ def test_graph6_agrees_with_networkx():
 
 
 def test_graph6_large_n_size_field():
-    g = from_edge_list(80, [(0, 79), (40, 41)])
+    g = Graph(80, [(0, 79), (40, 41)])
     s = emit_graph6(g)
     assert s[0] == "~"
     assert parse_graph6(s) == g
 
 
 def test_edge_list_roundtrip():
-    g = from_edge_list(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     text = emit_edge_list(g)
     assert text.splitlines()[0] == "4 2"
     assert parse_edge_list(text) == g
@@ -148,7 +148,7 @@ def test_profile_acyclic_and_triangles():
 
 
 def test_profile_disconnected():
-    g = from_edge_list(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert not structural_profile(g).is_connected
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from isobound import (GreedyRule, GreedyTrace, WeightVector, build_constraints,
+from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constraints,
                       chain, compute_residual, cycle_graph, exact_isolation_number,
-                      from_edge_list, greedy_isolating_set, is_isolating,
+                      greedy_isolating_set, is_isolating,
                       path_graph, prism_k4, random_min_degree_graph,
                       select_desirable, solve_min_omega, total_weight,
                       verify_trace)
@@ -22,7 +22,7 @@ def star_plus(center_degree: int) -> "Graph":
     n = 1 + 2 * center_degree
     edges = [(0, i) for i in range(1, center_degree + 1)]
     edges += [(i, center_degree + i) for i in range(1, center_degree + 1)]
-    return from_edge_list(n, edges)
+    return Graph(n, edges)
 
 
 def test_select_r1_high_degree():
@@ -37,7 +37,7 @@ def test_select_r1_prefers_five_tier_over_lower_index():
     edges = [(0, i) for i in (1, 2, 3, 4)]
     edges += [(1, i) for i in (5, 6, 7, 8)]  # plus (1,0) above: five total
     edges += [(i, i + 8) for i in range(2, 9)]  # pendants keep everyone white
-    g = from_edge_list(17, edges)
+    g = Graph(17, edges)
     st = compute_residual(g, ())
     wd = st.white_degrees()
     assert wd[0] == 4 and wd[1] == 5
@@ -59,7 +59,7 @@ def test_select_r5_on_p7():
 
 
 def test_select_r7_on_k2s():
-    g = from_edge_list(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     rule, A = select_desirable(compute_residual(g, ()))
     assert rule is GreedyRule.R7 and A == {0}
 
@@ -67,7 +67,7 @@ def test_select_r7_on_k2s():
 def test_select_r6_spanning_blue():
     # blue x between two K2 components: x dominated by a far vertex d
     # K2s: (0,1) and (2,3); x=4 adjacent to 0 and 2; d=5 adjacent to 4
-    g = from_edge_list(6, [(0, 1), (2, 3), (4, 0), (4, 2), (4, 5)])
+    g = Graph(6, [(0, 1), (2, 3), (4, 0), (4, 2), (4, 5)])
     st = compute_residual(g, {5})
     assert st.color[4].value == "blue"
     rule, A = select_desirable(st)
@@ -78,7 +78,7 @@ def test_select_r6_with_c5_component():
     # x=10 spans a K2 (0,1) and a C5 (2..6); dominated via 11
     edges = [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2),
              (10, 0), (10, 2), (10, 11)]
-    g = from_edge_list(12, edges)
+    g = Graph(12, edges)
     st = compute_residual(g, {11})
     rule, A = select_desirable(st)
     assert rule is GreedyRule.R6
@@ -97,12 +97,10 @@ def test_select_r7_c5_takes_neighbors_of_lowest():
 def test_select_requires_white():
     with pytest.raises(ValueError, match="already isolating"):
         select_desirable(compute_residual(path_graph(3), {1}))
-    with pytest.raises(ValueError, match="variant"):
-        select_desirable(compute_residual(path_graph(4), ()), "bogus")
 
 
 def test_greedy_k2_c5():
-    k2 = from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     S, trace = greedy_isolating_set(k2, WV)
     assert S == (0,) and trace.steps[0].rule is GreedyRule.R7
     c5 = cycle_graph(5)
@@ -189,7 +187,7 @@ def test_verify_trace_detects_tampering():
 def test_verify_trace_separates_checks_below_precondition():
     # K2 has minimum degree 1: the run is isolating but one step cannot
     # pay for itself at these weights
-    k2 = from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     _, trace = greedy_isolating_set(k2, WV)
     outcome = verify_trace(k2, trace, WV)
     assert outcome.isolating and outcome.xi_matches
@@ -198,7 +196,7 @@ def test_verify_trace_separates_checks_below_precondition():
 
 
 def test_verify_trace_rejects_unknown_vertices():
-    k2 = from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     _, trace = greedy_isolating_set(k2, WV)
     forged = GreedyTrace(2, trace.steps, (0, 9), trace.initial_weight)
     with pytest.raises(ValueError):

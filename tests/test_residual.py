@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from isobound import (Color, WeightVector, compute_residual, cycle_graph,
-                      from_edge_list, is_isolating, path_graph, total_weight, xi)
+from isobound import (Color, Graph, WeightVector, compute_residual, cycle_graph,
+                      is_isolating, path_graph, total_weight, xi)
 
 from oracles import closed_neighborhood, is_isolating_direct, random_graph
 
@@ -74,11 +74,11 @@ def test_state_accessors():
 
 
 def test_xi_examples():
-    k2 = from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     assert xi(k2, (), (0,), WV) == 2 * WV.omega == F(26, 41)
     c5 = cycle_graph(5)
     assert xi(c5, (), (0,), WV) == 3 * WV.omega - 2 * WV.beta1 == F(34, 41)
-    edgeless = from_edge_list(3, [])
+    edgeless = Graph(3, [])
     assert xi(edgeless, (), (1,), WV) == 0
     with pytest.raises(ValueError, match="intersects"):
         xi(c5, (0,), (0, 1), WV)
@@ -88,7 +88,7 @@ def test_is_isolating_examples():
     c5 = cycle_graph(5)
     assert is_isolating(c5, (1, 4))
     assert not is_isolating(c5, (0,))
-    k2 = from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     assert is_isolating(k2, (0,)) and is_isolating(k2, (1,))
 
 
