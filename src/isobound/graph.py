@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class Graph6ParseError(ValueError):
@@ -71,19 +71,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(len(a) for a in self._adj) // 2
-
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def closed_neighborhood(self, vs: Iterable[int]) -> frozenset[int]:
-        """N[vs]: the given vertices together with all their neighbors."""
-        out: set[int] = set()
-        for v in vs:
-            if not (0 <= v < self.n):
-                raise ValueError(f"vertex {v} outside [0, {self.n})")
-            out.add(v)
-            out.update(self._nbr[v])
-        return frozenset(out)
 
     def induced_subgraph(self, vs: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph induced by vs, plus the map from new index to parent index.
@@ -219,15 +206,19 @@ def structural_profile(G: Graph) -> StructuralProfile:
 
 _G6_HEADER = ">>graph6<<"
 
+# largest order of graph6's four-byte size field; edge-list headers share
+# it, so no input makes Graph allocate more adjacency slots than this
+MAX_ORDER = 258047
+
 
 def _encode_size(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_ORDER:
         return chr(126) + "".join(
             chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)
         )
-    raise ValueError(f"graph6 emitter supports n <= 258047, got {n}")
+    raise ValueError(f"graph6 emitter supports n <= {MAX_ORDER}, got {n}")
 
 
 def emit_graph6(G: Graph) -> str:
@@ -262,12 +253,12 @@ def parse_graph6(text: str) -> Graph:
     if s[0] != chr(126):
         n = ord(s[0]) - 63
         body_at = 1
-    elif len(s) >= 2 and s[1] == chr(126):
-        raise Graph6ParseError("graph6 sizes above 258047 are not supported", 0)
     else:
         if len(s) < 4:
             raise Graph6ParseError("truncated multi-byte size field", len(s))
         n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
+        if s[1] == chr(126) or n > MAX_ORDER:
+            raise Graph6ParseError(f"graph6 sizes above {MAX_ORDER} are not supported", 0)
         body_at = 4
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -314,6 +305,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError(f"expected integer header 'n m', got {rows[0]!r}") from None
+    if not 0 <= n <= MAX_ORDER or m < 0:
+        raise ValueError(f"header 'n m' needs 0 <= n <= {MAX_ORDER} and m >= 0, got {rows[0]!r}")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
     edges = []
@@ -334,11 +327,11 @@ _RETRY_BUDGET = 5000
 def random_regular_graph(n: int, r: int, seed: int) -> Graph:
     """Simple r-regular graph via the pairing model with whole-draw rejection.
 
-    Deterministic per seed. Raises ValueError when n*r is odd or r >= n,
-    GenerationError when the retry budget runs out.
+    Deterministic per seed. Raises ValueError when n*r is odd or r is
+    outside [0, n), GenerationError when the retry budget runs out.
     """
-    if r >= n:
-        raise ValueError(f"degree {r} needs at least {r + 1} vertices, got {n}")
+    if not 0 <= r < n:
+        raise ValueError(f"degree {r} must be >= 0 and below the {n} vertices")
     if (n * r) % 2:
         raise ValueError(f"n*r must be even, got n={n}, r={r}")
     rng = Random(seed)
@@ -372,8 +365,8 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
     holds. Instances feed property tests, so simplicity beats
     distributional purity here.
     """
-    if delta >= n:
-        raise ValueError(f"minimum degree {delta} needs more than {n} vertices")
+    if not 0 <= delta < n:
+        raise ValueError(f"minimum degree {delta} must be >= 0 and below the {n} vertices")
     rng = Random(seed)
     stubs = [v for v in range(n) for _ in range(delta)]
     rng.shuffle(stubs)
@@ -405,7 +398,7 @@ def random_bipartite_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
     """
     left = (n + 1) // 2
     right = n - left
-    if delta > min(left, right):
+    if not 0 <= delta <= min(left, right):
         raise ValueError(
             f"min degree {delta} impossible with sides {left}/{right}"
         )

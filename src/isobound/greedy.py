@@ -36,7 +36,7 @@ from fractions import Fraction
 from .exact import path_cycle_min_isolating
 from .graph import Graph
 from .residual import (Color, ResidualState, WeightVector, compute_residual,
-                       is_isolating, total_weight)
+                       is_isolating, parse_rational, total_weight)
 
 
 class GreedyRule(IntEnum):
@@ -97,16 +97,16 @@ class GreedyTrace:
                 if s["rule"] not in GreedyRule.__members__:
                     raise ValueError(f"trace JSON names unknown rule {s['rule']!r}")
                 vertices = tuple(map(operator.index, s["set"]))
-                steps.append(GreedyStep(GreedyRule[s["rule"]], vertices, Fraction(s["xi"])))
+                steps.append(GreedyStep(GreedyRule[s["rule"]], vertices, parse_rational(s["xi"])))
             final_set = tuple(map(operator.index, d["final_set"]))
-            return cls(int(d["n"]), tuple(steps), final_set, Fraction(d["initial_weight"]))
+            return cls(int(d["n"]), tuple(steps), final_set, parse_rational(d["initial_weight"]))
         except KeyError as e:
             raise ValueError(f"trace JSON missing key {e.args[0]!r}") from None
         except (TypeError, ZeroDivisionError, OverflowError) as e:
             raise ValueError(f"malformed trace JSON: {e}") from None
 
 
-def _is_c5(comp: tuple[int, ...], wdeg: dict[int, int]) -> bool:
+def _is_c5(comp: tuple[int, ...], wdeg: tuple[int, ...]) -> bool:
     return len(comp) == 5 and all(wdeg[v] == 2 for v in comp)
 
 
@@ -119,7 +119,7 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     if not state.whites:
         raise ValueError("no white vertex: the current set is already isolating")
     G = state.graph
-    wdeg = state.white_degrees()
+    wdeg = state.white_degree
     rd = state.residual_degree
 
     for v in state.whites:
@@ -252,10 +252,6 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     degree precondition can fail the desirability check while its final
     set still isolates.
     """
-    for step in trace.steps:
-        for v in step.vertices:
-            if not 0 <= v < G.n:
-                raise ValueError(f"trace references vertex {v} outside [0, {G.n})")
     D: set[int] = set()
     xi_matches = True
     desirable = True

@@ -24,11 +24,9 @@ from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
-from .residual import WeightVector
+from .residual import WEIGHT_NAMES, WeightVector
 
 VARIANTS = ("general", "triangle-free", "girth5")
-
-_VAR_NAMES = ("omega", "beta1", "beta2", "beta3", "beta4")
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class LinearRow:
 
     def __str__(self):
         terms = []
-        for c, name in zip(self.coeffs, _VAR_NAMES):
+        for c, name in zip(self.coeffs, WEIGHT_NAMES):
             if c:
                 terms.append(f"{c}*{name}")
         return f"{' + '.join(terms) or '0'} >= {self.rhs}"
@@ -89,8 +87,9 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
     The shared core covers rules R1-R6; the R7 endgame rows differ by
     variant because the number of outside neighbors a K2 or C5
     component can share shrinks when triangles (or 4-cycles) are
-    forbidden. Strict positivity of beta1 is relaxed to beta1 >= 0 here
-    and re-checked on the optimum.
+    forbidden. Strict positivity of beta1 is relaxed to beta1 >= 0 here;
+    solve_min_omega only prefers a beta1 > 0 vertex among the optimal
+    ones, and nothing rejects beta1 = 0.
     """
     if delta < 3:
         raise ValueError(f"minimum degree must be >= 3, got {delta}")

@@ -36,13 +36,30 @@ class Color(Enum):
     RED = "red"
 
 
+WEIGHT_NAMES = ("omega", "beta1", "beta2", "beta3", "beta4")
+
+# exact weights and xi values of real runs are a few dozen characters
+_MAX_RATIONAL_CHARS = 1000
+
+
+def parse_rational(value) -> Fraction:
+    """Exact rational from a JSON value. Long strings and exponents are
+    rejected: Fraction("1e999999999") builds a billion-digit integer."""
+    if isinstance(value, str):
+        if len(value) > _MAX_RATIONAL_CHARS:
+            raise ValueError(f"rational string longer than {_MAX_RATIONAL_CHARS} characters")
+        if "e" in value or "E" in value:
+            raise ValueError(f"rational {value!r} uses an exponent")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Exact rational weights (omega, beta1..beta4).
 
     Construction does not enforce the chain conditions, since feasibility
-    checking must be able to evaluate arbitrary vectors. Call validate()
-    or is_valid() where the conditions matter.
+    checking must be able to evaluate arbitrary vectors; the chain and
+    step rows of lpweights.build_constraints state them.
     """
 
     omega: Fraction
@@ -52,7 +69,7 @@ class WeightVector:
     beta4: Fraction
 
     def __post_init__(self):
-        for name in ("omega", "beta1", "beta2", "beta3", "beta4"):
+        for name in WEIGHT_NAMES:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def beta(self, i: int) -> Fraction:
@@ -61,108 +78,42 @@ class WeightVector:
             raise ValueError(f"blue residual degree must be >= 1, got {i}")
         return (self.beta1, self.beta2, self.beta3, self.beta4)[min(i, 4) - 1]
 
-    def epsilon(self, i: int) -> Fraction:
-        """Increment eps_i = beta_i − beta_{i−1}, with beta_0 = 0."""
-        if not 1 <= i <= 4:
-            raise ValueError(f"epsilon index must be in 1..4, got {i}")
-        lower = Fraction(0) if i == 1 else self.beta(i - 1)
-        return self.beta(i) - lower
-
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.omega, self.beta1, self.beta2, self.beta3, self.beta4)
 
-    def chain_violations(self) -> list[str]:
-        """Human-readable list of violated ordering conditions, possibly empty.
-
-        The conditions: omega >= beta4 >= beta3 >= beta2 >= beta1 > 0,
-        and increments eps4 <= eps3 <= eps2 <= beta1.
-        """
-        out = []
-        names = ("beta1", "beta2", "beta3", "beta4", "omega")
-        vals = (self.beta1, self.beta2, self.beta3, self.beta4, self.omega)
-        if self.beta1 <= 0:
-            out.append(f"beta1 = {self.beta1} is not > 0")
-        for i in range(4):
-            if vals[i] > vals[i + 1]:
-                out.append(f"{names[i]} = {vals[i]} exceeds {names[i+1]} = {vals[i+1]}")
-        for i in (2, 3, 4):
-            if self.epsilon(i) > self.epsilon(i - 1):
-                out.append(f"eps{i} = {self.epsilon(i)} exceeds eps{i-1} = {self.epsilon(i-1)}")
-        return out
-
-    def is_valid(self) -> bool:
-        return not self.chain_violations()
-
-    def validate(self) -> None:
-        bad = self.chain_violations()
-        if bad:
-            raise ValueError("invalid weight vector: " + "; ".join(bad))
-
     def to_json_dict(self) -> dict:
-        return {
-            "omega": str(self.omega),
-            "beta1": str(self.beta1),
-            "beta2": str(self.beta2),
-            "beta3": str(self.beta3),
-            "beta4": str(self.beta4),
-        }
+        return {name: str(x) for name, x in zip(WEIGHT_NAMES, self.as_tuple())}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightVector":
         if not isinstance(d, dict):
             raise ValueError(f"weight vector JSON must be an object, got {type(d).__name__}")
         try:
-            return cls(*(Fraction(d[k]) for k in ("omega", "beta1", "beta2", "beta3", "beta4")))
+            return cls(*(parse_rational(d[k]) for k in WEIGHT_NAMES))
         except KeyError as e:
             raise ValueError(f"weight vector JSON missing key {e.args[0]!r}") from None
         except (TypeError, ZeroDivisionError, OverflowError) as e:
             raise ValueError(f"malformed weight vector JSON: {e}") from None
 
 
+@dataclass(frozen=True)
 class ResidualState:
-    """Colors and residual degrees of a graph relative to a set D.
+    """Colors and degrees of a graph relative to a partial solution.
 
-    Derived views (white degrees, B_i sets, white components) are
-    computed on first use and cached; the state itself never mutates.
+    white_degree[v] counts the White neighbors of every vertex v; on a
+    Blue vertex it equals the residual degree.
     """
 
-    def __init__(self, graph: Graph, D: frozenset[int],
-                 color: tuple[Color, ...], residual_degree: tuple[int, ...]):
-        self.graph = graph
-        self.D = D
-        self.color = color
-        self.residual_degree = residual_degree
-        self.whites = tuple(v for v in range(graph.n) if color[v] is Color.WHITE)
-        self.blues = tuple(v for v in range(graph.n) if color[v] is Color.BLUE)
-        self._wdeg: dict[int, int] | None = None
-        self._components: list[tuple[int, ...]] | None = None
-
-    def white_degree(self, v: int) -> int:
-        """Number of White neighbors of v."""
-        return self.white_degrees()[v]
-
-    def white_degrees(self) -> dict[int, int]:
-        if self._wdeg is None:
-            color = self.color
-            self._wdeg = {
-                v: sum(1 for u in self.graph.neighbors(v) if color[u] is Color.WHITE)
-                for v in range(self.graph.n)
-            }
-        return self._wdeg
-
-    def B(self, i: int) -> tuple[int, ...]:
-        """Blue vertices of residual degree exactly i (1..3), or >= 4 for i = 4."""
-        if not 1 <= i <= 4:
-            raise ValueError(f"B index must be in 1..4, got {i}")
-        rd = self.residual_degree
-        if i == 4:
-            return tuple(v for v in self.blues if rd[v] >= 4)
-        return tuple(v for v in self.blues if rd[v] == i)
+    graph: Graph
+    color: tuple[Color, ...]
+    white_degree: tuple[int, ...]
+    residual_degree: tuple[int, ...]
+    whites: tuple[int, ...]
+    blues: tuple[int, ...]
 
     def delta_w(self) -> int:
         """Max number of White neighbors over White vertices (0 if none)."""
-        wdeg = self.white_degrees()
-        return max((wdeg[v] for v in self.whites), default=0)
+        return max((self.white_degree[v] for v in self.whites), default=0)
 
     def delta_b(self) -> int:
         """Max residual degree over Blue vertices (0 if none)."""
@@ -174,64 +125,67 @@ class ResidualState:
         Each component is a sorted vertex tuple; components are ordered
         by their lowest vertex.
         """
-        if self._components is None:
-            color = self.color
-            seen: set[int] = set()
-            comps = []
-            for start in self.whites:
-                if start in seen:
-                    continue
-                comp = [start]
-                seen.add(start)
-                stack = [start]
-                while stack:
-                    u = stack.pop()
-                    for w in self.graph.neighbors(u):
-                        if color[w] is Color.WHITE and w not in seen:
-                            seen.add(w)
-                            comp.append(w)
-                            stack.append(w)
-                comps.append(tuple(sorted(comp)))
-            self._components = comps
-        return self._components
+        color = self.color
+        seen: set[int] = set()
+        comps = []
+        for start in self.whites:
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in self.graph.neighbors(u):
+                    if color[w] is Color.WHITE and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            comps.append(tuple(sorted(comp)))
+        return comps
 
-    def to_json_dict(self) -> dict:
-        census = {f"B{i}": list(self.B(i)) for i in (1, 2, 3, 4)}
-        return {
-            "n": self.graph.n,
-            "D": sorted(self.D),
-            "color": [c.value for c in self.color],
-            "residual_degree": list(self.residual_degree),
-            "white": list(self.whites),
-            "blue_census": census,
-        }
+
+def _dominated(G: Graph, S: Iterable[int]) -> set[int]:
+    """N[S], rejecting vertices outside the graph."""
+    out: set[int] = set()
+    for v in S:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} is outside [0, {G.n})")
+        out.add(v)
+        out.update(G.neighbor_set(v))
+    return out
 
 
 def compute_residual(G: Graph, D: Iterable[int]) -> ResidualState:
-    """Color every vertex relative to D, from scratch."""
-    Dset = frozenset(D)
-    for v in Dset:
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} in D is outside [0, {G.n})")
-    dominated = bytearray(G.n)
-    for v in Dset:
-        dominated[v] = 1
-        for u in G.neighbors(v):
-            dominated[u] = 1
+    """Color every vertex relative to D, from scratch, in one sweep.
+
+    A vertex outside N[D] is White iff it has a neighbor outside N[D],
+    and all such neighbors are then White too. So a White vertex's White
+    degree counts its undominated neighbors, each dominated neighbor of
+    it gains one White neighbor, and every other vertex outside N[D] has
+    only dominated neighbors: Blue is exactly "dominated with a White
+    neighbor", and a Blue vertex's residual degree is its White degree.
+    """
+    dominated = _dominated(G, D)
+    wdeg = [0] * G.n
+    whites = []
+    for v in range(G.n):
+        if v in dominated:
+            continue
+        hit = G.neighbor_set(v) & dominated
+        if len(hit) < G.degree(v):
+            whites.append(v)
+            wdeg[v] = G.degree(v) - len(hit)
+            for u in hit:
+                wdeg[u] += 1
     color = [Color.RED] * G.n
-    for v in range(G.n):
-        if not dominated[v] and any(not dominated[u] for u in G.neighbors(v)):
-            color[v] = Color.WHITE
-    rd = [0] * G.n
-    for v in range(G.n):
-        if color[v] is Color.WHITE:
-            rd[v] = G.degree(v)
-        else:
-            k = sum(1 for u in G.neighbors(v) if color[u] is Color.WHITE)
-            if k and dominated[v]:
-                color[v] = Color.BLUE
-                rd[v] = k
-    return ResidualState(G, Dset, tuple(color), tuple(rd))
+    rd = wdeg[:]
+    for v in whites:
+        color[v], rd[v] = Color.WHITE, G.degree(v)
+    blues = [v for v in range(G.n) if wdeg[v] and color[v] is Color.RED]
+    for v in blues:
+        color[v] = Color.BLUE
+    return ResidualState(G, tuple(color), tuple(wdeg), tuple(rd), tuple(whites), tuple(blues))
 
 
 def total_weight(state: ResidualState, wv: WeightVector) -> Fraction:
@@ -260,14 +214,5 @@ def xi(G: Graph, D: Iterable[int], A: Iterable[int], wv: WeightVector) -> Fracti
 
 def is_isolating(G: Graph, S: Iterable[int]) -> bool:
     """True iff no edge of G survives the removal of N[S]."""
-    dominated = bytearray(G.n)
-    for v in S:
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} is outside [0, {G.n})")
-        dominated[v] = 1
-        for u in G.neighbors(v):
-            dominated[u] = 1
-    for v in range(G.n):
-        if not dominated[v] and any(not dominated[u] for u in G.neighbors(v)):
-            return False
-    return True
+    dominated = _dominated(G, S)
+    return all(v in dominated or G.neighbor_set(v) <= dominated for v in range(G.n))

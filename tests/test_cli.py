@@ -141,8 +141,14 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
     (["check-weights", "--delta", "4", "--weights", "{bad}"], 5),
     (["check-weights", "--delta", "4", "--weights", "{bad}"],
      dict(TF_VECTOR, omega=float("inf"))),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"],
+     dict(TF_VECTOR, omega="1e5000")),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": 16, "initial_weight": "1", "final_set": [0],
+      "steps": [{"rule": "R1", "set": [0], "xi": "1e5000"}]}),
 ], ids=["steps-not-list", "trace-is-array", "xi-divides-by-zero", "unknown-rule",
-        "weights-is-array", "weights-is-number", "weight-is-infinite"])
+        "weights-is-array", "weights-is-number", "weight-is-infinite",
+        "weight-has-exponent", "xi-has-exponent"])
 def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, capsys):
     bad, weights = tmp_path / "bad.json", tmp_path / "w.json"
     bad.write_text(json.dumps(payload))
@@ -151,8 +157,8 @@ def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, c
     if argv[0] == "verify-bound":
         argv += ["--in", chain_file]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_weights_feasible_and_not(tmp_path, capsys):
@@ -206,6 +212,11 @@ def test_gen_flag_validation(tmp_path, capsys):
     assert main(["gen", "--random", "regular", "--n", "10"]) == 2
     err = capsys.readouterr().err
     assert "--param" in err and "--seed" in err
+    for kind in ("min-degree", "regular"):
+        assert main(["gen", "--random", kind, "--n", "10", "--param", "-4",
+                     "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_certify_edge(prism_file, tmp_path, capsys):

@@ -116,6 +116,11 @@ def test_edge_list_roundtrip():
         parse_edge_list("nonsense\n")
     with pytest.raises(ValueError, match="declares"):
         parse_edge_list("3 2\n0 1\n")
+    # the header is checked before Graph allocates n adjacency slots; the
+    # smallest order past the bound keeps a regression cheap to run
+    for header in ("258048 0", "3 -1"):
+        with pytest.raises(ValueError, match="header"):
+            parse_edge_list(header + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +174,8 @@ def test_random_min_degree_forced_k5():
     assert random_min_degree_graph(5, 4, 123) == complete_graph(5)
     with pytest.raises(ValueError):
         random_min_degree_graph(4, 4, 0)
+    with pytest.raises(ValueError):
+        random_min_degree_graph(10, -4, 1)
 
 
 def test_random_regular():
@@ -177,6 +184,8 @@ def test_random_regular():
         random_regular_graph(5, 3, 0)  # odd n*r
     with pytest.raises(ValueError):
         random_regular_graph(3, 3, 0)
+    with pytest.raises(ValueError):
+        random_regular_graph(10, -4, 1)
     for seed in range(100):
         g = random_regular_graph(14, 4, seed)
         assert all(g.degree(v) == 4 for v in range(14))
@@ -190,6 +199,8 @@ def test_random_bipartite_min_degree():
         assert not triangles(g)
     with pytest.raises(ValueError):
         random_bipartite_min_degree_graph(7, 4, 0)
+    with pytest.raises(ValueError):
+        random_bipartite_min_degree_graph(10, -4, 1)
 
 
 def test_generation_error_is_raisable():

@@ -39,7 +39,7 @@ def test_select_r1_prefers_five_tier_over_lower_index():
     edges += [(i, i + 8) for i in range(2, 9)]  # pendants keep everyone white
     g = Graph(17, edges)
     st = compute_residual(g, ())
-    wd = st.white_degrees()
+    wd = st.white_degree
     assert wd[0] == 4 and wd[1] == 5
     rule, A = select_desirable(st)
     assert rule is GreedyRule.R1 and A == {1}
