@@ -167,7 +167,7 @@ def _cmd_check_weights(args, report: dict) -> int:
 
 def _cmd_certify_edge(args, report: dict) -> int:
     G = _load_graph(args.infile, args.format)
-    gadget = Gadget(G, (args.x, args.y), args.b, G.n)
+    gadget = Gadget(G, (args.x, args.y), args.b)
     cert = certify_special_edge(gadget)
     print(json.dumps(cert.to_json_dict(), indent=2))
     report["input"] = {"graph": _fingerprint(G), "x": args.x, "y": args.y, "b": args.b}

@@ -1,15 +1,15 @@
 """Exact minimum isolating sets.
 
 Two oracles live here: a branch-and-bound solver for small graphs, and a
-linear dynamic program for path and cycle components (the only shapes
-the greedy ever hands to it).
+closed form for path and cycle components (the only shapes the greedy
+ever hands to it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, is_connected
+from .graph import Graph
 from .residual import is_isolating
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -143,82 +143,32 @@ def _walk_order(F: Graph, start: int) -> list[int]:
     cur = start
     while True:
         nxt = [u for u in F.neighbors(cur) if u != prev]
-        if not nxt:
-            break
-        step = min(nxt)
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-        if len(order) > F.n:
-            raise AssertionError("walk exceeded vertex count")
-    return order
-
-
-def _dp_line(order: list[int], cyclic: bool) -> list[int]:
-    # Positions along the walk; state d = capped distance to the last
-    # chosen position. Edge (i-1, i) needs a chosen position within
-    # {i-2, i-1, i, i+1}, so reaching d = 3 at position i forces
-    # position i+1 to be chosen; d = 4 is dead. With cyclic=True,
-    # position 0 is pre-chosen (the anchor) and a trailing pending edge
-    # is rescued by it, so every end state is accepting.
-    m = len(order)
-    parents: list[dict[int, tuple[int | None, bool]]] = [{} for _ in range(m)]
-    cur: dict[int, int] = {0: 1}
-    parents[0][0] = (None, True)
-    if not cyclic:
-        cur[2] = 0
-        parents[0][2] = (None, False)
-    for i in range(1, m):
-        nxt: dict[int, int] = {}
-        for d in sorted(cur):
-            cost = cur[d]
-            if 0 not in nxt or cost + 1 < nxt[0]:
-                nxt[0] = cost + 1
-                parents[i][0] = (d, True)
-            if d < 3:
-                if d + 1 not in nxt or cost < nxt[d + 1]:
-                    nxt[d + 1] = cost
-                    parents[i][d + 1] = (d, False)
-        cur = nxt
-    accepting = sorted(d for d in cur if cyclic or d <= 2)
-    if not accepting:
-        raise AssertionError("path DP ended with no accepting state")
-    end = min(accepting, key=lambda d: (cur[d], d))
-    chosen = []
-    d: int | None = end
-    for i in range(m - 1, -1, -1):
-        prev_d, chose = parents[i][d]
-        if chose:
-            chosen.append(order[i])
-        d = prev_d
-    return chosen
+        if not nxt or min(nxt) == start:
+            return order
+        prev, cur = cur, min(nxt)
+        order.append(cur)
 
 
 def path_cycle_min_isolating(F: Graph) -> tuple[int, ...]:
-    """Minimum isolating set of a path or cycle, by dynamic programming.
+    """Minimum isolating set of a path or cycle, in closed form.
 
-    Cycles are handled by conditioning on which of the four vertices
-    around one fixed edge is chosen (one of them must be) and rotating
-    that anchor to the front of the walk.
+    A closed neighborhood N[v] meets at most four edges here: the two at
+    v and one more at each neighbor. So a path on n vertices (n - 1
+    edges) needs at least ceil((n - 1)/4) vertices and a cycle (n edges)
+    at least ceil(n/4). Walking a path from its lowest end, positions
+    2, 6, 10, ... meet that bound; walking a cycle from vertex 0 toward
+    its lower neighbor, positions 3, 7, 11, ... do. The last position is
+    clamped to the end of the walk, where it also covers the tail (and,
+    on a cycle, the two edges at vertex 0).
     """
     n = F.n
     if n == 0:
         return ()
-    if any(F.degree(v) > 2 for v in range(n)) or not is_connected(F):
+    if any(F.degree(v) > 2 for v in range(n)):
         raise ValueError("input must be a single simple path or cycle")
-    if n == 1:
-        return ()
-    ends = [v for v in range(n) if F.degree(v) == 1]
-    if ends:
-        order = _walk_order(F, min(ends))
-        if len(order) != n:
-            raise AssertionError("path walk missed a vertex")
-        return tuple(sorted(_dp_line(order, cyclic=False)))
-    order = _walk_order(F, 0)
+    ends = [v for v in range(n) if F.degree(v) < 2]
+    order = _walk_order(F, min(ends, default=0))
     if len(order) != n:
-        raise AssertionError("cycle walk missed a vertex")
-    window = dict.fromkeys([order[-1], order[0], order[1], order[2]])
-    sols = [_dp_line(order[k:] + order[:k], cyclic=True) for k in map(order.index, window)]
-    # min keeps the first shortest solution, as the anchor order dictates
-    return tuple(sorted(min(sols, key=len)))
+        raise ValueError("input must be a single simple path or cycle")
+    positions = range(2, n + 1, 4) if ends else range(3, n + 3, 4)
+    return tuple(sorted(order[min(i, n - 1)] for i in positions))

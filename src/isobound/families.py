@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import exact_isolation_number
-from .graph import Graph
+from .graph import Graph, check_order
 
 ORACLE_ORDER_LIMIT = 20
 
@@ -23,7 +23,6 @@ class Gadget:
     F: Graph
     special_edge: tuple[int, int]
     b: int
-    c: int
 
     def __post_init__(self):
         x, y = self.special_edge
@@ -32,8 +31,6 @@ class Gadget:
         degs = {self.F.degree(v) for v in range(self.F.n)}
         if len(degs) != 1:
             raise ValueError("gadget graph must be regular")
-        if self.c != self.F.n:
-            raise ValueError(f"declared order {self.c} != actual order {self.F.n}")
         if self.b < 1:
             raise ValueError(f"per-copy requirement must be >= 1, got {self.b}")
 
@@ -86,7 +83,7 @@ def prism_k4() -> Gadget:
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     edges += [(4 + i, 4 + j) for i in range(4) for j in range(i + 1, 4)]
     edges += [(i, i + 4) for i in range(4)]
-    return Gadget(Graph(8, edges), (0, 4), b=2, c=8)
+    return Gadget(Graph(8, edges), (0, 4), b=2)
 
 
 def metacirculant_14() -> Gadget:
@@ -105,16 +102,17 @@ def metacirculant_14() -> Gadget:
     for i in range(1, 8):
         edges.append((i - 1, v(2 * i)))
         edges.append((i - 1, v(2 * i + 3)))
-    return Gadget(Graph(14, edges), (0, 1), b=3, c=14)
+    return Gadget(Graph(14, edges), (0, 1), b=3)
 
 
 def chain(gadget: Gadget, s: int) -> Graph:
     """s copies of F−xy glued cyclically: edge from each copy's x to the
-    next copy's y. Connected, regular of F's degree, order s*c."""
+    next copy's y. Connected, regular of F's degree, order s*F.n."""
     if s < 2:
         raise ValueError(f"chain needs at least 2 copies, got {s}")
+    c = gadget.F.n
+    check_order(s * c)
     x, y = gadget.special_edge
-    c = gadget.c
     edges = []
     for k in range(s):
         off = k * c
@@ -127,9 +125,9 @@ def chain(gadget: Gadget, s: int) -> Graph:
 
 def certify_special_edge(gadget: Gadget, node_budget: int | None = None) -> GadgetCertificate:
     """Run the exact oracle on the four deletion variants of the gadget."""
-    if gadget.c > ORACLE_ORDER_LIMIT:
+    if gadget.F.n > ORACLE_ORDER_LIMIT:
         raise ValueError(
-            f"gadget order {gadget.c} exceeds the exact-oracle limit {ORACLE_ORDER_LIMIT}")
+            f"gadget order {gadget.F.n} exceeds the exact-oracle limit {ORACLE_ORDER_LIMIT}")
     x, y = gadget.special_edge
     values = []
     for drop in ((), (x,), (y,), (x, y)):
@@ -146,7 +144,7 @@ def search_gadgets(corpus: list[Graph], r: int, b: int, c: int) -> list[Gadget]:
         if F.n != c or any(F.degree(v) != r for v in range(F.n)):
             continue
         for u, v in F.edges():
-            gadget = Gadget(F, (u, v), b, c)
+            gadget = Gadget(F, (u, v), b)
             if certify_special_edge(gadget).valid:
                 found.append(gadget)
     return found

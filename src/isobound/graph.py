@@ -120,9 +120,13 @@ class StructuralProfile:
     min_degree: int
     max_degree: int
     is_connected: bool
-    triangle_free: bool
     girth: int | None
     regular_degree: int | None
+
+    @property
+    def triangle_free(self) -> bool:
+        """A graph has a triangle exactly when its girth is 3."""
+        return self.girth != 3
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,13 +152,6 @@ def is_connected(G: Graph) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == G.n
-
-
-def _has_triangle(G: Graph) -> bool:
-    for u, v in G.edges():
-        if G.neighbor_set(u) & G.neighbor_set(v):
-            return True
-    return False
 
 
 def girth(G: Graph) -> int | None:
@@ -195,7 +192,6 @@ def structural_profile(G: Graph) -> StructuralProfile:
         min_degree=mind,
         max_degree=maxd,
         is_connected=is_connected(G),
-        triangle_free=not _has_triangle(G),
         girth=girth(G),
         regular_degree=mind if mind == maxd else None,
     )
@@ -324,12 +320,19 @@ def parse_edge_list(text: str) -> Graph:
 _RETRY_BUDGET = 5000
 
 
+def check_order(n: int) -> None:
+    """Reject an order above MAX_ORDER before anything is allocated for it."""
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
+
+
 def random_regular_graph(n: int, r: int, seed: int) -> Graph:
     """Simple r-regular graph via the pairing model with whole-draw rejection.
 
     Deterministic per seed. Raises ValueError when n*r is odd or r is
     outside [0, n), GenerationError when the retry budget runs out.
     """
+    check_order(n)
     if not 0 <= r < n:
         raise ValueError(f"degree {r} must be >= 0 and below the {n} vertices")
     if (n * r) % 2:
@@ -365,6 +368,7 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
     holds. Instances feed property tests, so simplicity beats
     distributional purity here.
     """
+    check_order(n)
     if not 0 <= delta < n:
         raise ValueError(f"minimum degree {delta} must be >= 0 and below the {n} vertices")
     rng = Random(seed)
@@ -396,6 +400,7 @@ def random_bipartite_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
     distinct right neighbors, then deficient right vertices repair
     themselves the same way.
     """
+    check_order(n)
     left = (n + 1) // 2
     right = n - left
     if not 0 <= delta <= min(left, right):

@@ -99,7 +99,8 @@ class GreedyTrace:
                 vertices = tuple(map(operator.index, s["set"]))
                 steps.append(GreedyStep(GreedyRule[s["rule"]], vertices, parse_rational(s["xi"])))
             final_set = tuple(map(operator.index, d["final_set"]))
-            return cls(int(d["n"]), tuple(steps), final_set, parse_rational(d["initial_weight"]))
+            return cls(operator.index(d["n"]), tuple(steps), final_set,
+                       parse_rational(d["initial_weight"]))
         except KeyError as e:
             raise ValueError(f"trace JSON missing key {e.args[0]!r}") from None
         except (TypeError, ZeroDivisionError, OverflowError) as e:

@@ -146,9 +146,11 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
     (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
      {"n": 16, "initial_weight": "1", "final_set": [0],
       "steps": [{"rule": "R1", "set": [0], "xi": "1e5000"}]}),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": 16.9, "initial_weight": "1", "final_set": [0], "steps": []}),
 ], ids=["steps-not-list", "trace-is-array", "xi-divides-by-zero", "unknown-rule",
         "weights-is-array", "weights-is-number", "weight-is-infinite",
-        "weight-has-exponent", "xi-has-exponent"])
+        "weight-has-exponent", "xi-has-exponent", "trace-n-is-float"])
 def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, capsys):
     bad, weights = tmp_path / "bad.json", tmp_path / "w.json"
     bad.write_text(json.dumps(payload))
@@ -215,6 +217,12 @@ def test_gen_flag_validation(tmp_path, capsys):
     for kind in ("min-degree", "regular"):
         assert main(["gen", "--random", kind, "--n", "10", "--param", "-4",
                      "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # one past MAX_ORDER = 258047, as a random order and as a chain length
+    for oversized in (["--random", "min-degree", "--n", "258048", "--param", "4",
+                       "--seed", "1"], ["--family", "prism-chain", "--s", "32256"]):
+        assert main(["gen"] + oversized) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

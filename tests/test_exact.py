@@ -65,7 +65,7 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
-# path / cycle dynamic program
+# path / cycle closed form
 
 
 def test_dp_small_examples():
@@ -95,6 +95,18 @@ def test_dp_closed_forms():
         assert len(path_cycle_min_isolating(path_graph(n))) == -(-(n - 1) // 4)
     for n in range(3, 40):
         assert len(path_cycle_min_isolating(cycle_graph(n))) == -(-n // 4)
+    # the chosen sets are pinned too, since greedy R5 traces record them
+    for n, want in ((2, (1,)), (5, (2,)), (6, (2, 5)), (9, (2, 6)), (10, (2, 6, 9))):
+        assert path_cycle_min_isolating(path_graph(n)) == want
+    for n, want in ((3, (2,)), (4, (3,)), (5, (3, 4)), (8, (3, 7)), (9, (3, 7, 8))):
+        assert path_cycle_min_isolating(cycle_graph(n)) == want
+    relabeled = (
+        (Graph(5, [(3, 0), (0, 4), (4, 1), (1, 2)]), (4,)),
+        (Graph(7, [(5, 2), (2, 6), (6, 0), (0, 3), (3, 1), (1, 4)]), (3, 5)),
+        (Graph(6, [(0, 4), (4, 2), (2, 5), (5, 1), (1, 3), (3, 0)]), (4, 5)),
+    )
+    for g, want in relabeled:
+        assert path_cycle_min_isolating(g) == want
 
 
 def test_dp_rejects_non_path_cycle():

@@ -6,12 +6,14 @@ from isobound import (Gadget, GadgetCertificate, Graph, ORACLE_ORDER_LIMIT,
                       metacirculant_14, prism_k4, search_gadgets,
                       structural_profile)
 
+from isobound.graph import MAX_ORDER
+
 from oracles import brute_force_isolation, triangles
 
 
 def test_prism_structure():
     g = prism_k4()
-    assert g.F.n == 8 and g.c == 8 and g.b == 2
+    assert g.F.n == 8 and g.b == 2
     assert all(g.F.degree(v) == 4 for v in range(8))
     assert is_connected(g.F)
     assert structural_profile(g.F).girth == 3
@@ -20,7 +22,7 @@ def test_prism_structure():
 
 def test_metacirculant_structure():
     g = metacirculant_14()
-    assert g.F.n == 14 and g.c == 14 and g.b == 3
+    assert g.F.n == 14 and g.b == 3
     assert all(g.F.degree(v) == 4 for v in range(14))
     assert is_connected(g.F)
     assert triangles(g.F) == []
@@ -55,7 +57,7 @@ def test_prism_values_match_brute_force():
 
 def test_k4_edge_is_not_a_b2_gadget():
     k4 = complete_graph(4)
-    cert = certify_special_edge(Gadget(k4, (0, 1), b=2, c=4))
+    cert = certify_special_edge(Gadget(k4, (0, 1), b=2))
     assert cert.iota_f == 1
     assert not cert.valid
     with pytest.raises(ValueError, match="not valid"):
@@ -65,21 +67,19 @@ def test_k4_edge_is_not_a_b2_gadget():
 def test_gadget_validation():
     k4 = complete_graph(4)
     with pytest.raises(ValueError, match="not an edge"):
-        Gadget(prism_k4().F, (0, 5), b=2, c=8)
+        Gadget(prism_k4().F, (0, 5), b=2)
     for outside in ((8, 0), (-8, 1)):
         with pytest.raises(ValueError, match="not an edge"):
-            Gadget(prism_k4().F, outside, b=2, c=8)
+            Gadget(prism_k4().F, outside, b=2)
     with pytest.raises(ValueError, match="regular"):
-        Gadget(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]), (0, 1), b=1, c=4)
-    with pytest.raises(ValueError, match="order"):
-        Gadget(k4, (0, 1), b=1, c=5)
+        Gadget(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]), (0, 1), b=1)
     with pytest.raises(ValueError, match=">= 1"):
-        Gadget(k4, (0, 1), b=0, c=4)
+        Gadget(k4, (0, 1), b=0)
 
 
 def test_oracle_order_limit():
     big = chain(prism_k4(), 3)  # 24 vertices, 4-regular
-    gadget = Gadget(big, next(iter(big.edges())), b=1, c=big.n)
+    gadget = Gadget(big, next(iter(big.edges())), b=1)
     assert big.n > ORACLE_ORDER_LIMIT
     with pytest.raises(ValueError, match="limit"):
         certify_special_edge(gadget)
@@ -89,7 +89,7 @@ def test_oracle_order_limit():
 def test_chain_shape(s):
     for gadget in (prism_k4(), metacirculant_14()):
         g = chain(gadget, s)
-        assert g.n == s * gadget.c
+        assert g.n == s * gadget.F.n
         assert all(g.degree(v) == 4 for v in range(g.n))
         assert is_connected(g)
 
@@ -104,6 +104,9 @@ def test_chain_keeps_triangle_freeness():
 def test_chain_rejects_short():
     with pytest.raises(ValueError, match="at least 2"):
         chain(prism_k4(), 1)
+    # s*8 vertices would pass MAX_ORDER; nothing may be built first
+    with pytest.raises(ValueError, match="exceeds"):
+        chain(prism_k4(), MAX_ORDER // 8 + 1)
 
 
 def test_chain_prism_two_copies_exact():

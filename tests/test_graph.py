@@ -9,6 +9,8 @@ from isobound import (GenerationError, Graph, Graph6ParseError, complete_graph,
                       random_min_degree_graph, random_regular_graph,
                       structural_profile)
 
+from isobound.graph import MAX_ORDER
+
 from oracles import random_graph, triangles
 
 
@@ -176,6 +178,9 @@ def test_random_min_degree_forced_k5():
         random_min_degree_graph(4, 4, 0)
     with pytest.raises(ValueError):
         random_min_degree_graph(10, -4, 1)
+    # the order is bounded before any list proportional to n is built
+    with pytest.raises(ValueError, match="exceeds"):
+        random_min_degree_graph(MAX_ORDER + 1, 4, 1)
 
 
 def test_random_regular():
@@ -201,6 +206,8 @@ def test_random_bipartite_min_degree():
         random_bipartite_min_degree_graph(7, 4, 0)
     with pytest.raises(ValueError):
         random_bipartite_min_degree_graph(10, -4, 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        random_bipartite_min_degree_graph(MAX_ORDER + 1, 4, 1)
 
 
 def test_generation_error_is_raisable():
