@@ -22,7 +22,8 @@ from .graph import (GenerationError, Graph, Graph6ParseError, StructuralProfile,
 from .greedy import (GreedyRule, GreedyStep, GreedyTrace, TraceVerification,
                      greedy_isolating_set, select_desirable, verify_trace)
 from .lpweights import (ConstraintSystem, LinearRow, LPSolution, RowViolation,
-                        build_constraints, check_feasible, solve_min_omega)
+                        build_constraints, check_feasible, check_optimality,
+                        solve_min_omega)
 from .residual import (Color, ResidualState, WeightVector, compute_residual,
                        is_isolating, total_weight, xi)
 
@@ -54,6 +55,7 @@ __all__ = [
     "certify_special_edge",
     "chain",
     "check_feasible",
+    "check_optimality",
     "complete_graph",
     "compute_residual",
     "cycle_graph",

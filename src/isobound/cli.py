@@ -36,7 +36,8 @@ from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list,
                     random_min_degree_graph, random_regular_graph,
                     structural_profile)
 from .greedy import GreedyTrace, greedy_isolating_set, verify_trace
-from .lpweights import VARIANTS, build_constraints, check_feasible, solve_min_omega
+from .lpweights import (VARIANTS, build_constraints, check_feasible, check_optimality,
+                        solve_min_omega)
 from .residual import WeightVector, is_isolating
 
 
@@ -140,10 +141,12 @@ def _cmd_lp_weights(args, report: dict) -> int:
     print(f"omega = {sol.optimal_omega}")
     print(f"witness = {json.dumps(sol.witness.to_json_dict())}")
     print(f"tight rows = {[cs.rows[i].tag for i in sol.tight_rows]}")
+    certified = check_optimality(cs, sol)
+    print(f"certified: {str(certified).lower()}")
     report["input"] = {"delta": args.delta, "variant": args.variant}
     report["results"] = sol.to_json_dict()
     report["results"]["tight_row_tags"] = [cs.rows[i].tag for i in sol.tight_rows]
-    return 0
+    return 0 if certified else 1
 
 
 def _cmd_check_weights(args, report: dict) -> int:

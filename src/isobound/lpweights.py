@@ -5,11 +5,11 @@ the set it picks; writing those worst cases as linear inequalities in
 the weights gives a small system per (delta, variant). Minimizing omega
 over the system yields the best size ratio the greedy can certify.
 
-Everything is exact rational: rows are built symbolically in delta, the
-optimum is found by enumerating 5-row bases (a feasible region with no
-line attains its finite optimum at a vertex, and every vertex is the
-solution of five independent tight rows), and each candidate vertex is
-solved with fraction-free integer elimination.
+Everything is exact rational: rows are built symbolically in delta, and
+the optimum is found by a two-phase Fraction simplex with Bland's rule,
+run lexicographically over (omega, beta1..beta4). The solver also
+returns dual multipliers, and check_optimality turns them into a proof
+of optimality by weak duality that does not trust the solver.
 
 Min-terms in the worst-case analysis, c + k*min(a_1..a_m) >= r with
 k > 0, expand into the m rows c + k*a_j >= r; satisfaction of all m is
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
 from typing import NamedTuple
 
 from .residual import WEIGHT_NAMES, WeightVector
@@ -87,9 +85,11 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
     The shared core covers rules R1-R6; the R7 endgame rows differ by
     variant because the number of outside neighbors a K2 or C5
     component can share shrinks when triangles (or 4-cycles) are
-    forbidden. Strict positivity of beta1 is relaxed to beta1 >= 0 here;
-    solve_min_omega only prefers a beta1 > 0 vertex among the optimal
-    ones, and nothing rejects beta1 = 0.
+    forbidden. Strict positivity of beta1 is relaxed to beta1 >= 0 here,
+    which loses nothing at the optimum: FEASIBLE_PROBE satisfies every
+    system, so omega* <= 9/20 < 1/2, and every variant has the row
+    2*omega + 2(delta-1)*beta1 >= 1, so beta1 >= (1 - 2*omega*)/(2(delta-1))
+    > 0 on the whole optimal face.
     """
     if delta < 3:
         raise ValueError(f"minimum degree must be >= 3, got {delta}")
@@ -162,11 +162,8 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
 def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[RowViolation, ...]]:
     """Exact evaluation of every row; violations come back with slack."""
     point = wv.as_tuple()
-    bad = tuple(
-        RowViolation(i, row, row.slack(point))
-        for i, row in enumerate(cs.rows)
-        if row.slack(point) < 0
-    )
+    slacks = ((i, row, row.slack(point)) for i, row in enumerate(cs.rows))
+    bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
     return (not bad, bad)
 
 
@@ -176,6 +173,9 @@ class LPSolution:
     optimal_omega: Fraction | None
     witness: WeightVector | None
     tight_rows: tuple[int, ...]
+    # one multiplier per row of the system; check_optimality reads them
+    # as a proof that optimal_omega cannot be undercut
+    dual: tuple[Fraction, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,77 +183,130 @@ class LPSolution:
             "optimal_omega": None if self.optimal_omega is None else str(self.optimal_omega),
             "witness": None if self.witness is None else self.witness.to_json_dict(),
             "tight_rows": list(self.tight_rows),
+            "dual": [str(y) for y in self.dual],
         }
 
 
-def _integer_rows(cs: ConstraintSystem) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for row in cs.rows:
-        scale = lcm(*(c.denominator for c in row.coeffs), row.rhs.denominator)
-        coeffs = tuple(int(c * scale) for c in row.coeffs)
-        out.append((coeffs, int(row.rhs * scale)))
-    return out
+# Feasible for every delta >= 3 and every variant (checked exactly for
+# delta = 3..299; every solve re-checks it), so omega* <= 9/20.
+FEASIBLE_PROBE = WeightVector(Fraction(9, 20), Fraction(1, 10), Fraction(1, 10),
+                              Fraction(1, 10), Fraction(1, 10))
 
 
-def _solve_basis(rows: list[tuple[tuple[int, ...], int]], idx: tuple[int, ...]):
-    # fraction-free elimination on the 5x5 system formed by the chosen
-    # rows taken with equality; returns None when singular
-    M = [list(rows[i][0]) + [rows[i][1]] for i in idx]
-    denom = 1
-    for col in range(5):
-        piv = next((r for r in range(col, 5) if M[r][col]), None)
-        if piv is None:
-            return None
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        for r in range(col + 1, 5):
-            for c in range(col + 1, 6):
-                M[r][c] = (M[r][c] * M[col][col] - M[r][col] * M[col][c]) // denom
-            M[r][col] = 0
-        denom = M[col][col]
-    x = [Fraction(0)] * 5
-    for r in range(4, -1, -1):
-        acc = Fraction(M[r][5])
-        for c in range(r + 1, 5):
-            acc -= M[r][c] * x[c]
-        x[r] = acc / M[r][r]
-    return tuple(x)
+def _pivot(T: list[list[Fraction]], basis: list[int], D: list[list[Fraction]],
+           r: int, col: int) -> None:
+    prow = T[r]
+    p = prow[col]
+    prow[:] = [t / p for t in prow]
+    nonzero = [(j, t) for j, t in enumerate(prow) if t]
+    for row in (*T[:r], *T[r + 1:], *D):
+        f = row[col]
+        if f:
+            for j, t in nonzero:
+                row[j] -= f * t
+    basis[r] = col
+
+
+def _minimize(T: list[list[Fraction]], basis: list[int],
+              costs: list[list[int]]) -> list[list[Fraction]]:
+    """Pivot to a basis that minimizes the costs lexicographically.
+
+    A column improves when its reduced costs, read in priority order,
+    are lexicographically negative (the objective costs[0] + e*costs[1]
+    + e^2*costs[2] + ... for an infinitesimal e > 0). Bland's rule
+    (Bland 1977) picks the pivot: the lowest-index improving column
+    enters and, among the rows of minimum ratio, the one whose basic
+    column has the lowest index leaves, so degenerate pivots cannot
+    cycle. Returns the final reduced-cost rows, one per objective, each
+    with -(optimal value) as its last entry.
+    """
+    D = []
+    for cost in costs:
+        d = [Fraction(c) for c in cost] + [Fraction(0)]
+        for row, b in zip(T, basis):
+            if cost[b]:
+                for j, t in enumerate(row):
+                    d[j] -= cost[b] * t
+        D.append(d)
+    while True:
+        col = next((j for j in range(len(costs[0]))
+                    if next((d[j] for d in D if d[j]), 0) < 0), None)
+        if col is None:
+            return D
+        ratios = [(row[-1] / row[col], basis[i], i) for i, row in enumerate(T) if row[col] > 0]
+        if not ratios:
+            raise AssertionError("objective is unbounded below on the constraint system")
+        _pivot(T, basis, D, min(ratios)[2], col)
 
 
 def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
-    """Minimize omega by exhaustive basic-point enumeration.
+    """Lexicographic minimum of (omega, beta1..beta4) by exact simplex.
 
-    Among the optimal vertices the reported witness prefers beta1 > 0,
-    then the lexicographically smallest coordinates; ties in omega keep
-    all candidates so that preference is meaningful.
+    The simplex works in standard form, x >= 0; the chain rows already
+    imply that, so nothing feasible is cut off. Each row a.x >= b gets a
+    surplus column, a.x - s = b, and an artificial column when b > 0
+    (rows with b <= 0 start with s basic). Phase 1 drives the
+    artificials to zero; phase 2 minimizes omega, then beta1..beta4 in
+    turn over the optimal face of the objectives before them. The
+    witness is the lexicographically smallest optimal point, a vertex;
+    beta1 > 0 there (see build_constraints).
+
+    The dual is y_i = the omega reduced cost of surplus column i, >= 0
+    since the final basis is optimal for omega alone. Every optimal
+    point has all five coordinates positive, so all five x columns are
+    basic, their reduced costs e_omega - A^T y vanish, and y certifies
+    omega* by weak duality.
     """
-    # the region is never empty for these systems: a huge omega with
-    # small equal betas satisfies every row
-    probe = WeightVector(Fraction(100), Fraction(1, 100), Fraction(1, 100),
-                         Fraction(1, 100), Fraction(1, 100))
-    if not check_feasible(cs, probe)[0]:
-        raise AssertionError("constraint system rejected the large-omega probe")
-
-    irows = _integer_rows(cs)
-    n_rows = len(irows)
-    best_omega: Fraction | None = None
-    optimal_points: set[tuple[Fraction, ...]] = set()
-    for idx in combinations(range(n_rows), 5):
-        point = _solve_basis(irows, idx)
-        if point is None:
-            continue
-        if best_omega is not None and point[0] > best_omega:
-            continue
-        if any(sum(c * x for c, x in zip(coeffs, point)) < rhs for coeffs, rhs in irows):
-            continue
-        if best_omega is None or point[0] < best_omega:
-            best_omega = point[0]
-            optimal_points = {point}
+    if not check_feasible(cs, FEASIBLE_PROBE)[0]:
+        raise AssertionError("constraint system rejected the feasible probe")
+    m = len(cs.rows)
+    n_real = 5 + m  # x columns, then surplus columns; artificials follow
+    T: list[list[Fraction]] = []
+    basis: list[int] = []
+    for i, row in enumerate(cs.rows):
+        line = [*row.coeffs, *(Fraction(-(j == i)) for j in range(m)),
+                *(Fraction(j == i and row.rhs > 0) for j in range(m)), row.rhs]
+        if row.rhs > 0:
+            basis.append(n_real + i)
         else:
-            optimal_points.add(point)
-    if best_omega is None:
-        return LPSolution("infeasible", None, None, ())
-    chosen = min(optimal_points, key=lambda p: (p[1] <= 0, p))
-    witness = WeightVector(*chosen)
-    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(chosen) == 0)
-    return LPSolution("optimal", best_omega, witness, tight)
+            line = [-t for t in line]
+            basis.append(5 + i)
+        T.append(line)
+
+    D = _minimize(T, basis, [[0] * n_real + [1] * m])
+    if D[0][-1]:
+        raise AssertionError("phase 1 found no feasible point, yet the probe is feasible")
+    for r, b in enumerate(basis):
+        if b >= n_real:
+            # a basic artificial sits at zero; [A | -I] has full row rank,
+            # so its row has a nonzero entry in a real column to pivot on
+            _pivot(T, basis, D, r, next(j for j in range(n_real) if T[r][j]))
+    T = [row[:n_real] + row[-1:] for row in T]
+
+    D = _minimize(T, basis, [[int(j == k) for j in range(n_real)] for k in range(5)])
+    point = [Fraction(0)] * 5
+    for row, b in zip(T, basis):
+        if b < 5:
+            point[b] = row[-1]
+    witness = WeightVector(*point)
+    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
+    return LPSolution("optimal", witness.omega, witness, tight, tuple(D[0][5:n_real]))
+
+
+def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
+    """Exact weak-duality proof that sol.optimal_omega is the minimum.
+
+    For y >= 0 with A^T y = e_omega, every feasible point x has
+    omega = y.(A x) >= y.b. So b.y = omega* proves that no feasible
+    point has a smaller omega, and a feasible witness at omega* shows
+    that it is attained. Nothing here trusts the solver.
+    """
+    y = sol.dual
+    if sol.witness is None or len(y) != len(cs.rows) or any(v < 0 for v in y):
+        return False
+    combo = [sum((v * row.coeffs[k] for v, row in zip(y, cs.rows)), Fraction(0))
+             for k in range(5)]
+    bound = sum((v * row.rhs for v, row in zip(y, cs.rows)), Fraction(0))
+    return (combo == [1, 0, 0, 0, 0]
+            and bound == sol.optimal_omega == sol.witness.omega
+            and check_feasible(cs, sol.witness)[0])

@@ -1,15 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: subset enumeration, direct edge
-scans, explicit triangle checks. Slow but trustworthy.
+scans, explicit triangle checks, every 5-row basis of the weight LP.
+Slow but trustworthy.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from isobound import Graph
+from isobound import ConstraintSystem, Graph, LPSolution, WeightVector, check_feasible
 
 
 def closed_neighborhood(G: Graph, S) -> set[int]:
@@ -47,3 +50,78 @@ def triangles(G: Graph) -> list[tuple[int, int, int]]:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def _integer_rows(cs: ConstraintSystem) -> list[tuple[tuple[int, ...], int]]:
+    out = []
+    for row in cs.rows:
+        scale = lcm(*(c.denominator for c in row.coeffs), row.rhs.denominator)
+        coeffs = tuple(int(c * scale) for c in row.coeffs)
+        out.append((coeffs, int(row.rhs * scale)))
+    return out
+
+
+def _solve_basis(rows: list[tuple[tuple[int, ...], int]], idx: tuple[int, ...]):
+    # fraction-free elimination on the 5x5 system formed by the chosen
+    # rows taken with equality; returns None when singular
+    M = [list(rows[i][0]) + [rows[i][1]] for i in idx]
+    denom = 1
+    for col in range(5):
+        piv = next((r for r in range(col, 5) if M[r][col]), None)
+        if piv is None:
+            return None
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+        for r in range(col + 1, 5):
+            for c in range(col + 1, 6):
+                M[r][c] = (M[r][c] * M[col][col] - M[r][col] * M[col][c]) // denom
+            M[r][col] = 0
+        denom = M[col][col]
+    x = [Fraction(0)] * 5
+    for r in range(4, -1, -1):
+        acc = Fraction(M[r][5])
+        for c in range(r + 1, 5):
+            acc -= M[r][c] * x[c]
+        x[r] = acc / M[r][r]
+    return tuple(x)
+
+
+def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
+    """Minimize omega by exhaustive basic-point enumeration.
+
+    A feasible region with no line attains its finite optimum at a
+    vertex, and every vertex solves five independent tight rows, so all
+    C(m, 5) bases are solved and checked. Among the optimal vertices
+    the reported witness prefers beta1 > 0, then the lexicographically
+    smallest coordinates. No dual multipliers are produced.
+    """
+    # the region is never empty for these systems: a huge omega with
+    # small equal betas satisfies every row
+    probe = WeightVector(Fraction(100), Fraction(1, 100), Fraction(1, 100),
+                         Fraction(1, 100), Fraction(1, 100))
+    if not check_feasible(cs, probe)[0]:
+        raise AssertionError("constraint system rejected the large-omega probe")
+
+    irows = _integer_rows(cs)
+    n_rows = len(irows)
+    best_omega: Fraction | None = None
+    optimal_points: set[tuple[Fraction, ...]] = set()
+    for idx in combinations(range(n_rows), 5):
+        point = _solve_basis(irows, idx)
+        if point is None:
+            continue
+        if best_omega is not None and point[0] > best_omega:
+            continue
+        if any(sum(c * x for c, x in zip(coeffs, point)) < rhs for coeffs, rhs in irows):
+            continue
+        if best_omega is None or point[0] < best_omega:
+            best_omega = point[0]
+            optimal_points = {point}
+        else:
+            optimal_points.add(point)
+    if best_omega is None:
+        return LPSolution("infeasible", None, None, (), ())
+    chosen = min(optimal_points, key=lambda p: (p[1] <= 0, p))
+    witness = WeightVector(*chosen)
+    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(chosen) == 0)
+    return LPSolution("optimal", best_omega, witness, tight, ())

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from isobound import chain, complete_graph, emit_edge_list, emit_graph6, prism_k4
+from isobound import chain, cli, complete_graph, emit_edge_list, emit_graph6, prism_k4
 from isobound.cli import main
 
 TF_VECTOR = {"omega": "3/10", "beta1": "1/15", "beta2": "1/10",
@@ -29,6 +30,7 @@ def test_lp_weights_golden(tmp_path, capsys):
     assert main(["lp-weights", "--delta", "4", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "omega = 13/41" in text
+    assert text.splitlines()[-1] == "certified: true"
     report = json.loads(out.read_text())
     assert report["command"] == "lp-weights"
     assert report["version"]
@@ -36,7 +38,19 @@ def test_lp_weights_golden(tmp_path, capsys):
     assert report["results"]["optimal_omega"] == "13/41"
     assert report["results"]["witness"]["omega"] == "13/41"
     assert report["results"]["tight_row_tags"]
+    assert len(report["results"]["dual"]) == 22
     assert report["timing_seconds"] >= 0
+
+
+def test_lp_weights_uncertified_exits_1(monkeypatch, capsys):
+    solve = cli.solve_min_omega
+
+    def no_dual(cs):
+        return replace(solve(cs), dual=())
+
+    monkeypatch.setattr(cli, "solve_min_omega", no_dual)
+    assert main(["lp-weights", "--delta", "4"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "certified: false"
 
 
 def test_exact_prism(prism_file, capsys):

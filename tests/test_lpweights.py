@@ -1,10 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from isobound import (ConstraintSystem, LinearRow, WeightVector,
-                      build_constraints, check_feasible, solve_min_omega)
+                      build_constraints, check_feasible, check_optimality,
+                      solve_min_omega)
+
+from oracles import solve_min_omega_by_enumeration
 
 KNOWN_DELTA4 = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 KNOWN_TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
@@ -177,3 +181,46 @@ def test_solution_and_system_json():
     assert sys_d["delta"] == 4 and sys_d["variant"] == "general"
     assert len(sys_d["rows"]) == 22
     assert sys_d["rows"][5]["rhs"] == "1/3"
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN, key=str))
+def test_simplex_matches_basis_enumeration(key):
+    cs = build_constraints(*key)
+    fast, slow = solve_min_omega(cs), solve_min_omega_by_enumeration(cs)
+    assert (fast.status, fast.optimal_omega, fast.witness, fast.tight_rows) == \
+        (slow.status, slow.optimal_omega, slow.witness, slow.tight_rows)
+
+
+def test_check_optimality_accepts_and_rejects():
+    sols = {key: solve_min_omega(build_constraints(*key)) for key in GOLDEN}
+    for key, sol in sols.items():
+        cs = build_constraints(*key)
+        assert check_optimality(cs, sol), key
+        i = next(i for i, y in enumerate(sol.dual) if y)
+        negated = sol.dual[:i] + (-sol.dual[i],) + sol.dual[i + 1:]
+        assert not check_optimality(cs, replace(sol, dual=negated)), key
+        dropped = sol.dual[:i] + (F(0),) + sol.dual[i + 1:]
+        assert not check_optimality(cs, replace(sol, dual=dropped)), key
+        # the shifted witness stays feasible, so only b.y = omega* fails
+        up = sol.optimal_omega + F(1, 10**6)
+        shifted = replace(sol, optimal_omega=up, witness=replace(sol.witness, omega=up))
+        assert check_feasible(cs, shifted.witness)[0]
+        assert not check_optimality(cs, shifted), key
+        for other, theirs in sols.items():
+            if other != key:
+                assert not check_optimality(cs, replace(sol, dual=theirs.dual)), (key, other)
+        # step-eps2-le-beta1 is chain-beta1-nonneg minus chain-beta2-ge-beta1,
+        # so this y still has A^T y = e_omega and b.y = omega*, but y < 0
+        tags = [row.tag for row in cs.rows]
+        moved = list(sol.dual)
+        moved[tags.index("chain-beta1-nonneg")] += 1
+        moved[tags.index("chain-beta2-ge-beta1")] -= 1
+        moved[tags.index("step-eps2-le-beta1")] -= 1
+        assert min(moved) < 0
+        assert not check_optimality(cs, replace(sol, dual=tuple(moved))), key
+        # a rhs-0 row keeps y >= 0 and b.y = omega* but breaks A^T y = e_omega
+        extra = list(sol.dual)
+        extra[tags.index("chain-beta1-nonneg")] += 1
+        assert not check_optimality(cs, replace(sol, dual=tuple(extra))), key
+        infeasible = replace(sol, witness=replace(sol.witness, beta1=F(0)))
+        assert not check_optimality(cs, infeasible), key
