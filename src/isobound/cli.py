@@ -224,7 +224,7 @@ def _cmd_gen(args) -> int:
             G = random_min_degree_graph(args.n, args.param, args.seed)
         else:
             G = random_regular_graph(args.n, args.param, args.seed)
-    text = emit_graph6(G) + "\n"
+    text = emit_edge_list(G) if args.graph_format == "edgelist" else emit_graph6(G) + "\n"
     if args.graph_out:
         Path(args.graph_out).write_text(text)
     else:
@@ -272,14 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_weight_class(p)
     p.add_argument("--weights", required=True)
 
-    p = sub.add_parser("gen", help="generate instances (graph6)")
+    p = sub.add_parser("gen", help="generate instances (graph6 or edge list)")
     p.add_argument("--family", choices=("prism-chain", "meta-chain"))
     p.add_argument("--s", type=int, help="copies in the chained family")
     p.add_argument("--random", choices=("min-degree", "regular"))
     p.add_argument("--n", type=int)
     p.add_argument("--param", type=int, help="degree bound / regularity degree")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", dest="graph_out", help="write graph6 here instead of stdout")
+    p.add_argument("--out", dest="graph_out", help="write the graph here instead of stdout")
+    p.add_argument("--format", dest="graph_format", choices=("graph6", "edgelist"),
+                   default="graph6",
+                   help="graph6 is n(n-1)/12 bytes; use edgelist for large n")
     p.set_defaults(func=_cmd_gen)
 
     p = reported("certify-edge", _cmd_certify_edge, "special-edge gadget certificate")

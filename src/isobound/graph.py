@@ -8,12 +8,14 @@ construction and safe to share between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from random import Random
 from typing import Iterable, Iterator
 
 
 class Graph6ParseError(ValueError):
-    """Malformed graph6 input. `offset` is the byte position of the problem."""
+    """Malformed graph6 input. `offset` is the byte position of the problem,
+    counted from the start of the text as given."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -207,6 +209,12 @@ _G6_HEADER = ">>graph6<<"
 MAX_ORDER = 258047
 
 
+# the graph6 bytes chr(63..126); the table marks every one but "?", the
+# only byte with no bit set, as "!"
+_G6_BYTES = bytes(range(63, 127))
+_G6_MARKS = bytes.maketrans(_G6_BYTES[1:], b"!" * 63)
+
+
 def _encode_size(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
@@ -218,65 +226,84 @@ def _encode_size(n: int) -> str:
 
 
 def emit_graph6(G: Graph) -> str:
-    """Encode as a graph6 string (no header, no trailing newline)."""
-    out = [_encode_size(G.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, G.n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if G.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc, nbits = 0, 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    """Encode as a graph6 string (no header, no trailing newline).
+
+    Pair (u, v) with u < v is bit k = v(v-1)/2 + u of the body, so it
+    adds 32 >> k % 6 to body byte k // 6. The body starts as one "?"
+    (value 63, no bits set) per byte, so the only Python work is one
+    step per edge; the n(n-1)/12 bytes are allocated in C.
+    """
+    n = G.n
+    body = bytearray(b"?") * ((n * (n - 1) // 2 + 5) // 6)
+    for v in range(1, n):
+        base = v * (v - 1) // 2
+        for u in G.neighbors(v):
+            if u >= v:
+                break
+            k = base + u
+            body[k // 6] += 32 >> k % 6
+    return _encode_size(n) + body.decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string; tolerates the optional format header and
     surrounding whitespace. Round-trips with emit_graph6.
+
+    The validity check is one translate that deletes every valid byte.
+    A second translate marks each body byte other than "?" (no bits
+    set), and bytes.find skips from mark to mark, so Python only visits
+    bytes that hold an edge; math.isqrt recovers the column v from bit
+    k = v(v-1)/2 + u. All per-pair work runs in C. A Graph6ParseError
+    offset counts from the start of `text` as given, so stripped
+    whitespace and the header count too.
     """
     s = text.strip()
+    lead = len(text) - len(text.lstrip())
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
+        lead += len(_G6_HEADER)
     if not s:
-        raise Graph6ParseError("empty graph6 input", 0)
-    for i, ch in enumerate(s):
-        if not (63 <= ord(ch) <= 126):
-            raise Graph6ParseError(f"invalid graph6 byte {ord(ch)}", i)
+        raise Graph6ParseError("empty graph6 input", lead)
+    # deleting every valid byte leaves nothing; otherwise locate the first bad one
+    if not s.isascii() or s.encode("ascii").translate(None, _G6_BYTES):
+        for i, ch in enumerate(s):
+            if not (63 <= ord(ch) <= 126):
+                raise Graph6ParseError(f"invalid graph6 byte {ord(ch)}", lead + i)
     if s[0] != chr(126):
         n = ord(s[0]) - 63
         body_at = 1
     else:
         if len(s) < 4:
-            raise Graph6ParseError("truncated multi-byte size field", len(s))
+            raise Graph6ParseError("truncated multi-byte size field", lead + len(s))
         n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
         if s[1] == chr(126) or n > MAX_ORDER:
-            raise Graph6ParseError(f"graph6 sizes above {MAX_ORDER} are not supported", 0)
+            raise Graph6ParseError(f"graph6 sizes above {MAX_ORDER} are not supported", lead)
         body_at = 4
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(s) - body_at < nbytes:
         raise Graph6ParseError(
-            f"body too short: need {nbytes} bytes for n={n}", len(s)
+            f"body too short: need {nbytes} bytes for n={n}", lead + len(s)
         )
     if len(s) - body_at > nbytes:
-        raise Graph6ParseError("trailing bytes after graph body", body_at + nbytes)
-    edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = ord(s[body_at + bit // 6]) - 63
-            if (byte >> (5 - bit % 6)) & 1:
-                edges.append((i, j))
-            bit += 1
-    # padding bits in the final byte must be zero
+        raise Graph6ParseError("trailing bytes after graph body", lead + body_at + nbytes)
+    # padding bits in the final byte must be zero, so every set bit is a pair
     if nbits % 6:
         tail = ord(s[body_at + nbytes - 1]) - 63
         if tail & ((1 << (6 - nbits % 6)) - 1):
-            raise Graph6ParseError("nonzero padding bits", body_at + nbytes - 1)
+            raise Graph6ParseError("nonzero padding bits", lead + body_at + nbytes - 1)
+    body = s[body_at:].encode("ascii")
+    marks = body.translate(_G6_MARKS)
+    edges = []
+    p = marks.find(b"!")
+    while p >= 0:
+        x = body[p] - 63
+        for b in range(6):
+            if x & 32 >> b:
+                k = 6 * p + b
+                v = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
+        p = marks.find(b"!", p + 1)
     return Graph(n, edges)
 
 

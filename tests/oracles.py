@@ -1,8 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: subset enumeration, direct edge
-scans, explicit triangle checks, every 5-row basis of the weight LP.
-Slow but trustworthy.
+scans, explicit triangle checks, every 5-row basis of the weight LP, a
+graph6 codec that handles one bit at a time. Slow but trustworthy.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from isobound import ConstraintSystem, Graph, LPSolution, WeightVector, check_feasible
+from isobound import (ConstraintSystem, Graph, Graph6ParseError, LPSolution, WeightVector,
+                      check_feasible)
+from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
 
 
 def closed_neighborhood(G: Graph, S) -> set[int]:
@@ -125,3 +127,65 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
     witness = WeightVector(*chosen)
     tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(chosen) == 0)
     return LPSolution("optimal", best_omega, witness, tight, ())
+
+
+def emit_graph6_bitwise(G: Graph) -> str:
+    """Encode as a graph6 string (no header, no trailing newline)."""
+    out = [_encode_size(G.n)]
+    acc = 0
+    nbits = 0
+    for j in range(1, G.n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if G.has_edge(i, j) else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc, nbits = 0, 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def parse_graph6_bitwise(text: str) -> Graph:
+    """Decode one graph6 string one bit at a time. Its error offsets count
+    after the stripped whitespace and the header."""
+    s = text.strip()
+    if s.startswith(_G6_HEADER):
+        s = s[len(_G6_HEADER):]
+    if not s:
+        raise Graph6ParseError("empty graph6 input", 0)
+    for i, ch in enumerate(s):
+        if not (63 <= ord(ch) <= 126):
+            raise Graph6ParseError(f"invalid graph6 byte {ord(ch)}", i)
+    if s[0] != chr(126):
+        n = ord(s[0]) - 63
+        body_at = 1
+    else:
+        if len(s) < 4:
+            raise Graph6ParseError("truncated multi-byte size field", len(s))
+        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
+        if s[1] == chr(126) or n > MAX_ORDER:
+            raise Graph6ParseError(f"graph6 sizes above {MAX_ORDER} are not supported", 0)
+        body_at = 4
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(s) - body_at < nbytes:
+        raise Graph6ParseError(
+            f"body too short: need {nbytes} bytes for n={n}", len(s)
+        )
+    if len(s) - body_at > nbytes:
+        raise Graph6ParseError("trailing bytes after graph body", body_at + nbytes)
+    edges = []
+    bit = 0
+    for j in range(1, n):
+        for i in range(j):
+            byte = ord(s[body_at + bit // 6]) - 63
+            if (byte >> (5 - bit % 6)) & 1:
+                edges.append((i, j))
+            bit += 1
+    # padding bits in the final byte must be zero
+    if nbits % 6:
+        tail = ord(s[body_at + nbytes - 1]) - 63
+        if tail & ((1 << (6 - nbits % 6)) - 1):
+            raise Graph6ParseError("nonzero padding bits", body_at + nbytes - 1)
+    return Graph(n, edges)

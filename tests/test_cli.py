@@ -241,6 +241,29 @@ def test_gen_flag_validation(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_gen_edgelist_route_matches_graph6(tmp_path, capsys):
+    # the same graph through either format gives the same runs and fingerprint
+    gen = ["gen", "--random", "min-degree", "--n", "60", "--param", "4", "--seed", "3"]
+    g6, el = tmp_path / "g.g6", tmp_path / "g.txt"
+    assert main(gen + ["--out", str(g6)]) == 0
+    assert main(gen + ["--format", "edgelist", "--out", str(el)]) == 0
+    assert el.read_text() == emit_edge_list(cli.parse_graph6(g6.read_text()))
+    wfile = tmp_path / "w.json"
+    assert main(["lp-weights", "--delta", "4", "--out", str(wfile)]) == 0
+    runs = {}
+    for path in (g6, el):
+        greedy, verify = tmp_path / f"{path.name}.run.json", tmp_path / f"{path.name}.ver.json"
+        capsys.readouterr()
+        assert main(["greedy", "--in", str(path), "--delta", "4",
+                     "--weights", str(wfile), "--out", str(greedy)]) == 0
+        assert main(["verify-bound", "--in", str(path), "--trace", str(greedy),
+                     "--weights", str(wfile), "--out", str(verify)]) == 0
+        reports = [json.loads(p.read_text()) for p in (greedy, verify)]
+        runs[path] = (capsys.readouterr().out,
+                      [(r["results"], r["input"]["graph"]) for r in reports])
+    assert runs[g6] == runs[el]
+
+
 def test_certify_edge(prism_file, tmp_path, capsys):
     assert main(["certify-edge", "--in", prism_file,
                  "--x", "0", "--y", "4", "--b", "2"]) == 0

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import networkx as nx
 import pytest
@@ -11,7 +13,7 @@ from isobound import (GenerationError, Graph, Graph6ParseError, complete_graph,
 
 from isobound.graph import MAX_ORDER
 
-from oracles import random_graph, triangles
+from oracles import parse_graph6_bitwise, random_graph, triangles
 
 
 def test_from_edge_list_basic():
@@ -85,6 +87,16 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("A" + chr(63 + 1))
 
 
+def test_graph6_offsets_count_from_the_text_as_given():
+    # the 10-byte header and stripped whitespace count toward the offset
+    with pytest.raises(Graph6ParseError, match="invalid graph6 byte 27") as e:
+        parse_graph6(">>graph6<<D\x1b{")
+    assert e.value.offset == 11
+    with pytest.raises(Graph6ParseError, match="trailing bytes") as e:
+        parse_graph6("   A_X")
+    assert e.value.offset == 5
+
+
 def test_graph6_roundtrip_random():
     rng = random.Random(42)
     for _ in range(150):
@@ -107,6 +119,26 @@ def test_graph6_large_n_size_field():
     s = emit_graph6(g)
     assert s[0] == "~"
     assert parse_graph6(s) == g
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python 3.10 has no int digit limit")
+def test_graph6_large_n_under_int_digit_limit():
+    # the codec converts no digit string to int or back, so a low int
+    # digit limit must not reach it on a 2 MB graph6 text
+    g = random_min_degree_graph(5000, 4, 1)
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        t0 = time.monotonic()
+        s = emit_graph6(g)
+        back = parse_graph6(s)
+        dt = time.monotonic() - t0
+        assert back == g
+        assert parse_graph6_bitwise(s) == g
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert dt < 3.0, f"emit + parse at n=5000 took {dt:.2f}s"
 
 
 def test_edge_list_roundtrip():

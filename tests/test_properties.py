@@ -1,13 +1,16 @@
 import math
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from isobound import (Graph, WeightVector, emit_edge_list, emit_graph6,
+from isobound import (Graph, Graph6ParseError, WeightVector, emit_edge_list, emit_graph6,
                       greedy_isolating_set, parse_edge_list, parse_graph6,
                       random_min_degree_graph, verify_trace)
 
-from oracles import is_isolating_direct
+from oracles import (emit_graph6_bitwise, is_isolating_direct, parse_graph6_bitwise,
+                     random_graph)
 
 # fixed examples and no example database keep the suite's time and
 # outcome the same on every run
@@ -29,6 +32,75 @@ def graphs(draw, max_n):
 @given(graphs(max_n=70))
 def test_graph6_round_trip(G):
     assert parse_graph6(emit_graph6(G)) == G
+
+
+@st.composite
+def graphs_of_density(draw, orders):
+    # the density is drawn outright so that sparse and dense graphs are
+    # as likely as the half-full ones a uniform edge subset gives
+    n = draw(orders)
+    percent = draw(st.integers(0, 100))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, percent / 100)
+
+
+@PROPERTY
+@given(graphs_of_density(st.integers(0, 90) | st.sampled_from([62, 63, 64])))
+def test_graph6_matches_bitwise_oracle(G):
+    s = emit_graph6(G)
+    assert s == emit_graph6_bitwise(G)
+    assert parse_graph6(s) == parse_graph6_bitwise(s) == G
+
+
+def _parse_outcome(parse, s):
+    try:
+        return parse(s)
+    except Graph6ParseError as e:
+        return type(e), str(e), e.offset
+
+
+# characters outside chr(63..126) that str.strip() keeps, so that the bad
+# character stays where it was put
+_BAD_CHARS = (st.integers(0, 62) | st.integers(127, 0x2FFF)).map(chr).filter(
+    lambda ch: not ch.isspace())
+
+
+@st.composite
+def malformed_graph6(draw, kind):
+    if kind == "size":
+        # a four-byte size field beginning "~~" encodes an order above MAX_ORDER
+        tail = draw(st.lists(st.integers(63, 126), max_size=8))
+        return "~~" + "".join(map(chr, tail))
+    if kind == "padding":
+        orders = st.integers(2, 70).filter(lambda n: n * (n - 1) // 2 % 6)
+    else:
+        orders = st.integers(0, 70)
+    G = draw(graphs_of_density(orders))
+    s = emit_graph6(G)
+    if kind == "char":
+        i = draw(st.integers(0, len(s) - 1))
+        return s[:i] + draw(_BAD_CHARS) + s[i + 1:]
+    if kind == "truncate":
+        return s[:draw(st.integers(0, len(s) - 1))]
+    if kind == "trailing":
+        return s + chr(draw(st.integers(63, 126)))
+    bit = draw(st.integers(0, -(G.n * (G.n - 1) // 2) % 6 - 1))
+    return s[:-1] + chr((ord(s[-1]) - 63 | 1 << bit) + 63)
+
+
+@pytest.mark.parametrize("kind", ["char", "truncate", "trailing", "padding", "size"])
+@PROPERTY
+@given(data=st.data())
+def test_graph6_errors_match_bitwise_oracle(kind, data):
+    s = data.draw(malformed_graph6(kind))
+    got = _parse_outcome(parse_graph6, s)
+    assert isinstance(got, tuple), f"{s!r} parsed as {got!r}"
+    assert got == _parse_outcome(parse_graph6_bitwise, s)
+    # whitespace and a header before the string shift every offset by their length
+    prefix = " \n>>graph6<<"
+    error, message, offset = got
+    moved = offset + len(prefix)
+    assert _parse_outcome(parse_graph6, prefix + s) == (
+        error, message.replace(f"offset {offset})", f"offset {moved})"), moved)
 
 
 @PROPERTY
