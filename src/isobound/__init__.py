@@ -13,12 +13,11 @@ from .exact import (DEFAULT_NODE_BUDGET, ExactResult, SearchBudgetExceeded,
 from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
                        certify_special_edge, chain, metacirculant_14,
                        prism_k4, search_gadgets)
-from .graph import (GenerationError, Graph, Graph6ParseError, StructuralProfile,
-                    complete_graph, cycle_graph, emit_edge_list, emit_graph6,
-                    girth, is_connected, parse_edge_list, parse_graph6,
-                    path_graph, random_bipartite_min_degree_graph,
-                    random_min_degree_graph, random_regular_graph,
-                    structural_profile)
+from .graph import (GenerationError, Graph, Graph6ParseError, complete_graph,
+                    cycle_graph, emit_edge_list, emit_graph6, girth, is_connected,
+                    parse_edge_list, parse_graph6, path_graph,
+                    random_bipartite_min_degree_graph, random_min_degree_graph,
+                    random_regular_graph)
 from .greedy import (GreedyRule, GreedyStep, GreedyTrace, TraceVerification,
                      greedy_isolating_set, select_desirable, verify_trace)
 from .lpweights import (ConstraintSystem, LinearRow, LPSolution, RowViolation,
@@ -48,7 +47,6 @@ __all__ = [
     "ResidualState",
     "RowViolation",
     "SearchBudgetExceeded",
-    "StructuralProfile",
     "TraceVerification",
     "WeightVector",
     "build_constraints",
@@ -78,7 +76,6 @@ __all__ = [
     "search_gadgets",
     "select_desirable",
     "solve_min_omega",
-    "structural_profile",
     "total_weight",
     "verify_trace",
     "xi",

@@ -32,12 +32,11 @@ from . import __version__
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
 from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list,
-                    emit_graph6, parse_edge_list, parse_graph6,
-                    random_min_degree_graph, random_regular_graph,
-                    structural_profile)
+                    emit_graph6, girth, parse_edge_list, parse_graph6,
+                    random_min_degree_graph, random_regular_graph)
 from .greedy import GreedyTrace, greedy_isolating_set, verify_trace
-from .lpweights import (VARIANTS, build_constraints, check_feasible, check_optimality,
-                        solve_min_omega)
+from .lpweights import (MIN_GIRTH, VARIANTS, build_constraints, check_feasible,
+                        check_optimality, solve_min_omega)
 from .residual import WeightVector, is_isolating
 
 
@@ -45,7 +44,8 @@ def _load_graph(path: str, fmt: str) -> Graph:
     text = Path(path).read_text()
     if fmt == "auto":
         head = next((ln for ln in text.splitlines() if ln.strip()), "")
-        fmt = "edgelist" if " " in head.strip() and not head.startswith(">>") else "graph6"
+        # graph6 text never contains whitespace; an edge-list line always does
+        fmt = "edgelist" if len(head.split()) > 1 else "graph6"
     if fmt == "graph6":
         return parse_graph6(text)
     return parse_edge_list(text)
@@ -85,12 +85,10 @@ def _cmd_greedy(args, report: dict) -> int:
         wv = sol.witness
     S, trace = greedy_isolating_set(G, wv)
     bound = math.floor(wv.omega * G.n)
-    profile = structural_profile(G)
-    precondition = profile.min_degree >= args.delta
-    if args.variant == "triangle-free":
-        precondition = precondition and profile.triangle_free
-    elif args.variant == "girth5":
-        precondition = precondition and (profile.girth is None or profile.girth >= 5)
+    # girth is quadratic on acyclic graphs, so it runs only when the degree
+    # condition holds; girth None means no cycle, an infinite girth
+    precondition = (min(map(G.degree, range(G.n)), default=0) >= args.delta
+                    and (girth(G) or math.inf) >= MIN_GIRTH[args.variant])
     isolating = is_isolating(G, S)
     rules = {}
     for step in trace.steps:

@@ -123,7 +123,7 @@ def chain(gadget: Gadget, s: int) -> Graph:
     return Graph(s * c, edges)
 
 
-def certify_special_edge(gadget: Gadget, node_budget: int | None = None) -> GadgetCertificate:
+def certify_special_edge(gadget: Gadget) -> GadgetCertificate:
     """Run the exact oracle on the four deletion variants of the gadget."""
     if gadget.F.n > ORACLE_ORDER_LIMIT:
         raise ValueError(
@@ -132,7 +132,7 @@ def certify_special_edge(gadget: Gadget, node_budget: int | None = None) -> Gadg
     values = []
     for drop in ((), (x,), (y,), (x, y)):
         H, _ = gadget.F.remove_vertices(drop)
-        values.append(exact_isolation_number(H, node_budget=node_budget).iota)
+        values.append(exact_isolation_number(H).iota)
     return GadgetCertificate(gadget.b, *values)
 
 

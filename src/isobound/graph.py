@@ -7,7 +7,6 @@ construction and safe to share between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from random import Random
 from typing import Iterable, Iterator
@@ -111,36 +110,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-@dataclass(frozen=True)
-class StructuralProfile:
-    """Degree, connectivity, and cycle data used as algorithm preconditions.
-
-    girth is None for acyclic graphs; regular_degree is None unless all
-    degrees coincide.
-    """
-
-    min_degree: int
-    max_degree: int
-    is_connected: bool
-    girth: int | None
-    regular_degree: int | None
-
-    @property
-    def triangle_free(self) -> bool:
-        """A graph has a triangle exactly when its girth is 3."""
-        return self.girth != 3
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "is_connected": self.is_connected,
-            "triangle_free": self.triangle_free,
-            "girth": "infinite" if self.girth is None else self.girth,
-            "regular_degree": self.regular_degree,
-        }
-
-
 def is_connected(G: Graph) -> bool:
     """True for graphs on 0 or 1 vertices and all connected larger graphs."""
     if G.n <= 1:
@@ -183,20 +152,6 @@ def girth(G: Graph) -> int | None:
                     if best is None or cycle < best:
                         best = cycle
     return best
-
-
-def structural_profile(G: Graph) -> StructuralProfile:
-    """Compute all structural predicates exactly."""
-    degrees = [G.degree(v) for v in range(G.n)]
-    mind = min(degrees, default=0)
-    maxd = max(degrees, default=0)
-    return StructuralProfile(
-        min_degree=mind,
-        max_degree=maxd,
-        is_connected=is_connected(G),
-        girth=girth(G),
-        regular_degree=mind if mind == maxd else None,
-    )
 
 
 # ---------------------------------------------------------------------------

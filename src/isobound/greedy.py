@@ -9,9 +9,9 @@ then bounds the output size by omega*n.
 Rule order (the first applicable rule fires):
 
   R1  a White vertex with >= 4 White neighbors (those with >= 5 first).
-  R2  a Blue vertex with residual degree >= 5.
+  R2  a Blue vertex with >= 5 White neighbors.
   R3  a White vertex with exactly 3 White neighbors.
-  R4  a Blue vertex with residual degree exactly 4.
+  R4  a Blue vertex with exactly 4 White neighbors.
   R5  a White component other than K2 / C5: take a minimum isolating
       set of that path or cycle.
   R6  a Blue vertex x touching >= 2 White components (all K2 / C5 now):
@@ -28,6 +28,7 @@ step above cost. Ties always break to the lowest vertex index.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
@@ -35,8 +36,8 @@ from fractions import Fraction
 
 from .exact import path_cycle_min_isolating
 from .graph import Graph
-from .residual import (Color, ResidualState, WeightVector, compute_residual,
-                       is_isolating, parse_rational, total_weight)
+from .residual import (ResidualState, WeightVector, compute_residual, is_isolating,
+                       parse_rational, total_weight)
 
 
 class GreedyRule(IntEnum):
@@ -47,6 +48,17 @@ class GreedyRule(IntEnum):
     R5 = 5
     R6 = 6
     R7 = 7
+
+
+# R1-R4 in the order tried: (rule, ResidualState vertex pool, lowest and
+# highest White degree); the first row with a hit picks its lowest vertex
+_DEGREE_RULES = (
+    (GreedyRule.R1, "whites", 5, math.inf),
+    (GreedyRule.R1, "whites", 4, 4),
+    (GreedyRule.R2, "blues", 5, math.inf),
+    (GreedyRule.R3, "whites", 3, 3),
+    (GreedyRule.R4, "blues", 4, 4),
+)
 
 
 @dataclass(frozen=True)
@@ -121,23 +133,10 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
         raise ValueError("no white vertex: the current set is already isolating")
     G = state.graph
     wdeg = state.white_degree
-    rd = state.residual_degree
-
-    for v in state.whites:
-        if wdeg[v] >= 5:
-            return GreedyRule.R1, frozenset((v,))
-    for v in state.whites:
-        if wdeg[v] == 4:
-            return GreedyRule.R1, frozenset((v,))
-    for v in state.blues:
-        if rd[v] >= 5:
-            return GreedyRule.R2, frozenset((v,))
-    for v in state.whites:
-        if wdeg[v] == 3:
-            return GreedyRule.R3, frozenset((v,))
-    for v in state.blues:
-        if rd[v] == 4:
-            return GreedyRule.R4, frozenset((v,))
+    for rule, pool, lowest, highest in _DEGREE_RULES:
+        for v in getattr(state, pool):
+            if lowest <= wdeg[v] <= highest:
+                return rule, frozenset((v,))
 
     # white components are now paths and cycles (max white degree <= 2)
     comps = state.white_components()
@@ -156,8 +155,7 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
         for v in comp:
             comp_id[v] = idx
     for x in state.blues:
-        touched = sorted({comp_id[u] for u in G.neighbors(x)
-                          if state.color[u] is Color.WHITE})
+        touched = sorted({comp_id[u] for u in G.neighbors(x) if u in comp_id})
         if len(touched) < 2:
             continue
         A = {x}

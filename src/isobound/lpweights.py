@@ -24,7 +24,10 @@ from typing import NamedTuple
 
 from .residual import WEIGHT_NAMES, WeightVector
 
-VARIANTS = ("general", "triangle-free", "girth5")
+# the shortest cycle each variant's graphs may have; only the R7 rows
+# below differ by variant
+MIN_GIRTH = {"general": 3, "triangle-free": 4, "girth5": 5}
+VARIANTS = tuple(MIN_GIRTH)
 
 
 @dataclass(frozen=True)
@@ -102,15 +105,15 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
         # and each neighbor drops from omega to at most beta4
         _row(6, 0, 0, 0, -5, 1, "r1-white-degree-ge5"),
         # R1, second tier: exactly 4 white neighbors, and no vertex has
-        # more, so each neighbor lands at residual degree <= 3
+        # more, so each neighbor lands at white degree <= 3
         _row(5, 0, 0, -4, 0, 1, "r1-white-degree-4"),
-        # R2: blue x of residual degree >= 5; x frees beta4 and >= 5
+        # R2: blue x with >= 5 white neighbors; x frees beta4 and >= 5
         # white neighbors drop to at most beta3
         _row(5, 0, 0, -5, 1, 1, "r2-blue-degree-ge5"),
         # R3: white v with exactly 3 white neighbors; the 4(d-3) edges
         # from {v} + neighbors to blues each shave at least eps4
         _row(4, 0, -3, -k, k, 1, "r3-white-degree-3"),
-        # R4: blue x of residual degree exactly 4
+        # R4: blue x with exactly 4 white neighbors
         _row(4, 0, -4, -k, k + 1, 1, "r4-blue-degree-4"),
         # R5: long path/cycle components, per-vertex accounting at cost
         # <= 1/3 chosen per vertex, eps3 per blue edge
@@ -142,7 +145,7 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
     else:
         rows += [
             # girth >= 5: every blue over the endgame components has
-            # residual degree 1
+            # one white neighbor
             _row(2, 2 * (d - 1), 0, 0, 0, 1, "r7-k2-girth5"),
             _row(5, 5 * (d - 2), 0, 0, 0, 2, "r7-c5-girth5"),
         ]

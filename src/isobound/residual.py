@@ -9,12 +9,10 @@ Given a partial solution D, every vertex gets one of three colors:
 * Red: everything else. Settled, weight zero.
 
 Residual edges are the edges incident with at least one White vertex.
-A White vertex keeps its full degree as residual degree; a Blue vertex's
-residual degree is its number of White neighbors; Red vertices have
-residual degree zero (their neighbors are never White).
 
-Weights: White costs omega, a Blue vertex of residual degree i costs
-beta_i (beta_4 for degree >= 4), Red costs nothing. The decrease of the
+Weights: White costs omega, a Blue vertex costs beta_i for its White
+degree i, its number of White neighbors (beta_4 for i >= 4), and Red,
+which has no White neighbor, costs nothing. The decrease of the
 total weight caused by extending D is the functional xi; a set A with
 xi(A) >= |A| pays for itself in the omega*n budget argument. All
 arithmetic is exact rational.
@@ -73,9 +71,9 @@ class WeightVector:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def beta(self, i: int) -> Fraction:
-        """Weight of a blue vertex with residual degree i (capped at 4)."""
+        """Weight of a blue vertex with i White neighbors (capped at 4)."""
         if i < 1:
-            raise ValueError(f"blue residual degree must be >= 1, got {i}")
+            raise ValueError(f"blue White degree must be >= 1, got {i}")
         return (self.beta1, self.beta2, self.beta3, self.beta4)[min(i, 4) - 1]
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
@@ -100,14 +98,12 @@ class WeightVector:
 class ResidualState:
     """Colors and degrees of a graph relative to a partial solution.
 
-    white_degree[v] counts the White neighbors of every vertex v; on a
-    Blue vertex it equals the residual degree.
+    white_degree[v] counts the White neighbors of every vertex v.
     """
 
     graph: Graph
     color: tuple[Color, ...]
     white_degree: tuple[int, ...]
-    residual_degree: tuple[int, ...]
     whites: tuple[int, ...]
     blues: tuple[int, ...]
 
@@ -116,8 +112,8 @@ class ResidualState:
         return max((self.white_degree[v] for v in self.whites), default=0)
 
     def delta_b(self) -> int:
-        """Max residual degree over Blue vertices (0 if none)."""
-        return max((self.residual_degree[v] for v in self.blues), default=0)
+        """Max number of White neighbors over Blue vertices (0 if none)."""
+        return max((self.white_degree[v] for v in self.blues), default=0)
 
     def white_components(self) -> list[tuple[int, ...]]:
         """Connected components of the White-induced subgraph.
@@ -164,7 +160,7 @@ def compute_residual(G: Graph, D: Iterable[int]) -> ResidualState:
     degree counts its undominated neighbors, each dominated neighbor of
     it gains one White neighbor, and every other vertex outside N[D] has
     only dominated neighbors: Blue is exactly "dominated with a White
-    neighbor", and a Blue vertex's residual degree is its White degree.
+    neighbor".
     """
     dominated = _dominated(G, D)
     wdeg = [0] * G.n
@@ -179,20 +175,19 @@ def compute_residual(G: Graph, D: Iterable[int]) -> ResidualState:
             for u in hit:
                 wdeg[u] += 1
     color = [Color.RED] * G.n
-    rd = wdeg[:]
     for v in whites:
-        color[v], rd[v] = Color.WHITE, G.degree(v)
+        color[v] = Color.WHITE
     blues = [v for v in range(G.n) if wdeg[v] and color[v] is Color.RED]
     for v in blues:
         color[v] = Color.BLUE
-    return ResidualState(G, tuple(color), tuple(wdeg), tuple(rd), tuple(whites), tuple(blues))
+    return ResidualState(G, tuple(color), tuple(wdeg), tuple(whites), tuple(blues))
 
 
 def total_weight(state: ResidualState, wv: WeightVector) -> Fraction:
     """Sum of vertex weights: omega per White, beta_i per Blue, 0 per Red."""
     counts = [0, 0, 0, 0]
     for v in state.blues:
-        counts[min(state.residual_degree[v], 4) - 1] += 1
+        counts[min(state.white_degree[v], 4) - 1] += 1
     total = wv.omega * len(state.whites)
     for i, k in enumerate(counts):
         if k:

@@ -13,12 +13,11 @@ from fractions import Fraction as F
 
 from isobound import (Color, WeightVector, build_constraints, chain,
                       certify_special_edge, check_feasible, compute_residual,
-                      cycle_graph, exact_isolation_number, greedy_isolating_set,
-                      is_connected, is_isolating, metacirculant_14,
-                      path_cycle_min_isolating, path_graph, prism_k4,
-                      random_bipartite_min_degree_graph,
-                      random_min_degree_graph, solve_min_omega,
-                      structural_profile)
+                      cycle_graph, exact_isolation_number, girth,
+                      greedy_isolating_set, is_connected, is_isolating,
+                      metacirculant_14, path_cycle_min_isolating, path_graph,
+                      prism_k4, random_bipartite_min_degree_graph,
+                      random_min_degree_graph, solve_min_omega)
 
 from oracles import brute_force_isolation, is_isolating_direct, random_graph
 
@@ -99,7 +98,7 @@ def test_acceptance_4_greedy_bound_triangle_free():
             g = random_bipartite_min_degree_graph(n, 4, 1000 * i + attempt)
             if is_connected(g):
                 break
-        assert structural_profile(g).triangle_free
+        assert girth(g) != 3
         S, trace = greedy_isolating_set(g, wv)
         assert is_isolating(g, S)
         assert len(S) <= math.floor(F(3, 10) * g.n), f"graph {i} exceeds bound"
@@ -151,9 +150,8 @@ def test_acceptance_7_gadget_certificates():
     assert t_prism < 10.0
 
     meta = metacirculant_14()
-    profile = structural_profile(meta.F)
-    assert profile.min_degree == profile.max_degree == 4
-    assert profile.triangle_free
+    assert {meta.F.degree(v) for v in range(meta.F.n)} == {4}
+    assert girth(meta.F) != 3
     t0 = time.monotonic()
     meta_cert = certify_special_edge(meta)
     t_meta = time.monotonic() - t0
@@ -179,9 +177,8 @@ def test_acceptance_8_family_ratio():
     cert = certify_special_edge(meta)
     for s in (2, 3):
         h = chain(meta, s)
-        profile = structural_profile(h)
-        assert profile.min_degree == profile.max_degree == 4
-        assert profile.is_connected and profile.triangle_free
+        assert {h.degree(v) for v in range(h.n)} == {4}
+        assert is_connected(h) and girth(h) != 3
         S, _ = greedy_isolating_set(h, wv)
         assert is_isolating(h, S)
         assert len(S) >= cert.chain_lower_bound(s) == 3 * s
@@ -211,11 +208,9 @@ def test_acceptance_9_residual_invariants():
             if v in D:
                 assert c is Color.RED
             if c is Color.RED:
-                assert state.residual_degree[v] == 0
+                assert state.white_degree[v] == 0
             else:
-                assert state.residual_degree[v] >= 1
-            if c is Color.WHITE:
-                assert state.residual_degree[v] == len(g.neighbors(v))
+                assert state.white_degree[v] >= 1
 
         extra = frozenset(v for v in range(n) if rng.random() < 0.3)
         bigger = compute_residual(g, D | extra)

@@ -284,6 +284,17 @@ def test_edgelist_format_flag(tmp_path, capsys):
         assert "iota = 2" in capsys.readouterr().out
 
 
+def test_auto_format_reads_tab_separated_edge_list(tmp_path, capsys):
+    p = tmp_path / "p3.el"
+    p.write_text("3\t2\n0\t1\n1\t2\n")
+    runs = []
+    for fmt in ("edgelist", "auto"):
+        assert main(["exact", "--in", str(p), "--format", fmt]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert "iota = 1" in runs[1]
+
+
 def test_missing_file_is_domain_error(capsys):
     assert main(["exact", "--in", "/nonexistent/g.g6"]) == 1
     assert "error:" in capsys.readouterr().err

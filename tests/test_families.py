@@ -2,9 +2,8 @@ import pytest
 
 from isobound import (Gadget, GadgetCertificate, Graph, ORACLE_ORDER_LIMIT,
                       chain, certify_special_edge, complete_graph,
-                      exact_isolation_number, is_connected,
-                      metacirculant_14, prism_k4, search_gadgets,
-                      structural_profile)
+                      exact_isolation_number, girth, is_connected,
+                      metacirculant_14, prism_k4, search_gadgets)
 
 from isobound.graph import MAX_ORDER
 
@@ -16,7 +15,7 @@ def test_prism_structure():
     assert g.F.n == 8 and g.b == 2
     assert all(g.F.degree(v) == 4 for v in range(8))
     assert is_connected(g.F)
-    assert structural_profile(g.F).girth == 3
+    assert girth(g.F) == 3
     assert g.F.has_edge(*g.special_edge)
 
 
@@ -26,7 +25,7 @@ def test_metacirculant_structure():
     assert all(g.F.degree(v) == 4 for v in range(14))
     assert is_connected(g.F)
     assert triangles(g.F) == []
-    assert structural_profile(g.F).girth == 4
+    assert girth(g.F) == 4
     assert g.special_edge == (0, 1)
 
 
@@ -98,7 +97,7 @@ def test_chain_keeps_triangle_freeness():
     for s in (2, 3):
         g = chain(metacirculant_14(), s)
         assert triangles(g) == []
-        assert structural_profile(g).girth == 4
+        assert girth(g) == 4
 
 
 def test_chain_rejects_short():

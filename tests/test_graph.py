@@ -6,10 +6,10 @@ import networkx as nx
 import pytest
 
 from isobound import (GenerationError, Graph, Graph6ParseError, complete_graph,
-                      cycle_graph, emit_edge_list, emit_graph6, parse_edge_list,
-                      parse_graph6, path_graph, random_bipartite_min_degree_graph,
-                      random_min_degree_graph, random_regular_graph,
-                      structural_profile)
+                      cycle_graph, emit_edge_list, emit_graph6, girth, is_connected,
+                      parse_edge_list, parse_graph6, path_graph,
+                      random_bipartite_min_degree_graph, random_min_degree_graph,
+                      random_regular_graph)
 
 from isobound.graph import MAX_ORDER
 
@@ -158,37 +158,34 @@ def test_edge_list_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# structural profile
+# girth, connectivity and degrees
 
 
 def test_profile_c5():
-    p = structural_profile(cycle_graph(5))
-    assert p.min_degree == p.max_degree == p.regular_degree == 2
-    assert p.girth == 5 and p.triangle_free and p.is_connected
+    g = cycle_graph(5)
+    assert {g.degree(v) for v in range(g.n)} == {2}
+    assert girth(g) == 5 and is_connected(g)
 
 
 def test_profile_girth_of_cycles():
     for n in range(3, 13):
-        assert structural_profile(cycle_graph(n)).girth == n
+        assert girth(cycle_graph(n)) == n
 
 
 def test_profile_acyclic_and_triangles():
-    p = structural_profile(path_graph(6))
-    assert p.girth is None and p.triangle_free
-    assert p.to_json_dict()["girth"] == "infinite"
+    assert girth(path_graph(6)) is None
     rng = random.Random(5)
     for _ in range(80):
         g = random_graph(rng, rng.randrange(2, 16), 0.35)
-        p = structural_profile(g)
-        assert p.triangle_free == (len(triangles(g)) == 0)
-        got = p.girth
+        got = girth(g)
+        assert (got != 3) == (len(triangles(g)) == 0)
         ref = nx.girth(nx.Graph([e for e in g.edges()]) if g.num_edges else nx.empty_graph(g.n))
         assert (got if got is not None else float("inf")) == ref
 
 
 def test_profile_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
-    assert not structural_profile(g).is_connected
+    assert not is_connected(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +9,8 @@ import pytest
 from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constraints,
                       chain, compute_residual, cycle_graph, exact_isolation_number,
                       greedy_isolating_set, is_isolating,
-                      path_graph, prism_k4, random_min_degree_graph,
+                      path_graph, prism_k4, random_bipartite_min_degree_graph,
+                      random_min_degree_graph,
                       select_desirable, solve_min_omega, total_weight,
                       verify_trace)
 
@@ -216,3 +219,44 @@ def test_white_count_strictly_decreases():
         D |= A
         state = compute_residual(g, D)
         assert len(state.whites) < before
+
+
+# sha256 of json.dumps([t.to_json_dict() for t in traces], sort_keys=True)
+# for three fixed corpora; any change to a rule, to the rule order or to a
+# tie-break changes them
+GOLDEN_MIN_DEGREE = "3a6f25ae5f2ade3edcf46f9af74f0197ff73d2bc97af5b0101c14e1b6507dbee"
+GOLDEN_BIPARTITE = "7d6aa30e43d23cf397835ea935b88ffdb0ea30df09cfaa61d7dc3298d5eccc38"
+GOLDEN_RANDOM = "f25928f49189fca1ba39a03864d1d7c66e5b076ecbc91c22565a80b6360ef6ab"
+
+
+def _trace_digest(traces) -> str:
+    text = json.dumps([t.to_json_dict() for t in traces], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_traces_min_degree_4():
+    wv = solve_min_omega(build_constraints(4, "general")).witness
+    graphs = [random_min_degree_graph(n, 4, s) for n in (400, 800, 1600) for s in (1, 2)]
+    traces = [greedy_isolating_set(g, wv)[1] for g in graphs]
+    assert _trace_digest(traces) == GOLDEN_MIN_DEGREE
+    for g, trace in zip(graphs, traces):
+        assert bool(verify_trace(g, trace, wv))
+
+
+def test_golden_traces_bipartite():
+    wv = solve_min_omega(build_constraints(4, "triangle-free")).witness
+    graphs = [random_bipartite_min_degree_graph(n, 4, s)
+              for n in (60, 120, 200) for s in (1, 2)]
+    traces = [greedy_isolating_set(g, wv)[1] for g in graphs]
+    assert _trace_digest(traces) == GOLDEN_BIPARTITE
+
+
+def test_golden_traces_small_random_fire_every_rule():
+    wv = solve_min_omega(build_constraints(4, "general")).witness
+    traces = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randrange(4, 60), rng.uniform(0.02, 0.3))
+        traces.append(greedy_isolating_set(g, wv)[1])
+    assert {s.rule for t in traces for s in t.steps} == set(GreedyRule)
+    assert _trace_digest(traces) == GOLDEN_RANDOM

@@ -40,7 +40,7 @@ def test_compute_residual_all_white_on_empty_d():
     g = cycle_graph(6)
     st = compute_residual(g, ())
     assert all(c is Color.WHITE for c in st.color)
-    assert st.residual_degree == (2,) * 6
+    assert st.white_degree == (2,) * 6
     assert total_weight(st, WV) == 6 * WV.omega
 
 
@@ -53,8 +53,8 @@ def test_compute_residual_p3_center():
 def test_compute_residual_p4_endpoint():
     st = compute_residual(path_graph(4), {0})
     assert [c.value for c in st.color] == ["red", "blue", "white", "white"]
-    assert st.residual_degree == (0, 1, 2, 1)
-    assert st.blues == (1,) and st.white_degree == (0, 1, 1, 1)
+    assert st.white_degree == (0, 1, 1, 1)
+    assert st.blues == (1,) and st.whites == (2, 3)
     assert total_weight(st, WV) == 2 * WV.omega + WV.beta1
 
 
@@ -110,11 +110,9 @@ def test_invariants_on_random_pairs():
             if v in D:
                 assert c is Color.RED
             if c is Color.RED:
-                assert st.residual_degree[v] == 0
+                assert st.white_degree[v] == 0
             else:
-                assert st.residual_degree[v] >= 1
-            if c is Color.WHITE:
-                assert st.residual_degree[v] == g.degree(v)
+                assert st.white_degree[v] >= 1
 
 
 def test_color_monotonicity():
