@@ -86,20 +86,26 @@ def _cmd_greedy(args, report: dict) -> int:
     S, trace = greedy_isolating_set(G, wv)
     bound = math.floor(wv.omega * G.n)
     # girth is quadratic on acyclic graphs, so it runs only when the degree
-    # condition holds; girth None means no cycle, an infinite girth
+    # condition holds and the variant asks for a girth above 3, which every
+    # simple graph has; girth None means no cycle, an infinite girth
+    min_girth = MIN_GIRTH[args.variant]
     precondition = (min(map(G.degree, range(G.n)), default=0) >= args.delta
-                    and (girth(G) or math.inf) >= MIN_GIRTH[args.variant])
+                    and (min_girth <= 3 or (girth(G) or math.inf) >= min_girth))
     isolating = is_isolating(G, S)
+    # per fired rule: its steps and the least slack xi - |A| among them
     rules = {}
     for step in trace.steps:
-        rules[step.rule.name] = rules.get(step.rule.name, 0) + 1
+        slack = step.xi - step.size
+        count, least = rules.get(step.rule.name, (0, slack))
+        rules[step.rule.name] = (count + 1, min(least, slack))
+    rules = dict(sorted(rules.items()))
     print(f"n = {G.n}, m = {G.num_edges}")
     print(f"omega = {wv.omega}")
     print(f"|S| = {len(S)}, bound floor(omega*n) = {bound}")
     print(f"isolating: {str(isolating).lower()}")
     print(f"precondition (min degree >= {args.delta}, {args.variant}): "
           f"{str(precondition).lower()}")
-    print("steps: " + ", ".join(f"{k} x{v}" for k, v in sorted(rules.items())))
+    print("steps: " + ", ".join(f"{k} x{count}" for k, (count, _) in rules.items()))
     report["input"] = {"graph": _fingerprint(G)}
     report["results"] = {
         "size": len(S),
@@ -108,6 +114,8 @@ def _cmd_greedy(args, report: dict) -> int:
         "isolating": isolating,
         "precondition": precondition,
         "weights": wv.to_json_dict(),
+        "rules": {k: {"count": count, "min_slack": str(least)}
+                  for k, (count, least) in rules.items()},
         "trace": trace.to_json_dict(),
     }
     ok = isolating and (not precondition or len(S) <= bound)

@@ -28,6 +28,7 @@ step above cost. Ties always break to the lowest vertex index.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -36,8 +37,7 @@ from fractions import Fraction
 
 from .exact import path_cycle_min_isolating
 from .graph import Graph
-from .residual import (ResidualState, WeightVector, compute_residual, is_isolating,
-                       parse_rational, total_weight)
+from .residual import ResidualState, WeightVector, is_isolating, parse_rational
 
 
 class GreedyRule(IntEnum):
@@ -119,14 +119,44 @@ class GreedyTrace:
             raise ValueError(f"malformed trace JSON: {e}") from None
 
 
-def _is_c5(comp: tuple[int, ...], wdeg: tuple[int, ...]) -> bool:
+def _is_c5(comp: tuple[int, ...], wdeg) -> bool:
     return len(comp) == 5 and all(wdeg[v] == 2 for v in comp)
+
+
+def _r5_set(G: Graph, comp: tuple[int, ...]) -> frozenset[int]:
+    sub, back = G.induced_subgraph(comp)
+    A = frozenset(back[i] for i in path_cycle_min_isolating(sub))
+    if 3 * len(A) > len(comp):
+        raise AssertionError(f"R5 set of size {len(A)} on a {len(comp)}-vertex component")
+    return A
+
+
+def _r6_set(G: Graph, x: int, picked, wdeg) -> frozenset[int]:
+    """x plus, per C5 among the picked components, the lowest cycle
+    vertex at distance 2 from x's lowest attachment on it."""
+    A = {x}
+    for comp in picked:
+        if _is_c5(comp, wdeg):
+            y = min(u for u in G.neighbors(x) if u in comp)
+            A.add(min(v for v in comp if v != y and not G.has_edge(y, v)))
+    return frozenset(A)
+
+
+def _r7_set(G: Graph, comp: tuple[int, ...]) -> frozenset[int]:
+    if len(comp) == 2:
+        return frozenset((comp[0],))
+    inner = [u for u in G.neighbors(comp[0]) if u in comp]
+    if len(inner) != 2:
+        raise AssertionError("endgame component is not a 5-cycle")
+    return frozenset(inner)
 
 
 def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     """First applicable rule and its set, with lowest-index tie-breaking.
 
-    No variant enters here: the variant only decides which weight vector
+    This is the rule specification read off one from-scratch state;
+    greedy_isolating_set makes the same choices incrementally. No
+    variant enters here: the variant only decides which weight vector
     makes the steps pay for themselves.
     """
     if not state.whites:
@@ -142,13 +172,7 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     comps = state.white_components()
     for comp in comps:
         if len(comp) != 2 and not _is_c5(comp, wdeg):
-            sub, back = G.induced_subgraph(comp)
-            local = path_cycle_min_isolating(sub)
-            A = frozenset(back[i] for i in local)
-            if 3 * len(A) > len(comp):
-                raise AssertionError(
-                    f"R5 set of size {len(A)} on a {len(comp)}-vertex component")
-            return GreedyRule.R5, A
+            return GreedyRule.R5, _r5_set(G, comp)
 
     comp_id: dict[int, int] = {}
     for idx, comp in enumerate(comps):
@@ -156,25 +180,212 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
             comp_id[v] = idx
     for x in state.blues:
         touched = sorted({comp_id[u] for u in G.neighbors(x) if u in comp_id})
-        if len(touched) < 2:
-            continue
-        A = {x}
-        for idx in touched[:2]:
-            comp = comps[idx]
-            if _is_c5(comp, wdeg):
-                y = min(u for u in G.neighbors(x) if u in comp)
-                far = [v for v in comp if v != y and not G.has_edge(y, v)]
-                A.add(min(far))
-        return GreedyRule.R6, frozenset(A)
+        if len(touched) >= 2:
+            return GreedyRule.R6, _r6_set(G, x, [comps[i] for i in touched[:2]], wdeg)
+    return GreedyRule.R7, _r7_set(G, comps[0])
 
-    comp = comps[0]
-    if len(comp) == 2:
-        return GreedyRule.R7, frozenset((comp[0],))
-    v1 = comp[0]
-    inner = [u for u in G.neighbors(v1) if u in comp]
-    if len(inner) != 2:
-        raise AssertionError("endgame component is not a 5-cycle")
-    return GreedyRule.R7, frozenset(inner)
+
+# White degrees at or above _CAP share a row, a histogram bucket and a
+# weight (the highest rows are open-ended, and beta caps at beta_4)
+_CAP = 5
+
+
+def _row_of(pool: str) -> tuple[int, ...]:
+    """Row index of _DEGREE_RULES per White degree 0.._CAP, -1 for none."""
+    return tuple(next((r for r, (_, p, lo, hi) in enumerate(_DEGREE_RULES)
+                       if p == pool and lo <= d <= hi), -1)
+                 for d in range(_CAP + 1))
+
+
+_WHITE_ROW = _row_of("whites")
+_BLUE_ROW = _row_of("blues")
+
+
+class _GreedyEngine:
+    """Residual state of one greedy run, updated in the ball around each step.
+
+    wdeg[v] counts the White neighbors of every vertex v; white[v] is 1
+    for White, 2 while a step is taking v out of White, 0 otherwise.
+    Adding A dominates N[A], so colors change only within distance 2 of
+    A and White degrees within distance 3. Whites never come back and
+    White degrees only fall.
+
+    R1-R4 read one lazy-deletion min-heap per _DEGREE_RULES row: an
+    entry is live iff the vertex's current row is that row. Once those
+    heaps are empty they stay empty, White components are paths and
+    cycles, and from then on the components are kept explicitly: a
+    step destroys every component that loses a vertex and rebuilds the
+    rest of it as new components. Components are ordered by their
+    lowest vertex; the R6 heap holds every Blue vertex that touched two
+    or more components when a component next to it was built.
+    """
+
+    def __init__(self, G: Graph, wv: WeightVector):
+        n = G.n
+        self.G = G
+        self.adj = adj = [G.neighbors(v) for v in range(n)]
+        self.dominated = bytearray(n)
+        # a vertex with a neighbor is White at the start, so every
+        # neighbor of every vertex is White
+        self.wdeg = [len(a) for a in adj]
+        self.white = bytearray(1 if d else 0 for d in self.wdeg)
+        self.whites = n - self.wdeg.count(0)
+        # Whites and Blues per White degree, capped at _CAP
+        self.white_hist = [0] * (_CAP + 1)
+        self.blue_hist = [0] * (_CAP + 1)
+        for d in self.wdeg:
+            if d:
+                self.white_hist[min(d, _CAP)] += 1
+        self.row = [_WHITE_ROW[min(d, _CAP)] if d else -1 for d in self.wdeg]
+        self.heaps: list[list[int]] = [[] for _ in _DEGREE_RULES]
+        for v, r in enumerate(self.row):
+            if r >= 0:
+                self.heaps[r].append(v)  # ascending, so already a heap
+        self.omega = wv.omega
+        self.blue_weight = (0, wv.beta1, wv.beta2, wv.beta3, wv.beta4, wv.beta4)
+        self.comps: list[tuple[int, ...] | None] | None = None
+        self.cid: list[int] = []
+        self.order: list[tuple[int, int]] = []
+        self.bad: list[tuple[int, int]] = []
+        self.r6: list[int] = []
+
+    def delta_w(self) -> int:
+        """Max White degree over Whites, capped at _CAP (0 if none)."""
+        return max((d for d, k in enumerate(self.white_hist) if k), default=0)
+
+    def delta_b(self) -> int:
+        """Max White degree over Blues, capped at _CAP (0 if none)."""
+        return max((d for d, k in enumerate(self.blue_hist) if k), default=0)
+
+    def select(self) -> tuple[GreedyRule, frozenset[int]]:
+        row = self.row
+        for r, (rule, _, _, _) in enumerate(_DEGREE_RULES):
+            heap = self.heaps[r]
+            while heap and row[heap[0]] != r:
+                heapq.heappop(heap)
+            if heap:
+                return rule, frozenset((heap[0],))
+        if self.comps is None:
+            self.comps = []
+            self.cid = [-1] * self.G.n
+            self._build([v for v in range(self.G.n) if self.white[v]])
+        comps = self.comps
+        bad = self.bad
+        while bad and comps[bad[0][1]] is None:
+            heapq.heappop(bad)
+        if bad:
+            return GreedyRule.R5, _r5_set(self.G, comps[bad[0][1]])
+        while self.r6:
+            x = self.r6[0]
+            touched = self._touched(x)
+            if len(touched) >= 2:
+                touched.sort(key=lambda c: comps[c][0])
+                picked = [comps[c] for c in touched[:2]]
+                return GreedyRule.R6, _r6_set(self.G, x, picked, self.wdeg)
+            heapq.heappop(self.r6)
+        order = self.order
+        while comps[order[0][1]] is None:
+            heapq.heappop(order)
+        return GreedyRule.R7, _r7_set(self.G, comps[order[0][1]])
+
+    def _touched(self, x: int) -> list[int]:
+        white, cid = self.white, self.cid
+        return list({cid[u] for u in self.adj[x] if white[u]})
+
+    def _build(self, vertices) -> None:
+        """Turn the given White vertices into components, with their heaps."""
+        adj, white, wdeg, cid, comps = self.adj, self.white, self.wdeg, self.cid, self.comps
+        new = []
+        seen: set[int] = set()
+        for s in vertices:
+            if s in seen:
+                continue
+            seen.add(s)
+            comp = [s]
+            stack = [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if white[w] and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            comp.sort()
+            c = len(comps)
+            comps.append(tuple(comp))
+            for v in comp:
+                cid[v] = c
+            heapq.heappush(self.order, (comp[0], c))
+            if len(comp) != 2 and not _is_c5(comp, wdeg):
+                heapq.heappush(self.bad, (comp[0], c))
+            new.append(comp)
+        # a Blue vertex can only start touching two components when a
+        # component next to it is built
+        checked: set[int] = set()
+        for comp in new:
+            for v in comp:
+                for x in adj[v]:
+                    if x not in checked and not white[x]:
+                        checked.add(x)
+                        if len(self._touched(x)) >= 2:
+                            heapq.heappush(self.r6, x)
+
+    def _move(self, v: int, r: int) -> None:
+        """Put v in row r of _DEGREE_RULES (-1: in none)."""
+        if self.row[v] != r:
+            self.row[v] = r
+            if r >= 0:
+                heapq.heappush(self.heaps[r], v)
+
+    def add(self, A) -> tuple[Fraction, int]:
+        """Add A to the set; return xi(A) and the number of Whites lost."""
+        adj, dominated, white, wdeg = self.adj, self.dominated, self.white, self.wdeg
+        white_hist, blue_hist = self.white_hist, self.blue_hist
+        blue_before = blue_hist[:]
+        lost = []
+        for a in A:
+            for v in (a, *adj[a]):
+                if not dominated[v]:
+                    dominated[v] = 1
+                    if white[v] == 1:
+                        white[v] = 2
+                        white_hist[min(wdeg[v], _CAP)] -= 1
+                        lost.append(v)
+        for u in lost:  # grows while it is read
+            for w in adj[u]:
+                wdeg[w] -= 1
+                d = min(wdeg[w], _CAP)
+                if white[w] == 1:
+                    white_hist[min(wdeg[w] + 1, _CAP)] -= 1
+                    if d:
+                        white_hist[d] += 1
+                        self._move(w, _WHITE_ROW[d])
+                    else:
+                        # undominated with no undominated neighbor left
+                        white[w] = 2
+                        lost.append(w)
+                elif white[w] == 0:
+                    blue_hist[min(wdeg[w] + 1, _CAP)] -= 1
+                    if d:
+                        blue_hist[d] += 1
+                    self._move(w, _BLUE_ROW[d])
+        for v in lost:
+            white[v] = 0
+            d = min(wdeg[v], _CAP) if dominated[v] else 0
+            if d:
+                blue_hist[d] += 1
+            self._move(v, _BLUE_ROW[d])
+        self.whites -= len(lost)
+        xi = self.omega * len(lost) + sum(
+            (w * (b - a) for w, b, a in zip(self.blue_weight, blue_before, blue_hist) if b != a),
+            Fraction(0))
+        if self.comps is not None and lost:
+            comps, cid = self.comps, self.cid
+            dead = sorted({cid[v] for v in lost})
+            rest = [v for c in dead for v in comps[c] if white[v]]
+            for c in dead:
+                comps[c] = None
+            self._build(rest)
+        return xi, len(lost)
 
 
 def greedy_isolating_set(G: Graph, wv: WeightVector) -> tuple[tuple[int, ...], GreedyTrace]:
@@ -184,27 +395,24 @@ def greedy_isolating_set(G: Graph, wv: WeightVector) -> tuple[tuple[int, ...], G
     xi >= |A| guarantees, and with them |S| <= omega*n, hold when the
     graph meets a variant's degree/girth precondition and wv is
     feasible for that variant's constraint system; otherwise the trace
-    is advisory.
+    is advisory. The trace equals a from-scratch run of select_desirable,
+    compute_residual and total_weight after every step.
     """
+    engine = _GreedyEngine(G, wv)
     D: set[int] = set()
-    state = compute_residual(G, D)
-    w_cur = total_weight(state, wv)
     steps: list[GreedyStep] = []
-    while state.whites:
-        rule, A = select_desirable(state)
-        if rule >= GreedyRule.R3 and (state.delta_w() > 3 or state.delta_b() > 4):
+    while engine.whites:
+        rule, A = engine.select()
+        if rule >= GreedyRule.R3 and (engine.delta_w() > 3 or engine.delta_b() > 4):
             raise AssertionError(f"{rule.name} fired with degrees past the R1/R2 stage")
-        if rule >= GreedyRule.R5 and (state.delta_w() > 2 or state.delta_b() > 3):
+        if rule >= GreedyRule.R5 and (engine.delta_w() > 2 or engine.delta_b() > 3):
             raise AssertionError(f"{rule.name} fired with degrees past the R3/R4 stage")
-        white_before = len(state.whites)
         D |= A
-        state = compute_residual(G, D)
-        w_new = total_weight(state, wv)
-        steps.append(GreedyStep(rule, tuple(sorted(A)), w_cur - w_new))
-        if len(state.whites) >= white_before:
+        xi_A, lost = engine.add(A)
+        steps.append(GreedyStep(rule, tuple(sorted(A)), xi_A))
+        if not lost:
             raise AssertionError(f"{rule.name} made no progress")
-        w_cur = w_new
-    if w_cur != 0:
+    if any(engine.blue_hist):
         raise AssertionError("non-white endstate must weigh nothing")
     S = tuple(sorted(D))
     trace = GreedyTrace(G.n, tuple(steps), S, wv.omega * G.n)
@@ -215,10 +423,11 @@ def greedy_isolating_set(G: Graph, wv: WeightVector) -> tuple[tuple[int, ...], G
 class TraceVerification:
     """Result of an independent trace replay; truthy only if everything holds.
 
-    xi_matches: every recorded xi equals the from-scratch recomputation.
+    xi_matches: every recorded xi equals the replayed weight drop.
     desirable: every replayed xi(A) >= |A|.
     isolating: the final set isolates the graph.
-    partition_ok: the steps are disjoint and their union is the recorded set.
+    partition_ok: no step repeats a vertex, the steps are disjoint, and
+    their union is the recorded set.
     header_ok: the trace's n and initial weight omega*n match the graph
     and the weights.
     """
@@ -245,29 +454,78 @@ class TraceVerification:
 
 
 def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerification:
-    """Replay a trace with fresh residual computations and check it.
+    """Replay a trace locally, from the definitions, and check it.
+
+    The replay keeps its own dominated set N[D], White set and White
+    degrees, and shares no code with the greedy. A vertex is White iff
+    it lies outside N[D] and has a neighbor outside N[D], so adding A
+    can change White status only inside N[N[A]]. The weight change is
+    summed over N[A], the vertices that stopped being White and their
+    neighbors: no other vertex changes color or White degree.
 
     The checks are reported separately: a run on a graph violating the
     degree precondition can fail the desirability check while its final
     set still isolates.
     """
+    n = G.n
+    nbrs = G.neighbors
+    dominated = bytearray(n)
+    # at the start every vertex with a neighbor is White, so a vertex's
+    # White degree is its degree
+    white = bytearray(1 if G.degree(v) else 0 for v in range(n))
+    white_nbrs = [G.degree(v) for v in range(n)]
+    # weight by class: 0 for White, i for Blue with min(i, 4) White neighbors
+    class_weight = wv.as_tuple()
+
+    def census(vs) -> list[int]:
+        counts = [0] * 5
+        for v in vs:
+            if white[v]:
+                counts[0] += 1
+            elif dominated[v] and white_nbrs[v]:
+                counts[min(white_nbrs[v], 4)] += 1
+        return counts
+
     D: set[int] = set()
     xi_matches = True
     desirable = True
     partition_ok = True
-    w_cur = total_weight(compute_residual(G, D), wv)
     for step in trace.steps:
-        A = set(step.vertices)
-        if A & D:
+        A = step.vertices
+        for v in A:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} is outside [0, {n})")
+        if len(set(A)) < len(A) or not D.isdisjoint(A):
             partition_ok = False
-        D |= A
-        w_new = total_weight(compute_residual(G, D), wv)
-        replayed = w_cur - w_new
+        D.update(A)
+        near = set(A)
+        for a in A:
+            near.update(nbrs(a))
+        ball = set(near)
+        for v in near:
+            ball.update(nbrs(v))
+        stopped = []
+        for v in ball:
+            if white[v] and (dominated[v] or v in near
+                             or all(dominated[u] or u in near for u in nbrs(v))):
+                stopped.append(v)
+        touched = near.union(stopped)
+        for v in stopped:
+            touched.update(nbrs(v))
+        before = census(touched)
+        for v in near:
+            dominated[v] = 1
+        for v in stopped:
+            white[v] = 0
+            for u in nbrs(v):
+                white_nbrs[u] -= 1
+        after = census(touched)
+        replayed = sum((w * (b - a) for w, b, a in zip(class_weight, before, after) if b != a),
+                       Fraction(0))
         if replayed != step.xi:
             xi_matches = False
-        if replayed < len(step.vertices):
+        if replayed < len(A):
             desirable = False
-        w_cur = w_new
     if tuple(sorted(D)) != tuple(trace.D):
         partition_ok = False
     header_ok = trace.n == G.n and trace.initial_weight == wv.omega * G.n

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: subset enumeration, direct edge
 scans, explicit triangle checks, every 5-row basis of the weight LP, a
-graph6 codec that handles one bit at a time. Slow but trustworthy.
+graph6 codec that handles one bit at a time, a greedy and a trace replay
+that recompute the whole residual state after every step. Slow but
+trustworthy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from isobound import (ConstraintSystem, Graph, Graph6ParseError, LPSolution, WeightVector,
-                      check_feasible)
+from isobound import (ConstraintSystem, Graph, Graph6ParseError, GreedyRule, GreedyStep,
+                      GreedyTrace, LPSolution, TraceVerification, WeightVector,
+                      check_feasible, compute_residual, is_isolating, select_desirable,
+                      total_weight)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
 
 
@@ -189,3 +193,59 @@ def parse_graph6_bitwise(text: str) -> Graph:
         if tail & ((1 << (6 - nbits % 6)) - 1):
             raise Graph6ParseError("nonzero padding bits", body_at + nbytes - 1)
     return Graph(n, edges)
+
+
+def greedy_isolating_set_from_scratch(G: Graph, wv: WeightVector):
+    """The greedy with a fresh compute_residual and total_weight after
+    every step; quadratic, and the reference for greedy_isolating_set."""
+    D: set[int] = set()
+    state = compute_residual(G, D)
+    w_cur = total_weight(state, wv)
+    steps: list[GreedyStep] = []
+    while state.whites:
+        rule, A = select_desirable(state)
+        if rule >= GreedyRule.R3 and (state.delta_w() > 3 or state.delta_b() > 4):
+            raise AssertionError(f"{rule.name} fired with degrees past the R1/R2 stage")
+        if rule >= GreedyRule.R5 and (state.delta_w() > 2 or state.delta_b() > 3):
+            raise AssertionError(f"{rule.name} fired with degrees past the R3/R4 stage")
+        white_before = len(state.whites)
+        D |= A
+        state = compute_residual(G, D)
+        w_new = total_weight(state, wv)
+        steps.append(GreedyStep(rule, tuple(sorted(A)), w_cur - w_new))
+        if len(state.whites) >= white_before:
+            raise AssertionError(f"{rule.name} made no progress")
+        w_cur = w_new
+    if w_cur != 0:
+        raise AssertionError("non-white endstate must weigh nothing")
+    S = tuple(sorted(D))
+    trace = GreedyTrace(G.n, tuple(steps), S, wv.omega * G.n)
+    return S, trace
+
+
+def verify_trace_from_scratch(G: Graph, trace: GreedyTrace, wv: WeightVector):
+    """Trace replay with a fresh compute_residual after every step. It
+    turns each step into a set, so a step that repeats a vertex still
+    passes partition_ok here."""
+    D: set[int] = set()
+    xi_matches = True
+    desirable = True
+    partition_ok = True
+    w_cur = total_weight(compute_residual(G, D), wv)
+    for step in trace.steps:
+        A = set(step.vertices)
+        if A & D:
+            partition_ok = False
+        D |= A
+        w_new = total_weight(compute_residual(G, D), wv)
+        replayed = w_cur - w_new
+        if replayed != step.xi:
+            xi_matches = False
+        if replayed < len(step.vertices):
+            desirable = False
+        w_cur = w_new
+    if tuple(sorted(D)) != tuple(trace.D):
+        partition_ok = False
+    header_ok = trace.n == G.n and trace.initial_weight == wv.omega * G.n
+    return TraceVerification(xi_matches, desirable, is_isolating(G, D), partition_ok,
+                             header_ok)

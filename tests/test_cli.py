@@ -1,10 +1,13 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from isobound import chain, cli, complete_graph, emit_edge_list, emit_graph6, prism_k4
+from isobound import (chain, cli, complete_graph, emit_edge_list, emit_graph6, prism_k4,
+                      random_min_degree_graph)
 from isobound.cli import main
 
 TF_VECTOR = {"omega": "3/10", "beta1": "1/15", "beta2": "1/10",
@@ -95,6 +98,54 @@ def test_greedy_verify_roundtrip(chain_file, tmp_path, capsys):
     assert main(["verify-bound", "--in", chain_file, "--trace", str(run),
                  "--weights", str(run)]) == 0
     assert "verified: true" in capsys.readouterr().out
+
+
+def test_greedy_report_counts_rules_and_least_slack(tmp_path, capsys):
+    p = tmp_path / "g.el"
+    p.write_text(emit_edge_list(random_min_degree_graph(300, 4, 1)))
+    run = tmp_path / "run.json"
+    assert main(["greedy", "--in", str(p), "--delta", "4", "--out", str(run)]) == 0
+    results = json.loads(run.read_text())["results"]
+    steps = results["trace"]["steps"]
+    counts = Counter(s["rule"] for s in steps)
+    assert {k: v["count"] for k, v in results["rules"].items()} == counts
+    assert list(results["rules"]) == sorted(counts)
+    for rule, entry in results["rules"].items():
+        least = min(Fraction(s["xi"]) - s["size"] for s in steps if s["rule"] == rule)
+        assert Fraction(entry["min_slack"]) == least >= 0
+    line = ", ".join(f"{k} x{v}" for k, v in sorted(counts.items()))
+    assert f"steps: {line}" in capsys.readouterr().out
+
+
+def test_greedy_runs_girth_only_for_a_girth_variant(chain_file, monkeypatch, capsys):
+    # every simple graph has girth >= 3, so the general variant needs no pass
+    calls = []
+
+    def counted_girth(G):
+        calls.append(G.n)
+        return 4
+
+    monkeypatch.setattr(cli, "girth", counted_girth)
+    assert main(["greedy", "--in", chain_file, "--delta", "4"]) == 0
+    assert "precondition (min degree >= 4, general): true" in capsys.readouterr().out
+    assert calls == []
+    main(["greedy", "--in", chain_file, "--delta", "4", "--variant", "triangle-free"])
+    assert "triangle-free): true" in capsys.readouterr().out
+    assert calls == [16]
+
+
+def test_verify_rejects_repeated_vertex_in_a_step(chain_file, tmp_path, capsys):
+    run = tmp_path / "run.json"
+    main(["greedy", "--in", chain_file, "--delta", "4", "--out", str(run)])
+    trace = json.loads(run.read_text())["results"]["trace"]
+    step = next(s for s in trace["steps"] if s["size"] == 1)
+    step["set"] = step["set"] * 2
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(trace))
+    capsys.readouterr()
+    assert main(["verify-bound", "--in", chain_file, "--trace", str(bad),
+                 "--weights", str(run)]) == 1
+    assert "partition_ok: false" in capsys.readouterr().out
 
 
 def test_verify_rejects_tampered_trace(chain_file, tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,8 @@ from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constr
                       select_desirable, solve_min_omega, total_weight,
                       verify_trace)
 
-from oracles import random_graph
+from oracles import (greedy_isolating_set_from_scratch, random_graph,
+                     verify_trace_from_scratch)
 
 WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 
@@ -207,6 +209,66 @@ def test_verify_trace_rejects_unknown_vertices():
             2, (trace.steps[0].__class__(GreedyRule.R7, (9,), F(1)),),
             (9,), trace.initial_weight), WV)
     assert not verify_trace(k2, forged, WV).partition_ok
+
+
+def test_verify_trace_rejects_a_repeated_vertex():
+    g = random_min_degree_graph(40, 4, 5)
+    _, trace = greedy_isolating_set(g, WV)
+    i, step = next((i, s) for i, s in enumerate(trace.steps) if s.size == 1)
+    doubled = step.__class__(step.rule, step.vertices * 2, step.xi)
+    forged = GreedyTrace(trace.n, trace.steps[:i] + (doubled,) + trace.steps[i + 1:],
+                         trace.D, trace.initial_weight)
+    outcome = verify_trace(g, forged, WV)
+    assert not outcome.partition_ok and not outcome
+    # the from-scratch replay turned each step into a set and missed it
+    old = verify_trace_from_scratch(g, forged, WV)
+    assert old.partition_ok
+    assert outcome.to_json_dict() | {"partition_ok": True, "verified": bool(old)} \
+        == old.to_json_dict()
+
+
+def _r6_touch_counts(G, trace):
+    # White components touched by the Blue vertex of each R6 step, read
+    # off a from-scratch state
+    D, counts = set(), []
+    for step in trace.steps:
+        state = compute_residual(G, D)
+        if step.rule is GreedyRule.R6:
+            x = next(v for v in step.vertices if v in state.blues)
+            comps = state.white_components()
+            counts.append(sum(1 for c in comps if set(c) & set(G.neighbors(x))))
+        D |= set(step.vertices)
+    return counts
+
+
+def test_r6_vertex_touching_three_components():
+    # R1 takes 0 (five White neighbors), which dominates x = 1 and leaves
+    # it Blue next to three components; in the first graph the C5 is one
+    # of the two R6 uses, in the second it is the third one, which R6
+    # splits into a P4 for R5
+    hub = [(0, v) for v in range(1, 6)] + [(v, v + 4) for v in range(2, 6)]
+    c5 = [(10, 11), (11, 12), (12, 13), (13, 14), (14, 10)]
+    picked = Graph(19, hub + c5 + [(15, 16), (17, 18), (1, 10), (1, 15), (1, 17)])
+    third = Graph(19, hub + [(10, 11), (12, 13)] + [(u + 4, v + 4) for u, v in c5]
+                  + [(1, 10), (1, 12), (1, 14)])
+    for g, rules in ((picked, [GreedyRule.R1, GreedyRule.R6]),
+                     (third, [GreedyRule.R1, GreedyRule.R6, GreedyRule.R5])):
+        S, trace = greedy_isolating_set(g, WV)
+        assert [s.rule for s in trace.steps] == rules
+        assert _r6_touch_counts(g, trace) == [3]
+        assert (S, trace) == greedy_isolating_set_from_scratch(g, WV)
+    assert trace.steps[1].vertices == (1,)
+    assert greedy_isolating_set(picked, WV)[1].steps[1].vertices == (1, 12)
+
+
+def test_greedy_and_replay_scale_linearly():
+    # the from-scratch residual after every step took well over a minute here
+    g = random_min_degree_graph(20000, 4, 1)
+    t0 = time.perf_counter()
+    S, trace = greedy_isolating_set(g, WV)
+    assert verify_trace(g, trace, WV)
+    assert time.perf_counter() - t0 < 15
+    assert len(S) <= math.floor(WV.omega * g.n)
 
 
 def test_white_count_strictly_decreases():

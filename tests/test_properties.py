@@ -3,14 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from isobound import (Graph, Graph6ParseError, WeightVector, emit_edge_list, emit_graph6,
-                      greedy_isolating_set, parse_edge_list, parse_graph6,
+from isobound import (Graph, Graph6ParseError, GreedyStep, GreedyTrace, WeightVector,
+                      emit_edge_list, emit_graph6, greedy_isolating_set, parse_edge_list,
+                      parse_graph6, random_bipartite_min_degree_graph,
                       random_min_degree_graph, verify_trace)
 
-from oracles import (emit_graph6_bitwise, is_isolating_direct, parse_graph6_bitwise,
-                     random_graph)
+from oracles import (emit_graph6_bitwise, greedy_isolating_set_from_scratch,
+                     is_isolating_direct, parse_graph6_bitwise, random_graph,
+                     verify_trace_from_scratch)
 
 # fixed examples and no example database keep the suite's time and
 # outcome the same on every run
@@ -18,6 +20,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 # the delta=4 optimum
 WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
+# the triangle-free delta=4 vector 3/10
+TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
 
 
 @st.composite
@@ -127,3 +131,70 @@ def test_greedy_certifies_min_degree_4(n, seed):
     S, trace = greedy_isolating_set(G, WV)
     assert verify_trace(G, trace, WV)
     assert len(S) <= math.floor(WV.omega * G.n)
+
+
+@st.composite
+def sparse_graphs(draw):
+    # n < 60, general or bipartite, sparse enough that every rule fires
+    n = draw(st.integers(1, 59))
+    p = draw(st.integers(1, 30)) / 100
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if not draw(st.booleans()):
+        return random_graph(rng, n, p)
+    left = draw(st.integers(0, n))
+    return Graph(n, [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p])
+
+
+@PROPERTY
+@given(sparse_graphs(), st.sampled_from([WV, TF]))
+def test_greedy_matches_from_scratch_oracle(G, wv):
+    assert greedy_isolating_set(G, wv) == greedy_isolating_set_from_scratch(G, wv)
+
+
+@st.composite
+def certified_runs(draw):
+    n = draw(st.integers(10, 59))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        G, wv = random_bipartite_min_degree_graph(n, 4, seed), TF
+    else:
+        G, wv = random_min_degree_graph(n, 4, seed), WV
+    trace = greedy_isolating_set(G, wv)[1]
+    assume(len(trace.steps) >= 2)
+    return G, wv, trace
+
+
+def _replay_outcome(verify, G, trace, wv):
+    try:
+        return verify(G, trace, wv)
+    except ValueError as e:
+        return str(e)
+
+
+@PROPERTY
+@given(certified_runs(), st.sampled_from(["xi", "swap", "overlap", "range"]), st.data())
+def test_verify_trace_matches_from_scratch_oracle(run, kind, data):
+    G, wv, trace = run
+    steps = list(trace.steps)
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(steps) - 1), min_size=2, max_size=2,
+                                     unique=True)))
+    rule, A, xi = steps[i].rule, steps[i].vertices, steps[i].xi
+    if kind == "xi":
+        steps[i] = GreedyStep(rule, A, xi + F(data.draw(st.integers(-5, 5).filter(bool)), 82))
+    elif kind == "swap":
+        steps[i], steps[j] = steps[j], steps[i]
+    elif kind == "overlap":
+        later = steps[j]
+        shared = data.draw(st.sampled_from(A))
+        steps[j] = GreedyStep(later.rule, tuple(sorted(later.vertices + (shared,))), later.xi)
+    else:
+        k = data.draw(st.integers(0, len(A) - 1))
+        outside = data.draw(st.sampled_from([-1, G.n, G.n + 7]))
+        steps[i] = GreedyStep(rule, A[:k] + (outside,) + A[k + 1:], xi)
+    forged = GreedyTrace(trace.n, tuple(steps), trace.D, trace.initial_weight)
+    got = _replay_outcome(verify_trace, G, forged, wv)
+    assert got == _replay_outcome(verify_trace_from_scratch, G, forged, wv)
+    if kind == "range":
+        assert got == f"vertex {outside} is outside [0, {G.n})"
+    elif kind != "swap":
+        assert not got
