@@ -15,21 +15,18 @@ from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
                        prism_k4, search_gadgets)
 from .graph import (GenerationError, Graph, Graph6ParseError, complete_graph,
                     cycle_graph, emit_edge_list, emit_graph6, girth, is_connected,
-                    parse_edge_list, parse_graph6, path_graph,
+                    is_isolating, parse_edge_list, parse_graph6, path_graph,
                     random_bipartite_min_degree_graph, random_min_degree_graph,
                     random_regular_graph)
 from .greedy import (GreedyRule, GreedyStep, GreedyTrace, TraceVerification,
-                     greedy_isolating_set, select_desirable, verify_trace)
+                     greedy_isolating_set, verify_trace)
 from .lpweights import (ConstraintSystem, LinearRow, LPSolution, RowViolation,
-                        build_constraints, check_feasible, check_optimality,
-                        solve_min_omega)
-from .residual import (Color, ResidualState, WeightVector, compute_residual,
-                       is_isolating, total_weight, xi)
+                        WeightVector, build_constraints, check_feasible,
+                        check_optimality, solve_min_omega)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Color",
     "ConstraintSystem",
     "DEFAULT_NODE_BUDGET",
     "ExactResult",
@@ -44,7 +41,6 @@ __all__ = [
     "GreedyTrace",
     "LPSolution",
     "LinearRow",
-    "ResidualState",
     "RowViolation",
     "SearchBudgetExceeded",
     "TraceVerification",
@@ -55,7 +51,6 @@ __all__ = [
     "check_feasible",
     "check_optimality",
     "complete_graph",
-    "compute_residual",
     "cycle_graph",
     "emit_edge_list",
     "emit_graph6",
@@ -74,9 +69,6 @@ __all__ = [
     "random_min_degree_graph",
     "random_regular_graph",
     "search_gadgets",
-    "select_desirable",
     "solve_min_omega",
-    "total_weight",
     "verify_trace",
-    "xi",
 ]

@@ -32,12 +32,11 @@ from . import __version__
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
 from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list,
-                    emit_graph6, girth, parse_edge_list, parse_graph6,
+                    emit_graph6, girth, is_isolating, parse_edge_list, parse_graph6,
                     random_min_degree_graph, random_regular_graph)
 from .greedy import GreedyTrace, greedy_isolating_set, verify_trace
-from .lpweights import (MIN_GIRTH, VARIANTS, build_constraints, check_feasible,
-                        check_optimality, solve_min_omega)
-from .residual import WeightVector, is_isolating
+from .lpweights import (MIN_GIRTH, VARIANTS, WeightVector, build_constraints,
+                        check_feasible, check_optimality, solve_min_omega)
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -311,8 +310,10 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
+    # RecursionError: JSON nested past the interpreter's depth limit, or
+    # an exact search that chooses more vertices than that limit
     except (ValueError, Graph6ParseError, GenerationError,
-            SearchBudgetExceeded, OSError, json.JSONDecodeError) as e:
+            SearchBudgetExceeded, OSError, json.JSONDecodeError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

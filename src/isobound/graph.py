@@ -28,11 +28,11 @@ class GenerationError(RuntimeError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency is stored per vertex as a sorted tuple plus a frozenset for
-    O(1) membership. No self-loops; duplicate edges collapse.
+    Adjacency is stored once, per vertex as a sorted tuple. No
+    self-loops; duplicate edges collapse.
     """
 
-    __slots__ = ("n", "_adj", "_nbr")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -46,21 +46,17 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
-        self._nbr = tuple(frozenset(s) for s in sets)
         self._adj = tuple(tuple(sorted(s)) for s in sets)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in increasing order."""
         return self._adj[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._nbr[v]
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr[u]
+        return v in self._adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
@@ -123,6 +119,18 @@ def is_connected(G: Graph) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == G.n
+
+
+def is_isolating(G: Graph, S: Iterable[int]) -> bool:
+    """True iff no edge of G survives the removal of N[S]."""
+    dominated = bytearray(G.n)
+    for v in S:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} is outside [0, {G.n})")
+        dominated[v] = 1
+        for u in G.neighbors(v):
+            dominated[u] = 1
+    return all(dominated[u] or dominated[v] for u, v in G.edges())
 
 
 def girth(G: Graph) -> int | None:

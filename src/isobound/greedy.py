@@ -36,8 +36,8 @@ from enum import IntEnum
 from fractions import Fraction
 
 from .exact import path_cycle_min_isolating
-from .graph import Graph
-from .residual import ResidualState, WeightVector, is_isolating, parse_rational
+from .graph import Graph, is_isolating
+from .lpweights import WeightVector, parse_rational
 
 
 class GreedyRule(IntEnum):
@@ -50,7 +50,7 @@ class GreedyRule(IntEnum):
     R7 = 7
 
 
-# R1-R4 in the order tried: (rule, ResidualState vertex pool, lowest and
+# R1-R4 in the order tried: (rule, vertex pool: White or Blue, lowest and
 # highest White degree); the first row with a hit picks its lowest vertex
 _DEGREE_RULES = (
     (GreedyRule.R1, "whites", 5, math.inf),
@@ -149,40 +149,6 @@ def _r7_set(G: Graph, comp: tuple[int, ...]) -> frozenset[int]:
     if len(inner) != 2:
         raise AssertionError("endgame component is not a 5-cycle")
     return frozenset(inner)
-
-
-def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
-    """First applicable rule and its set, with lowest-index tie-breaking.
-
-    This is the rule specification read off one from-scratch state;
-    greedy_isolating_set makes the same choices incrementally. No
-    variant enters here: the variant only decides which weight vector
-    makes the steps pay for themselves.
-    """
-    if not state.whites:
-        raise ValueError("no white vertex: the current set is already isolating")
-    G = state.graph
-    wdeg = state.white_degree
-    for rule, pool, lowest, highest in _DEGREE_RULES:
-        for v in getattr(state, pool):
-            if lowest <= wdeg[v] <= highest:
-                return rule, frozenset((v,))
-
-    # white components are now paths and cycles (max white degree <= 2)
-    comps = state.white_components()
-    for comp in comps:
-        if len(comp) != 2 and not _is_c5(comp, wdeg):
-            return GreedyRule.R5, _r5_set(G, comp)
-
-    comp_id: dict[int, int] = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = idx
-    for x in state.blues:
-        touched = sorted({comp_id[u] for u in G.neighbors(x) if u in comp_id})
-        if len(touched) >= 2:
-            return GreedyRule.R6, _r6_set(G, x, [comps[i] for i in touched[:2]], wdeg)
-    return GreedyRule.R7, _r7_set(G, comps[0])
 
 
 # White degrees at or above _CAP share a row, a histogram bucket and a
@@ -395,8 +361,9 @@ def greedy_isolating_set(G: Graph, wv: WeightVector) -> tuple[tuple[int, ...], G
     xi >= |A| guarantees, and with them |S| <= omega*n, hold when the
     graph meets a variant's degree/girth precondition and wv is
     feasible for that variant's constraint system; otherwise the trace
-    is advisory. The trace equals a from-scratch run of select_desirable,
-    compute_residual and total_weight after every step.
+    is advisory. The trace equals that of the reference greedy in
+    tests/oracles.py, which recomputes the whole residual state after
+    every step.
     """
     engine = _GreedyEngine(G, wv)
     D: set[int] = set()

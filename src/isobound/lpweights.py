@@ -22,7 +22,65 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .residual import WEIGHT_NAMES, WeightVector
+WEIGHT_NAMES = ("omega", "beta1", "beta2", "beta3", "beta4")
+
+# exact weights and xi values of real runs are a few dozen characters
+_MAX_RATIONAL_CHARS = 1000
+
+
+def parse_rational(value) -> Fraction:
+    """Exact rational from a JSON value. Long strings and exponents are
+    rejected: Fraction("1e999999999") builds a billion-digit integer."""
+    if isinstance(value, str):
+        if len(value) > _MAX_RATIONAL_CHARS:
+            raise ValueError(f"rational string longer than {_MAX_RATIONAL_CHARS} characters")
+        if "e" in value or "E" in value:
+            raise ValueError(f"rational {value!r} uses an exponent")
+    return Fraction(value)
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Exact rational weights (omega, beta1..beta4).
+
+    Relative to a partial isolating set D, a White vertex (outside N[D],
+    with a neighbor outside N[D]) costs omega, a Blue vertex (in N[D],
+    with i >= 1 White neighbors) costs beta_i, capped at beta_4, and
+    every other vertex costs nothing. The drop of that total when D
+    grows by A is xi(A).
+
+    Construction does not enforce the chain conditions, since feasibility
+    checking must be able to evaluate arbitrary vectors; the chain and
+    step rows of build_constraints state them.
+    """
+
+    omega: Fraction
+    beta1: Fraction
+    beta2: Fraction
+    beta3: Fraction
+    beta4: Fraction
+
+    def __post_init__(self):
+        for name in WEIGHT_NAMES:
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+        return (self.omega, self.beta1, self.beta2, self.beta3, self.beta4)
+
+    def to_json_dict(self) -> dict:
+        return {name: str(x) for name, x in zip(WEIGHT_NAMES, self.as_tuple())}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "WeightVector":
+        if not isinstance(d, dict):
+            raise ValueError(f"weight vector JSON must be an object, got {type(d).__name__}")
+        try:
+            return cls(*(parse_rational(d[k]) for k in WEIGHT_NAMES))
+        except KeyError as e:
+            raise ValueError(f"weight vector JSON missing key {e.args[0]!r}") from None
+        except (TypeError, ZeroDivisionError, OverflowError) as e:
+            raise ValueError(f"malformed weight vector JSON: {e}") from None
+
 
 # the shortest cycle each variant's graphs may have; only the R7 rows
 # below differ by variant

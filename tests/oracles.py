@@ -2,23 +2,27 @@
 
 Everything here is deliberately naive: subset enumeration, direct edge
 scans, explicit triangle checks, every 5-row basis of the weight LP, a
-graph6 codec that handles one bit at a time, a greedy and a trace replay
-that recompute the whole residual state after every step. Slow but
+graph6 codec that handles one bit at a time, the residual coloring and
+its weight computed from scratch, and a greedy and a trace replay that
+recompute the whole residual state after every step. Slow but
 trustworthy.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import Iterable
 
 from isobound import (ConstraintSystem, Graph, Graph6ParseError, GreedyRule, GreedyStep,
                       GreedyTrace, LPSolution, TraceVerification, WeightVector,
-                      check_feasible, compute_residual, is_isolating, select_desirable,
-                      total_weight)
+                      check_feasible, is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
+from isobound.greedy import _DEGREE_RULES, _is_c5, _r5_set, _r6_set, _r7_set
 
 
 def closed_neighborhood(G: Graph, S) -> set[int]:
@@ -193,6 +197,173 @@ def parse_graph6_bitwise(text: str) -> Graph:
         if tail & ((1 << (6 - nbits % 6)) - 1):
             raise Graph6ParseError("nonzero padding bits", body_at + nbytes - 1)
     return Graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# the residual coloring of a graph relative to a partial isolating set D,
+# recomputed from scratch:
+#
+# * White: outside N[D] and adjacent to another vertex outside N[D], so
+#   it still carries an uncovered edge.
+# * Blue: inside N[D] but adjacent to a White vertex.
+# * Red: everything else. Settled, weight zero.
+#
+# White costs omega, a Blue vertex costs beta_i for its White degree i
+# (beta_4 for i >= 4), Red costs nothing; xi is the decrease of that
+# total when D is extended.
+
+
+class Color(Enum):
+    WHITE = "white"
+    BLUE = "blue"
+    RED = "red"
+
+
+@dataclass(frozen=True)
+class ResidualState:
+    """Colors and degrees of a graph relative to a partial solution.
+
+    white_degree[v] counts the White neighbors of every vertex v.
+    """
+
+    graph: Graph
+    color: tuple[Color, ...]
+    white_degree: tuple[int, ...]
+    whites: tuple[int, ...]
+    blues: tuple[int, ...]
+
+    def delta_w(self) -> int:
+        """Max number of White neighbors over White vertices (0 if none)."""
+        return max((self.white_degree[v] for v in self.whites), default=0)
+
+    def delta_b(self) -> int:
+        """Max number of White neighbors over Blue vertices (0 if none)."""
+        return max((self.white_degree[v] for v in self.blues), default=0)
+
+    def white_components(self) -> list[tuple[int, ...]]:
+        """Connected components of the White-induced subgraph.
+
+        Each component is a sorted vertex tuple; components are ordered
+        by their lowest vertex.
+        """
+        color = self.color
+        seen: set[int] = set()
+        comps = []
+        for start in self.whites:
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in self.graph.neighbors(u):
+                    if color[w] is Color.WHITE and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            comps.append(tuple(sorted(comp)))
+        return comps
+
+
+def _dominated(G: Graph, S: Iterable[int]) -> set[int]:
+    """N[S], rejecting vertices outside the graph."""
+    out: set[int] = set()
+    for v in S:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} is outside [0, {G.n})")
+        out.add(v)
+        out.update(G.neighbors(v))
+    return out
+
+
+def compute_residual(G: Graph, D: Iterable[int]) -> ResidualState:
+    """Color every vertex relative to D, from scratch, in one sweep.
+
+    A vertex outside N[D] is White iff it has a neighbor outside N[D],
+    and all such neighbors are then White too. So a White vertex's White
+    degree counts its undominated neighbors, each dominated neighbor of
+    it gains one White neighbor, and every other vertex outside N[D] has
+    only dominated neighbors: Blue is exactly "dominated with a White
+    neighbor".
+    """
+    dominated = _dominated(G, D)
+    wdeg = [0] * G.n
+    whites = []
+    for v in range(G.n):
+        if v in dominated:
+            continue
+        hit = dominated.intersection(G.neighbors(v))
+        if len(hit) < G.degree(v):
+            whites.append(v)
+            wdeg[v] = G.degree(v) - len(hit)
+            for u in hit:
+                wdeg[u] += 1
+    color = [Color.RED] * G.n
+    for v in whites:
+        color[v] = Color.WHITE
+    blues = [v for v in range(G.n) if wdeg[v] and color[v] is Color.RED]
+    for v in blues:
+        color[v] = Color.BLUE
+    return ResidualState(G, tuple(color), tuple(wdeg), tuple(whites), tuple(blues))
+
+
+def total_weight(state: ResidualState, wv: WeightVector) -> Fraction:
+    """Sum of vertex weights: omega per White, beta_i per Blue, 0 per Red."""
+    counts = [0, 0, 0, 0]
+    for v in state.blues:
+        counts[min(state.white_degree[v], 4) - 1] += 1
+    total = wv.omega * len(state.whites)
+    for beta, k in zip((wv.beta1, wv.beta2, wv.beta3, wv.beta4), counts):
+        if k:
+            total += beta * k
+    return total
+
+
+def xi(G: Graph, D: Iterable[int], A: Iterable[int], wv: WeightVector) -> Fraction:
+    """Weight decrease caused by extending D with A, both states recomputed."""
+    Dset = frozenset(D)
+    Aset = frozenset(A)
+    overlap = Aset & Dset
+    if overlap:
+        raise ValueError(f"A intersects D at {sorted(overlap)}")
+    before = total_weight(compute_residual(G, Dset), wv)
+    after = total_weight(compute_residual(G, Dset | Aset), wv)
+    return before - after
+
+
+def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
+    """First applicable rule and its set, with lowest-index tie-breaking.
+
+    This is the rule specification read off one from-scratch state;
+    greedy_isolating_set makes the same choices incrementally. No
+    variant enters here: the variant only decides which weight vector
+    makes the steps pay for themselves.
+    """
+    if not state.whites:
+        raise ValueError("no white vertex: the current set is already isolating")
+    G = state.graph
+    wdeg = state.white_degree
+    for rule, pool, lowest, highest in _DEGREE_RULES:
+        for v in getattr(state, pool):
+            if lowest <= wdeg[v] <= highest:
+                return rule, frozenset((v,))
+
+    # white components are now paths and cycles (max white degree <= 2)
+    comps = state.white_components()
+    for comp in comps:
+        if len(comp) != 2 and not _is_c5(comp, wdeg):
+            return GreedyRule.R5, _r5_set(G, comp)
+
+    comp_id: dict[int, int] = {}
+    for idx, comp in enumerate(comps):
+        for v in comp:
+            comp_id[v] = idx
+    for x in state.blues:
+        touched = sorted({comp_id[u] for u in G.neighbors(x) if u in comp_id})
+        if len(touched) >= 2:
+            return GreedyRule.R6, _r6_set(G, x, [comps[i] for i in touched[:2]], wdeg)
+    return GreedyRule.R7, _r7_set(G, comps[0])
 
 
 def greedy_isolating_set_from_scratch(G: Graph, wv: WeightVector):

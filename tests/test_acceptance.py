@@ -11,15 +11,16 @@ import random
 import time
 from fractions import Fraction as F
 
-from isobound import (Color, WeightVector, build_constraints, chain,
-                      certify_special_edge, check_feasible, compute_residual,
+from isobound import (WeightVector, build_constraints, chain,
+                      certify_special_edge, check_feasible,
                       cycle_graph, exact_isolation_number, girth,
                       greedy_isolating_set, is_connected, is_isolating,
                       metacirculant_14, path_cycle_min_isolating, path_graph,
                       prism_k4, random_bipartite_min_degree_graph,
                       random_min_degree_graph, solve_min_omega)
 
-from oracles import brute_force_isolation, is_isolating_direct, random_graph
+from oracles import (Color, brute_force_isolation, compute_residual, is_isolating_direct,
+                     random_graph)
 
 GOLDEN = (
     (4, "general", F(13, 41)),

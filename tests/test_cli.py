@@ -228,6 +228,33 @@ def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, c
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-weights", "--delta", "4", "--weights", "{deep}"],
+    ["greedy", "--delta", "4", "--weights", "{deep}"],
+    ["verify-bound", "--trace", "{deep}", "--weights", "{weights}"],
+], ids=["check-weights", "greedy", "verify-bound"])
+def test_deeply_nested_json_is_one_line_error(argv, chain_file, tmp_path, capsys):
+    # json.dumps cannot build this payload: it recurses as deep as the parser
+    deep, weights = tmp_path / "deep.json", tmp_path / "w.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    weights.write_text(json.dumps(TF_VECTOR))
+    argv = [a.format(deep=deep, weights=weights) for a in argv]
+    if argv[0] != "check-weights":
+        argv += ["--in", chain_file]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exact_search_deeper_than_the_stack_is_one_line_error(tmp_path, capsys):
+    # 1,000 disjoint edges need 1,000 chosen vertices, one recursion level each
+    p = tmp_path / "match.txt"
+    p.write_text("2000 1000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(1000)))
+    assert main(["exact", "--in", str(p), "--cap", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_weights_feasible_and_not(tmp_path, capsys):
     wfile = tmp_path / "tf.json"
     wfile.write_text(json.dumps(TF_VECTOR))

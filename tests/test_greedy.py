@@ -8,15 +8,15 @@ from fractions import Fraction as F
 import pytest
 
 from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constraints,
-                      chain, compute_residual, cycle_graph, exact_isolation_number,
+                      chain, cycle_graph, exact_isolation_number,
                       greedy_isolating_set, is_isolating,
                       path_graph, prism_k4, random_bipartite_min_degree_graph,
-                      random_min_degree_graph,
-                      select_desirable, solve_min_omega, total_weight,
-                      verify_trace)
+                      random_min_degree_graph, solve_min_omega, verify_trace)
 
-from oracles import (greedy_isolating_set_from_scratch, random_graph,
-                     verify_trace_from_scratch)
+from isobound.greedy import _GreedyEngine
+
+from oracles import (compute_residual, greedy_isolating_set_from_scratch, random_graph,
+                     select_desirable, total_weight, verify_trace_from_scratch)
 
 WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 
@@ -30,10 +30,19 @@ def star_plus(center_degree: int) -> "Graph":
     return Graph(n, edges)
 
 
+def engine_select(g: Graph, D) -> tuple[GreedyRule, frozenset[int]]:
+    """The pick of the incremental engine after adding D in one step."""
+    engine = _GreedyEngine(g, WV)
+    if D:
+        engine.add(D)
+    return engine.select()
+
+
 def test_select_r1_high_degree():
     st = compute_residual(star_plus(5), ())
     rule, A = select_desirable(st)
     assert rule is GreedyRule.R1 and A == {0}
+    assert engine_select(st.graph, ()) == (rule, A)
 
 
 def test_select_r1_prefers_five_tier_over_lower_index():
@@ -48,12 +57,14 @@ def test_select_r1_prefers_five_tier_over_lower_index():
     assert wd[0] == 4 and wd[1] == 5
     rule, A = select_desirable(st)
     assert rule is GreedyRule.R1 and A == {1}
+    assert engine_select(g, ()) == (rule, A)
 
 
 def test_select_r3():
     st = compute_residual(star_plus(3), ())
     rule, A = select_desirable(st)
     assert rule is GreedyRule.R3 and A == {0}
+    assert engine_select(st.graph, ()) == (rule, A)
 
 
 def test_select_r5_on_p7():
@@ -61,12 +72,14 @@ def test_select_r5_on_p7():
     rule, A = select_desirable(st)
     assert rule is GreedyRule.R5
     assert len(A) == 2  # minimum for P7
+    assert engine_select(st.graph, ()) == (rule, A)
 
 
 def test_select_r7_on_k2s():
     g = Graph(4, [(0, 1), (2, 3)])
     rule, A = select_desirable(compute_residual(g, ()))
     assert rule is GreedyRule.R7 and A == {0}
+    assert engine_select(g, ()) == (rule, A)
 
 
 def test_select_r6_spanning_blue():
@@ -77,6 +90,7 @@ def test_select_r6_spanning_blue():
     assert st.color[4].value == "blue"
     rule, A = select_desirable(st)
     assert rule is GreedyRule.R6 and A == {4}
+    assert engine_select(g, {5}) == (rule, A)
 
 
 def test_select_r6_with_c5_component():
@@ -89,6 +103,7 @@ def test_select_r6_with_c5_component():
     assert rule is GreedyRule.R6
     # attachment on the C5 is vertex 2; distance-2 vertices are 4 and 5
     assert A == {10, 4}
+    assert engine_select(g, {11}) == (rule, A)
     D = set(A) | {11}
     assert not compute_residual(g, D).whites  # both components die
 
@@ -97,6 +112,7 @@ def test_select_r7_c5_takes_neighbors_of_lowest():
     c5 = cycle_graph(5)
     rule, A = select_desirable(compute_residual(c5, ()))
     assert rule is GreedyRule.R7 and A == {1, 4}
+    assert engine_select(c5, ()) == (rule, A)
 
 
 def test_select_requires_white():

@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from isobound import (Color, Graph, WeightVector, build_constraints, check_feasible,
-                      compute_residual, cycle_graph, is_isolating, path_graph,
-                      total_weight, xi)
+from isobound import (Graph, WeightVector, build_constraints, check_feasible,
+                      cycle_graph, is_isolating, path_graph)
 
-from oracles import closed_neighborhood, is_isolating_direct, random_graph
+from oracles import (Color, closed_neighborhood, compute_residual, is_isolating_direct,
+                     random_graph, total_weight, xi)
 
 # the delta=4 optimum; fixed here so weight arithmetic is concrete
 WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
@@ -61,6 +61,11 @@ def test_compute_residual_p4_endpoint():
 def test_compute_residual_rejects_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         compute_residual(path_graph(3), {5})
+
+
+def test_is_isolating_rejects_out_of_range():
+    with pytest.raises(ValueError, match=r"^vertex 5 is outside \[0, 3\)$"):
+        is_isolating(path_graph(3), {5})
 
 
 def test_state_accessors():

@@ -26,7 +26,7 @@ def test_verify_trace_shares_no_code_with_the_greedy():
     shared_types = {"verify_trace", "TraceVerification", "GreedyTrace", "GreedyStep",
                     "GreedyRule"}
     engine = defined - shared_types
-    assert {"_GreedyEngine", "greedy_isolating_set", "select_desirable"} <= engine
+    assert {"_GreedyEngine", "greedy_isolating_set"} <= engine
     verify = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "verify_trace")
     names = {node.id for node in ast.walk(verify) if isinstance(node, ast.Name)}
