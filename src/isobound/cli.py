@@ -310,8 +310,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    # RecursionError: JSON nested past the interpreter's depth limit, or
-    # an exact search that chooses more vertices than that limit
+    # RecursionError: JSON nested past the interpreter's depth limit
     except (ValueError, Graph6ParseError, GenerationError,
             SearchBudgetExceeded, OSError, json.JSONDecodeError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,7 +4,8 @@ Everything here is deliberately naive: subset enumeration, direct edge
 scans, explicit triangle checks, every 5-row basis of the weight LP, a
 graph6 codec that handles one bit at a time, the residual coloring and
 its weight computed from scratch, and a greedy and a trace replay that
-recompute the whole residual state after every step. Slow but
+recompute the whole residual state after every step, and the exact
+solver as a recursion over frozensets without a packing bound. Slow but
 trustworthy.
 """
 
@@ -18,8 +19,9 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable
 
-from isobound import (ConstraintSystem, Graph, Graph6ParseError, GreedyRule, GreedyStep,
-                      GreedyTrace, LPSolution, TraceVerification, WeightVector,
+from isobound import (DEFAULT_NODE_BUDGET, ConstraintSystem, ExactResult, Graph,
+                      Graph6ParseError, GreedyRule, GreedyStep, GreedyTrace, LPSolution,
+                      SearchBudgetExceeded, TraceVerification, WeightVector,
                       check_feasible, is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
 from isobound.greedy import _DEGREE_RULES, _is_c5, _r5_set, _r6_set, _r7_set
@@ -420,3 +422,108 @@ def verify_trace_from_scratch(G: Graph, trace: GreedyTrace, wv: WeightVector):
     header_ok = trace.n == G.n and trace.initial_weight == wv.omega * G.n
     return TraceVerification(xi_matches, desirable, is_isolating(G, D), partition_ok,
                              header_ok)
+
+
+# ---------------------------------------------------------------------------
+# exact solver: the recursive branch and bound over frozensets, with a
+# dom counter per vertex and no lower bound beyond |chosen| + 1, and its
+# max-coverage seed that rescans every surviving edge per vertex
+
+
+def greedy_cover_seed_by_scan(G: Graph, closed: list[frozenset[int]]) -> list[int]:
+    # max-coverage heuristic: repeatedly take the vertex killing the most
+    # surviving edges; only used as an incumbent upper bound
+    edges = list(G.edges())
+    alive = set(range(len(edges)))
+    S: list[int] = []
+    while alive:
+        best_v, best_gain = -1, -1
+        for v in range(G.n):
+            gain = sum(1 for ei in alive if edges[ei][0] in closed[v] or edges[ei][1] in closed[v])
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        S.append(best_v)
+        alive = {ei for ei in alive
+                 if edges[ei][0] not in closed[best_v] and edges[ei][1] not in closed[best_v]}
+    return S
+
+
+def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None,
+                                     node_budget: int | None = None) -> ExactResult:
+    """Branch-and-bound over closed neighborhoods of uncovered edges.
+
+    Any isolating set must meet N[u] ∪ N[v] for every surviving edge uv,
+    so branching over the candidates of one uncovered edge is complete.
+    Candidates already tried at a node are banned in later siblings,
+    which partitions the solution space and kills duplicate work.
+    Intended for n <= 20 or so; raises SearchBudgetExceeded beyond the
+    node budget.
+    """
+    if size_cap is not None and size_cap < 0:
+        raise ValueError(f"size_cap must be >= 0, got {size_cap}")
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    n = G.n
+    # a set display sizes each frozenset's hash table to its elements;
+    # built straight from a tuple the table is twice as large, and the
+    # unions in search walk the whole table
+    closed = [frozenset({v, *G.neighbors(v)}) for v in range(n)]
+    edges = list(G.edges())
+    if not edges:
+        return ExactResult(0, (), 0, size_cap)
+
+    decision_mode = size_cap is not None
+    if decision_mode:
+        best_size = size_cap + 1
+        best_witness: tuple[int, ...] | None = None
+    else:
+        seed = greedy_cover_seed_by_scan(G, closed)
+        best_size = len(seed)
+        best_witness = tuple(sorted(seed))
+
+    dom = [0] * n
+    explored = 0
+
+    def search(chosen: list[int], banned: set[int]) -> None:
+        nonlocal explored, best_size, best_witness
+        explored += 1
+        if explored > budget:
+            raise SearchBudgetExceeded(
+                f"exceeded {budget} branch nodes on n={n}, m={len(edges)}")
+        pick: list[int] | None = None
+        for a, b in edges:
+            if dom[a] or dom[b]:
+                continue
+            cands = [c for c in sorted(closed[a] | closed[b]) if c not in banned]
+            if pick is None or len(cands) < len(pick):
+                pick = cands
+                if not cands:
+                    break
+        if pick is None:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_witness = tuple(sorted(chosen))
+            return
+        if not pick or len(chosen) + 1 >= best_size:
+            return
+        added = []
+        for c in pick:
+            for u in closed[c]:
+                dom[u] += 1
+            chosen.append(c)
+            search(chosen, banned)
+            chosen.pop()
+            for u in closed[c]:
+                dom[u] -= 1
+            if decision_mode and best_witness is not None:
+                break
+            banned.add(c)
+            added.append(c)
+        for c in added:
+            banned.remove(c)
+
+    search([], set())
+    if best_witness is None:
+        return ExactResult(None, None, explored, size_cap)
+    if not is_isolating(G, best_witness):
+        raise AssertionError("search returned a non-isolating witness")
+    return ExactResult(len(best_witness), best_witness, explored, size_cap)

@@ -246,13 +246,15 @@ def test_deeply_nested_json_is_one_line_error(argv, chain_file, tmp_path, capsys
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_exact_search_deeper_than_the_stack_is_one_line_error(tmp_path, capsys):
-    # 1,000 disjoint edges need 1,000 chosen vertices, one recursion level each
+def test_exact_search_deeper_than_the_recursion_limit_answers(tmp_path, capsys):
+    # 1,000 disjoint edges need 1,000 chosen vertices, one search level each
     p = tmp_path / "match.txt"
     p.write_text("2000 1000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(1000)))
-    assert main(["exact", "--in", str(p), "--cap", "1000"]) == 1
+    assert main(["exact", "--in", str(p), "--cap", "1000"]) == 0
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert err == ""
+    assert out.splitlines()[0] == "iota = 1000"
+    assert out.splitlines()[-1] == "explored = 1001"
 
 
 def test_check_weights_feasible_and_not(tmp_path, capsys):

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isobound import (Graph, SearchBudgetExceeded, complete_graph, cycle_graph,
+from isobound import (Graph, SearchBudgetExceeded, chain, complete_graph, cycle_graph,
                       exact_isolation_number, is_isolating,
                       path_cycle_min_isolating, path_graph, prism_k4,
-                      metacirculant_14)
+                      metacirculant_14, random_regular_graph)
+from isobound.exact import _greedy_cover_seed
 
-from oracles import brute_force_isolation, is_isolating_direct, random_graph
+from oracles import (brute_force_isolation, exact_isolation_number_recursive,
+                     greedy_cover_seed_by_scan, is_isolating_direct, random_graph)
 
 
 def test_known_values():
@@ -62,6 +65,54 @@ def test_determinism():
     a = exact_isolation_number(g)
     b = exact_isolation_number(g)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# differential: the bitmask search against the recursive frozenset search
+
+
+def _same_as_recursive(g, cap=None):
+    got = exact_isolation_number(g, size_cap=cap)
+    want = exact_isolation_number_recursive(g, size_cap=cap)
+    assert (got.iota, got.witness, got.size_cap) == (want.iota, want.witness, want.size_cap)
+    assert got.explored <= want.explored
+    return got, want
+
+
+def _corpus():
+    # (graph, cap): the two chains, a decision run one below the prism
+    # chain's iota = 6, and ten random 4-regular graphs
+    out = [(chain(prism_k4(), 3), None), (chain(prism_k4(), 3), 5),
+           (chain(metacirculant_14(), 2), None)]
+    out += [(random_regular_graph(24, 4, seed), None) for seed in range(10)]
+    return out
+
+
+def test_bitmask_search_matches_recursive_search_on_corpus():
+    pairs = [_same_as_recursive(g, cap) for g, cap in _corpus()]
+    assert [got.iota for got, _ in pairs[:3]] == [6, None, 6]
+    # the packing bound prunes somewhere on the corpus
+    assert sum(got.explored for got, _ in pairs) < sum(want.explored for _, want in pairs)
+
+
+def test_cover_seed_matches_scan_seed_on_corpus():
+    for g, _ in _corpus():
+        closed = [frozenset({v, *g.neighbors(v)}) for v in range(g.n)]
+        assert _greedy_cover_seed(g) == greedy_cover_seed_by_scan(g, closed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 14), st.integers(0, 100), st.integers(0, 2**32),
+       st.sampled_from([None, 0, 1, 2, 3, 4]))
+def test_bitmask_search_matches_recursive_and_brute_force(n, percent, seed, cap):
+    g = random_graph(random.Random(seed), n, percent / 100)
+    got, _ = _same_as_recursive(g, cap)
+    if n <= 10:
+        iota = brute_force_isolation(g)[0]
+        if cap is None:
+            assert got.iota == iota
+        else:
+            assert (got.witness is not None) == (iota <= cap)
 
 
 # ---------------------------------------------------------------------------
