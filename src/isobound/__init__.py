@@ -8,11 +8,10 @@ solves small instances exactly, and builds the matching lower-bound
 families.
 """
 
-from .exact import (DEFAULT_NODE_BUDGET, ExactResult, SearchBudgetExceeded,
-                    exact_isolation_number, path_cycle_min_isolating)
+from .exact import (ExactResult, SearchBudgetExceeded, exact_isolation_number,
+                    path_cycle_min_isolating)
 from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
-                       certify_special_edge, chain, metacirculant_14,
-                       prism_k4, search_gadgets)
+                       certify_special_edge, chain, metacirculant_14, prism_k4)
 from .graph import (GenerationError, Graph, Graph6ParseError, complete_graph,
                     cycle_graph, emit_edge_list, emit_graph6, girth, is_connected,
                     is_isolating, parse_edge_list, parse_graph6, path_graph,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstraintSystem",
-    "DEFAULT_NODE_BUDGET",
     "ExactResult",
     "Gadget",
     "ORACLE_ORDER_LIMIT",
@@ -68,7 +66,6 @@ __all__ = [
     "random_bipartite_min_degree_graph",
     "random_min_degree_graph",
     "random_regular_graph",
-    "search_gadgets",
     "solve_min_omega",
     "verify_trace",
 ]

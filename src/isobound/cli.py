@@ -31,23 +31,21 @@ except ImportError:
 from . import __version__
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
-from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list,
-                    emit_graph6, girth, is_isolating, parse_edge_list, parse_graph6,
+from .graph import (GenerationError, Graph, emit_edge_list, emit_graph6, girth,
+                    is_isolating, parse_edge_list, parse_graph6,
                     random_min_degree_graph, random_regular_graph)
 from .greedy import GreedyTrace, greedy_isolating_set, verify_trace
 from .lpweights import (MIN_GIRTH, VARIANTS, WeightVector, build_constraints,
                         check_feasible, check_optimality, solve_min_omega)
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _load_graph(path: str) -> Graph:
     text = Path(path).read_text()
-    if fmt == "auto":
-        head = next((ln for ln in text.splitlines() if ln.strip()), "")
-        # graph6 text never contains whitespace; an edge-list line always does
-        fmt = "edgelist" if len(head.split()) > 1 else "graph6"
-    if fmt == "graph6":
-        return parse_graph6(text)
-    return parse_edge_list(text)
+    # graph6 text never contains whitespace; an edge-list header is "n m"
+    head = text.lstrip().partition("\n")[0]
+    if len(head.split()) > 1:
+        return parse_edge_list(text)
+    return parse_graph6(text)
 
 
 def _load_json(path: str):
@@ -76,7 +74,7 @@ def _fingerprint(G: Graph) -> dict:
 
 
 def _cmd_greedy(args, report: dict) -> int:
-    G = _load_graph(args.infile, args.format)
+    G = _load_graph(args.infile)
     if args.weights:
         wv = _load_weights(args.weights)
     else:
@@ -122,7 +120,7 @@ def _cmd_greedy(args, report: dict) -> int:
 
 
 def _cmd_exact(args, report: dict) -> int:
-    G = _load_graph(args.infile, args.format)
+    G = _load_graph(args.infile)
     result = exact_isolation_number(G, size_cap=args.cap)
     if result.witness is None:
         print(f"no isolating set of size <= {args.cap}")
@@ -135,7 +133,7 @@ def _cmd_exact(args, report: dict) -> int:
         "iota": result.iota,
         "witness": None if result.witness is None else list(result.witness),
         "explored": result.explored,
-        "size_cap": result.size_cap,
+        "size_cap": args.cap,
     }
     return 0
 
@@ -143,7 +141,7 @@ def _cmd_exact(args, report: dict) -> int:
 def _cmd_lp_weights(args, report: dict) -> int:
     cs = build_constraints(args.delta, args.variant)
     sol = solve_min_omega(cs)
-    print(f"omega = {sol.optimal_omega}")
+    print(f"omega = {sol.witness.omega}")
     print(f"witness = {json.dumps(sol.witness.to_json_dict())}")
     print(f"tight rows = {[cs.rows[i].tag for i in sol.tight_rows]}")
     certified = check_optimality(cs, sol)
@@ -174,7 +172,7 @@ def _cmd_check_weights(args, report: dict) -> int:
 
 
 def _cmd_certify_edge(args, report: dict) -> int:
-    G = _load_graph(args.infile, args.format)
+    G = _load_graph(args.infile)
     gadget = Gadget(G, (args.x, args.y), args.b)
     cert = certify_special_edge(gadget)
     print(json.dumps(cert.to_json_dict(), indent=2))
@@ -184,7 +182,7 @@ def _cmd_certify_edge(args, report: dict) -> int:
 
 
 def _cmd_verify_bound(args, report: dict) -> int:
-    G = _load_graph(args.infile, args.format)
+    G = _load_graph(args.infile)
     wv = _load_weights(args.weights)
     data = _load_json(args.trace)
     if isinstance(data, dict) and isinstance(data.get("results"), dict):
@@ -247,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_input(p):
         p.add_argument("--in", dest="infile", required=True, help="input graph file")
-        p.add_argument("--format", choices=("auto", "graph6", "edgelist"),
-                       default="auto")
 
     def add_weight_class(p):
         p.add_argument("--delta", type=int, required=True)
@@ -311,8 +307,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # RecursionError: JSON nested past the interpreter's depth limit
-    except (ValueError, Graph6ParseError, GenerationError,
-            SearchBudgetExceeded, OSError, json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, GenerationError, SearchBudgetExceeded, OSError,
+            RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, is_isolating
 
-DEFAULT_NODE_BUDGET = 2_000_000
+NODE_BUDGET = 2_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -35,7 +35,6 @@ class ExactResult:
     iota: int | None
     witness: tuple[int, ...] | None
     explored: int
-    size_cap: int | None = None
 
 
 def _greedy_cover_seed(G: Graph) -> list[int]:
@@ -54,8 +53,7 @@ def _greedy_cover_seed(G: Graph) -> list[int]:
     return S
 
 
-def exact_isolation_number(G: Graph, size_cap: int | None = None,
-                           node_budget: int | None = None) -> ExactResult:
+def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult:
     """Branch-and-bound over closed neighborhoods of uncovered edges.
 
     Any isolating set must meet N[u] ∪ N[v] for every surviving edge uv,
@@ -67,17 +65,20 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None,
     holds no strictly smaller set, so the incumbents, and the witness,
     are those of the search without this bound. Random 4-regular graphs
     take about 0.04 s at n = 40 and 1-3 s at n = 56 (2-core machine,
-    Python 3.11). Raises SearchBudgetExceeded past node_budget nodes.
+    Python 3.11). Raises SearchBudgetExceeded past NODE_BUDGET nodes.
+    Only search nodes count: without a cap, the incumbent seed runs first
+    and unbounded, O(|S|·n·m/64) word operations (about 7 s at n = 5,000,
+    minimum degree 4), so a large input can run far past the budget.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    budget = NODE_BUDGET
     n = G.n
     # bitmasks: bit c of edge ab's candidates N[a] ∪ N[b] says c covers ab
     closed = [sum(1 << u for u in (v, *G.neighbors(v))) for v in range(n)]
     edges = [closed[a] | closed[b] for a, b in G.edges()]
     if not edges:
-        return ExactResult(0, (), 0, size_cap)
+        return ExactResult(0, (), 0)
 
     decision_mode = size_cap is not None
     best_witness = None if decision_mode else tuple(sorted(_greedy_cover_seed(G)))
@@ -131,10 +132,10 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None,
             break
 
     if best_witness is None:
-        return ExactResult(None, None, explored, size_cap)
+        return ExactResult(None, None, explored)
     if not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
-    return ExactResult(len(best_witness), best_witness, explored, size_cap)
+    return ExactResult(len(best_witness), best_witness, explored)
 
 
 def _walk_order(F: Graph, start: int) -> list[int]:

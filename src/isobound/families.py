@@ -134,17 +134,3 @@ def certify_special_edge(gadget: Gadget) -> GadgetCertificate:
         H, _ = gadget.F.remove_vertices(drop)
         values.append(exact_isolation_number(H).iota)
     return GadgetCertificate(gadget.b, *values)
-
-
-def search_gadgets(corpus: list[Graph], r: int, b: int, c: int) -> list[Gadget]:
-    """Try every edge of every r-regular order-c corpus graph as the
-    special edge; keep the ones whose certificate is valid."""
-    found = []
-    for F in corpus:
-        if F.n != c or any(F.degree(v) != r for v in range(F.n)):
-            continue
-        for u, v in F.edges():
-            gadget = Gadget(F, (u, v), b)
-            if certify_special_edge(gadget).valid:
-                found.append(gadget)
-    return found

@@ -96,14 +96,8 @@ class LinearRow:
     rhs: Fraction
     tag: str
 
-    def evaluate(self, point: tuple[Fraction, ...]) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0))
-
     def slack(self, point: tuple[Fraction, ...]) -> Fraction:
-        return self.evaluate(point) - self.rhs
-
-    def satisfied(self, point: tuple[Fraction, ...]) -> bool:
-        return self.slack(point) >= 0
+        return sum((c * x for c, x in zip(self.coeffs, point)), -self.rhs)
 
     def __str__(self):
         terms = []
@@ -118,16 +112,6 @@ class ConstraintSystem:
     delta: int
     variant: str
     rows: tuple[LinearRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "variant": self.variant,
-            "rows": [
-                {"coeffs": [str(c) for c in r.coeffs], "rhs": str(r.rhs), "tag": r.tag}
-                for r in self.rows
-            ],
-        }
 
 
 class RowViolation(NamedTuple):
@@ -230,19 +214,18 @@ def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" or "infeasible"
-    optimal_omega: Fraction | None
-    witness: WeightVector | None
+    witness: WeightVector  # an optimal point; witness.omega is the optimum
     tight_rows: tuple[int, ...]
     # one multiplier per row of the system; check_optimality reads them
-    # as a proof that optimal_omega cannot be undercut
+    # as a proof that witness.omega cannot be undercut
     dual: tuple[Fraction, ...]
 
     def to_json_dict(self) -> dict:
+        # the solver raises rather than return a non-optimal solution
         return {
-            "status": self.status,
-            "optimal_omega": None if self.optimal_omega is None else str(self.optimal_omega),
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
+            "status": "optimal",
+            "optimal_omega": str(self.witness.omega),
+            "witness": self.witness.to_json_dict(),
             "tight_rows": list(self.tight_rows),
             "dual": [str(y) for y in self.dual],
         }
@@ -351,11 +334,11 @@ def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
             point[b] = row[-1]
     witness = WeightVector(*point)
     tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
-    return LPSolution("optimal", witness.omega, witness, tight, tuple(D[0][5:n_real]))
+    return LPSolution(witness, tight, tuple(D[0][5:n_real]))
 
 
 def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
-    """Exact weak-duality proof that sol.optimal_omega is the minimum.
+    """Exact weak-duality proof that sol.witness.omega is the minimum.
 
     For y >= 0 with A^T y = e_omega, every feasible point x has
     omega = y.(A x) >= y.b. So b.y = omega* proves that no feasible
@@ -363,11 +346,11 @@ def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
     that it is attained. Nothing here trusts the solver.
     """
     y = sol.dual
-    if sol.witness is None or len(y) != len(cs.rows) or any(v < 0 for v in y):
+    if len(y) != len(cs.rows) or any(v < 0 for v in y):
         return False
     combo = [sum((v * row.coeffs[k] for v, row in zip(y, cs.rows)), Fraction(0))
              for k in range(5)]
     bound = sum((v * row.rhs for v, row in zip(y, cs.rows)), Fraction(0))
     return (combo == [1, 0, 0, 0, 0]
-            and bound == sol.optimal_omega == sol.witness.omega
+            and bound == sol.witness.omega
             and check_feasible(cs, sol.witness)[0])

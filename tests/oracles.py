@@ -19,10 +19,10 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable
 
-from isobound import (DEFAULT_NODE_BUDGET, ConstraintSystem, ExactResult, Graph,
-                      Graph6ParseError, GreedyRule, GreedyStep, GreedyTrace, LPSolution,
+from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
+                      GreedyRule, GreedyStep, GreedyTrace, LPSolution,
                       SearchBudgetExceeded, TraceVerification, WeightVector,
-                      check_feasible, is_isolating)
+                      check_feasible, exact, is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
 from isobound.greedy import _DEGREE_RULES, _is_c5, _r5_set, _r6_set, _r7_set
 
@@ -132,11 +132,11 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
         else:
             optimal_points.add(point)
     if best_omega is None:
-        return LPSolution("infeasible", None, None, (), ())
+        raise AssertionError("no basis gives a feasible vertex")
     chosen = min(optimal_points, key=lambda p: (p[1] <= 0, p))
     witness = WeightVector(*chosen)
     tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(chosen) == 0)
-    return LPSolution("optimal", best_omega, witness, tight, ())
+    return LPSolution(witness, tight, ())
 
 
 def emit_graph6_bitwise(G: Graph) -> str:
@@ -448,8 +448,7 @@ def greedy_cover_seed_by_scan(G: Graph, closed: list[frozenset[int]]) -> list[in
     return S
 
 
-def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None,
-                                     node_budget: int | None = None) -> ExactResult:
+def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None) -> ExactResult:
     """Branch-and-bound over closed neighborhoods of uncovered edges.
 
     Any isolating set must meet N[u] ∪ N[v] for every surviving edge uv,
@@ -457,11 +456,11 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None,
     Candidates already tried at a node are banned in later siblings,
     which partitions the solution space and kills duplicate work.
     Intended for n <= 20 or so; raises SearchBudgetExceeded beyond the
-    node budget.
+    node budget of the package's solver.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    budget = exact.NODE_BUDGET
     n = G.n
     # a set display sizes each frozenset's hash table to its elements;
     # built straight from a tuple the table is twice as large, and the
@@ -469,7 +468,7 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None,
     closed = [frozenset({v, *G.neighbors(v)}) for v in range(n)]
     edges = list(G.edges())
     if not edges:
-        return ExactResult(0, (), 0, size_cap)
+        return ExactResult(0, (), 0)
 
     decision_mode = size_cap is not None
     if decision_mode:
@@ -523,7 +522,7 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None,
 
     search([], set())
     if best_witness is None:
-        return ExactResult(None, None, explored, size_cap)
+        return ExactResult(None, None, explored)
     if not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
-    return ExactResult(len(best_witness), best_witness, explored, size_cap)
+    return ExactResult(len(best_witness), best_witness, explored)

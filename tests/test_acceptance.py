@@ -48,13 +48,13 @@ def test_acceptance_1_lp_golden_values():
         sol = solve_min_omega(build_constraints(delta, variant))
         dt = time.monotonic() - t0
         times.append(dt)
-        assert sol.optimal_omega == expected, (delta, variant)
+        assert sol.witness.omega == expected, (delta, variant)
         assert dt < 1.0, f"({delta}, {variant}) solve took {dt:.2f}s"
     t0 = time.monotonic()
     sol = solve_min_omega(build_constraints(3, "general"))
     dt = time.monotonic() - t0
     times.append(dt)
-    assert sol.optimal_omega > F(1, 3)
+    assert sol.witness.omega > F(1, 3)
     assert dt < 1.0
     print(f"acceptance 1 (six exact LP optima, max solve "
           f"{max(times):.2f}s < 1s): PASS")

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from isobound import (chain, cli, complete_graph, emit_edge_list, emit_graph6, prism_k4,
-                      random_min_degree_graph)
+from isobound import (chain, cli, complete_graph, emit_edge_list, emit_graph6, path_graph,
+                      prism_k4, random_min_degree_graph)
 from isobound.cli import main
 
 TF_VECTOR = {"omega": "3/10", "beta1": "1/15", "beta2": "1/10",
@@ -257,6 +257,35 @@ def test_exact_search_deeper_than_the_recursion_limit_answers(tmp_path, capsys):
     assert out.splitlines()[-1] == "explored = 1001"
 
 
+def test_reports_hold_every_key_the_benchmark_reads(prism_file, chain_file, tmp_path):
+    # bench/workloads.py checks each run through these "results" keys, so
+    # a report that drops one would fail the benchmark, not these tests
+    runs = {
+        "lp-weights": (["--delta", "4"], {"status", "optimal_omega", "witness",
+                                          "tight_rows", "tight_row_tags"}),
+        "check-weights": (["--delta", "4", "--weights", "{lp}"], {"feasible", "violations"}),
+        "exact": (["--in", chain_file, "--cap", "3"], {"iota", "witness", "size_cap"}),
+        "greedy": (["--in", chain_file, "--delta", "4", "--weights", "{lp}"],
+                   {"set", "size", "bound", "isolating", "precondition", "trace"}),
+        "verify-bound": (["--in", chain_file, "--trace", "{greedy}", "--weights", "{lp}"],
+                         {"verified"}),
+        "certify-edge": (["--in", prism_file, "--x", "0", "--y", "4", "--b", "2"],
+                         {"iota_f", "iota_f_minus_x", "iota_f_minus_y", "iota_f_minus_xy",
+                          "valid"}),
+    }
+    results = {}
+    for command, (args, keys) in runs.items():
+        out = tmp_path / f"{command}.json"
+        args = [a.format(lp=tmp_path / "lp-weights.json", greedy=tmp_path / "greedy.json")
+                for a in args]
+        assert main([command, *args, "--out", str(out)]) == 0, command
+        results[command] = json.loads(out.read_text())["results"]
+        assert keys <= results[command].keys(), command
+    trace = results["greedy"]["trace"]
+    assert {"n", "final_set", "initial_weight", "steps"} <= trace.keys()
+    assert trace["steps"] and all({"rule", "set", "xi"} <= s.keys() for s in trace["steps"])
+
+
 def test_check_weights_feasible_and_not(tmp_path, capsys):
     wfile = tmp_path / "tf.json"
     wfile.write_text(json.dumps(TF_VECTOR))
@@ -357,19 +386,31 @@ def test_certify_edge(prism_file, tmp_path, capsys):
 
 
 def test_edgelist_format_flag(tmp_path, capsys):
-    p = tmp_path / "prism.el"
-    p.write_text(emit_edge_list(prism_k4().F))
-    for fmt in ("edgelist", "auto"):
-        assert main(["exact", "--in", str(p), "--format", fmt]) == 0
-        assert "iota = 2" in capsys.readouterr().out
-
-
-def test_auto_format_reads_tab_separated_edge_list(tmp_path, capsys):
-    p = tmp_path / "p3.el"
-    p.write_text("3\t2\n0\t1\n1\t2\n")
+    # the input format is detected, so both encodings of a graph run alike
     runs = []
-    for fmt in ("edgelist", "auto"):
-        assert main(["exact", "--in", str(p), "--format", fmt]) == 0
+    for name, text in (("prism.el", emit_edge_list(prism_k4().F)),
+                       ("prism.g6", emit_graph6(prism_k4().F) + "\n")):
+        p = tmp_path / name
+        p.write_text(text)
+        assert main(["exact", "--in", str(p)]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert "iota = 2" in runs[0]
+
+
+@pytest.mark.parametrize("text", [
+    "3\t2\n0\t1\n1\t2\n",
+    "\n  \n\n3 2\n0 1\n1 2\n",
+    "3 2\r\n0 1\r\n1 2\r\n",
+    " \n\t>>graph6<<" + emit_graph6(path_graph(3)) + "\n",
+], ids=["tab-separated", "leading-blank-lines", "crlf", "graph6-header"])
+def test_auto_format_reads_tab_separated_edge_list(text, tmp_path, capsys):
+    plain, p = tmp_path / "p3.el", tmp_path / "p3.txt"
+    plain.write_text("3 2\n0 1\n1 2\n")
+    p.write_bytes(text.encode())
+    runs = []
+    for path in (plain, p):
+        assert main(["exact", "--in", str(path)]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
     assert "iota = 1" in runs[1]
@@ -396,7 +437,8 @@ def test_weights_report_without_vector(tmp_path, capsys):
 
 def test_usage_errors_exit_2():
     for argv in (["frobnicate"], ["exact"], ["greedy", "--in", "x"],
-                 ["lp-weights", "--delta", "4", "--bogus"]):
+                 ["lp-weights", "--delta", "4", "--bogus"],
+                 ["exact", "--in", "x", "--format", "graph6"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

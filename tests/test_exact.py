@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isobound import (Graph, SearchBudgetExceeded, chain, complete_graph, cycle_graph,
+from isobound import (Graph, SearchBudgetExceeded, exact, chain, complete_graph, cycle_graph,
                       exact_isolation_number, is_isolating,
                       path_cycle_min_isolating, path_graph, prism_k4,
                       metacirculant_14, random_regular_graph)
@@ -42,10 +42,11 @@ def test_size_cap_decision_mode():
         exact_isolation_number(g, size_cap=-1)
 
 
-def test_budget_error_is_distinct_from_none():
+def test_budget_error_is_distinct_from_none(monkeypatch):
     g = random_graph(random.Random(5), 14, 0.35)
+    monkeypatch.setattr(exact, "NODE_BUDGET", 1)
     with pytest.raises(SearchBudgetExceeded):
-        exact_isolation_number(g, node_budget=1)
+        exact_isolation_number(g)
     # a capped miss is an answer, not an error
     assert exact_isolation_number(cycle_graph(8), size_cap=1).witness is None
 
@@ -74,7 +75,7 @@ def test_determinism():
 def _same_as_recursive(g, cap=None):
     got = exact_isolation_number(g, size_cap=cap)
     want = exact_isolation_number_recursive(g, size_cap=cap)
-    assert (got.iota, got.witness, got.size_cap) == (want.iota, want.witness, want.size_cap)
+    assert (got.iota, got.witness) == (want.iota, want.witness)
     assert got.explored <= want.explored
     return got, want
 

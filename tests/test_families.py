@@ -3,7 +3,7 @@ import pytest
 from isobound import (Gadget, GadgetCertificate, Graph, ORACLE_ORDER_LIMIT,
                       chain, certify_special_edge, complete_graph,
                       exact_isolation_number, girth, is_connected,
-                      metacirculant_14, prism_k4, search_gadgets)
+                      metacirculant_14, prism_k4)
 
 from isobound.graph import MAX_ORDER
 
@@ -121,26 +121,6 @@ def test_chain_lower_bound_via_size_cap():
     cert = certify_special_edge(prism_k4())
     below = exact_isolation_number(g, size_cap=cert.chain_lower_bound(2) - 1)
     assert below.iota is None and below.witness is None
-
-
-def test_search_finds_prism_edges():
-    found = search_gadgets([prism_k4().F], r=4, b=2, c=8)
-    assert found, "every prism edge certifies, so at least one must"
-    assert all(g.b == 2 for g in found)
-    # the matching edge used by the canonical gadget is among them
-    assert any(g.special_edge in ((0, 4), (4, 0)) for g in found)
-
-
-def test_search_rejects_k5():
-    # iota(K5) = 1 < 2, so no edge of K5 can carry b = 2
-    assert search_gadgets([complete_graph(5)], r=4, b=2, c=5) == []
-
-
-def test_search_skips_wrong_shape():
-    # wrong order and wrong regularity are filtered, not errors
-    assert search_gadgets([complete_graph(4)], r=4, b=1, c=8) == []
-    found = search_gadgets([complete_graph(4), prism_k4().F], r=4, b=2, c=8)
-    assert found
 
 
 def test_certificate_json():

@@ -33,3 +33,9 @@ def test_verify_trace_shares_no_code_with_the_greedy():
     attrs = {node.attr for node in ast.walk(verify) if isinstance(node, ast.Attribute)}
     assert names & (engine | {"compute_residual", "total_weight", "xi"}) == set()
     assert attrs & engine == set()
+
+
+def test_all_names_exist_once():
+    names = isobound.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(isobound, name)] == []
