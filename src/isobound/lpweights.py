@@ -6,10 +6,10 @@ the weights gives a small system per (delta, variant). Minimizing omega
 over the system yields the best size ratio the greedy can certify.
 
 Everything is exact rational: rows are built symbolically in delta, and
-the optimum is found by a two-phase Fraction simplex with Bland's rule,
-run lexicographically over (omega, beta1..beta4). The solver also
-returns dual multipliers, and check_optimality turns them into a proof
-of optimality by weak duality that does not trust the solver.
+the optimum is found by a Fraction simplex on the five-row dual, run
+lexicographically over (omega, beta1..beta4). The solver also returns
+dual multipliers, and check_optimality turns them into a proof of
+optimality by weak duality that does not trust the solver.
 
 Min-terms in the worst-case analysis, c + k*min(a_1..a_m) >= r with
 k > 0, expand into the m rows c + k*a_j >= r; satisfaction of all m is
@@ -231,110 +231,69 @@ class LPSolution:
         }
 
 
-# Feasible for every delta >= 3 and every variant (checked exactly for
-# delta = 3..299; every solve re-checks it), so omega* <= 9/20.
+# Feasible for every delta >= 3 and every variant (a test checks it
+# exactly for delta = 3..299; every solve re-checks it), so omega* <= 9/20.
 FEASIBLE_PROBE = WeightVector(Fraction(9, 20), Fraction(1, 10), Fraction(1, 10),
                               Fraction(1, 10), Fraction(1, 10))
-
-
-def _pivot(T: list[list[Fraction]], basis: list[int], D: list[list[Fraction]],
-           r: int, col: int) -> None:
-    prow = T[r]
-    p = prow[col]
-    prow[:] = [t / p for t in prow]
-    nonzero = [(j, t) for j, t in enumerate(prow) if t]
-    for row in (*T[:r], *T[r + 1:], *D):
-        f = row[col]
-        if f:
-            for j, t in nonzero:
-                row[j] -= f * t
-    basis[r] = col
-
-
-def _minimize(T: list[list[Fraction]], basis: list[int],
-              costs: list[list[int]]) -> list[list[Fraction]]:
-    """Pivot to a basis that minimizes the costs lexicographically.
-
-    A column improves when its reduced costs, read in priority order,
-    are lexicographically negative (the objective costs[0] + e*costs[1]
-    + e^2*costs[2] + ... for an infinitesimal e > 0). Bland's rule
-    (Bland 1977) picks the pivot: the lowest-index improving column
-    enters and, among the rows of minimum ratio, the one whose basic
-    column has the lowest index leaves, so degenerate pivots cannot
-    cycle. Returns the final reduced-cost rows, one per objective, each
-    with -(optimal value) as its last entry.
-    """
-    D = []
-    for cost in costs:
-        d = [Fraction(c) for c in cost] + [Fraction(0)]
-        for row, b in zip(T, basis):
-            if cost[b]:
-                for j, t in enumerate(row):
-                    d[j] -= cost[b] * t
-        D.append(d)
-    while True:
-        col = next((j for j in range(len(costs[0]))
-                    if next((d[j] for d in D if d[j]), 0) < 0), None)
-        if col is None:
-            return D
-        ratios = [(row[-1] / row[col], basis[i], i) for i, row in enumerate(T) if row[col] > 0]
-        if not ratios:
-            raise AssertionError("objective is unbounded below on the constraint system")
-        _pivot(T, basis, D, min(ratios)[2], col)
 
 
 def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
     """Lexicographic minimum of (omega, beta1..beta4) by exact simplex.
 
-    The simplex works in standard form, x >= 0; the chain rows already
-    imply that, so nothing feasible is cut off. Each row a.x >= b gets a
-    surplus column, a.x - s = b, and an artificial column when b > 0
-    (rows with b <= 0 start with s basic). Phase 1 drives the
-    artificials to zero; phase 2 minimizes omega, then beta1..beta4 in
-    turn over the optimal face of the objectives before them. The
-    witness is the lexicographically smallest optimal point, a vertex;
-    beta1 > 0 there (see build_constraints).
+    The primal is min c.x over A x >= b, x >= 0 (the chain rows already
+    imply x >= 0), with the lexicographic objective written as
+    c(e) = e_omega + e*e_beta1 + ... + e^4*e_beta4 for an infinitesimal
+    e > 0. The simplex runs on its dual, max b.y over A^T y + s = c(e),
+    y, s >= 0: five rows, one per weight, whose slack columns s are a
+    feasible basis from the start since c(e) >= 0, so there is no phase
+    1. The right-hand side is kept as its five e-coefficients; they start
+    as the identity and always equal B^-1, as do the s columns, so one
+    5x5 block serves as both. Its rows are independent, so the
+    lexicographic ratio test never ties, the objective rises at every
+    pivot and the method cannot cycle (Dantzig, Orden and Wolfe 1955).
 
-    The dual is y_i = the omega reduced cost of surplus column i, >= 0
-    since the final basis is optimal for omega alone. Every optimal
-    point has all five coordinates positive, so all five x columns are
-    basic, their reduced costs e_omega - A^T y vanish, and y certifies
-    omega* by weak duality.
+    The simplex multipliers of the dual tableau are the primal point x:
+    the reduced cost of column y_i is b_i - a_i.x and that of s_k is
+    -x_k. The first column with a positive reduced cost, a row that x
+    violates or a negative coordinate of x, enters. When none is left, x
+    is feasible and optimal for c(e) at every small e > 0, so it is the
+    lexicographically smallest optimal point, and it is the witness.
+
+    The dual is y at e = 0. All five coordinates of the witness are
+    positive (see build_constraints; this rests on the probe check
+    below), so by complementary slackness every s_k is nonbasic and
+    zero: A^T y = c(e) exactly, so A^T y = e_omega at e = 0, y >= 0
+    since every row of B^-1 is lexicographically positive, and
+    b.y = c(0).x = omega*. So y certifies omega* by weak duality
+    (check_optimality).
     """
     if not check_feasible(cs, FEASIBLE_PROBE)[0]:
         raise AssertionError("constraint system rejected the feasible probe")
     m = len(cs.rows)
-    n_real = 5 + m  # x columns, then surplus columns; artificials follow
-    T: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, row in enumerate(cs.rows):
-        line = [*row.coeffs, *(Fraction(-(j == i)) for j in range(m)),
-                *(Fraction(j == i and row.rhs > 0) for j in range(m)), row.rhs]
-        if row.rhs > 0:
-            basis.append(n_real + i)
-        else:
-            line = [-t for t in line]
-            basis.append(5 + i)
-        T.append(line)
-
-    D = _minimize(T, basis, [[0] * n_real + [1] * m])
-    if D[0][-1]:
-        raise AssertionError("phase 1 found no feasible point, yet the probe is feasible")
-    for r, b in enumerate(basis):
-        if b >= n_real:
-            # a basic artificial sits at zero; [A | -I] has full row rank,
-            # so its row has a nonzero entry in a real column to pivot on
-            _pivot(T, basis, D, r, next(j for j in range(n_real) if T[r][j]))
-    T = [row[:n_real] + row[-1:] for row in T]
-
-    D = _minimize(T, basis, [[int(j == k) for j in range(n_real)] for k in range(5)])
-    point = [Fraction(0)] * 5
-    for row, b in zip(T, basis):
-        if b < 5:
-            point[b] = row[-1]
-    witness = WeightVector(*point)
+    # row k: column y_i holds row i's coefficient of weight k, then the
+    # 5x5 block that is both the s columns and the rhs e-coefficients
+    T = [[row.coeffs[k] for row in cs.rows] + [Fraction(j == k) for j in range(5)]
+         for k in range(5)]
+    reduced = [row.rhs for row in cs.rows] + [Fraction(0)] * 5  # ends in -x
+    basis = list(range(m, m + 5))
+    while (col := next((j for j, d in enumerate(reduced) if d > 0), None)) is not None:
+        # the probe is feasible, so the dual is bounded and some row qualifies
+        r = min((r for r in range(5) if T[r][col] > 0),
+                key=lambda r: [t / T[r][col] for t in T[r][m:]])
+        p = T[r][col]
+        T[r] = prow = [t / p for t in T[r]]
+        for line in (*T[:r], *T[r + 1:], reduced):
+            f = line[col]
+            if f:
+                line[:] = [t - f * u for t, u in zip(line, prow)]
+        basis[r] = col
+    witness = WeightVector(*(-d for d in reduced[m:]))
+    dual = [Fraction(0)] * m
+    for line, b in zip(T, basis):
+        if b < m:
+            dual[b] = line[m]
     tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
-    return LPSolution(witness, tight, tuple(D[0][5:n_real]))
+    return LPSolution(witness, tight, tuple(dual))
 
 
 def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:

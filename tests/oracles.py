@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: subset enumeration, direct edge
-scans, explicit triangle checks, every 5-row basis of the weight LP, a
+scans, explicit triangle checks, every 5-row basis of the weight LP, the
+primal two-phase simplex with artificial columns and Bland's rule, a
 graph6 codec that handles one bit at a time, the residual coloring and
 its weight computed from scratch, and a greedy and a trace replay that
 recompute the whole residual state after every step, and the exact
@@ -25,6 +26,7 @@ from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
                       check_feasible, exact, is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
 from isobound.greedy import _DEGREE_RULES, _is_c5, _r5_set, _r6_set, _r7_set
+from isobound.lpweights import FEASIBLE_PROBE
 
 
 def closed_neighborhood(G: Graph, S) -> set[int]:
@@ -137,6 +139,106 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
     witness = WeightVector(*chosen)
     tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(chosen) == 0)
     return LPSolution(witness, tight, ())
+
+
+def _pivot(T: list[list[Fraction]], basis: list[int], D: list[list[Fraction]],
+           r: int, col: int) -> None:
+    prow = T[r]
+    p = prow[col]
+    prow[:] = [t / p for t in prow]
+    nonzero = [(j, t) for j, t in enumerate(prow) if t]
+    for row in (*T[:r], *T[r + 1:], *D):
+        f = row[col]
+        if f:
+            for j, t in nonzero:
+                row[j] -= f * t
+    basis[r] = col
+
+
+def _minimize(T: list[list[Fraction]], basis: list[int],
+              costs: list[list[int]]) -> list[list[Fraction]]:
+    """Pivot to a basis that minimizes the costs lexicographically.
+
+    A column improves when its reduced costs, read in priority order,
+    are lexicographically negative (the objective costs[0] + e*costs[1]
+    + e^2*costs[2] + ... for an infinitesimal e > 0). Bland's rule
+    (Bland 1977) picks the pivot: the lowest-index improving column
+    enters and, among the rows of minimum ratio, the one whose basic
+    column has the lowest index leaves, so degenerate pivots cannot
+    cycle. Returns the final reduced-cost rows, one per objective, each
+    with -(optimal value) as its last entry.
+    """
+    D = []
+    for cost in costs:
+        d = [Fraction(c) for c in cost] + [Fraction(0)]
+        for row, b in zip(T, basis):
+            if cost[b]:
+                for j, t in enumerate(row):
+                    d[j] -= cost[b] * t
+        D.append(d)
+    while True:
+        col = next((j for j in range(len(costs[0]))
+                    if next((d[j] for d in D if d[j]), 0) < 0), None)
+        if col is None:
+            return D
+        ratios = [(row[-1] / row[col], basis[i], i) for i, row in enumerate(T) if row[col] > 0]
+        if not ratios:
+            raise AssertionError("objective is unbounded below on the constraint system")
+        _pivot(T, basis, D, min(ratios)[2], col)
+
+
+def solve_min_omega_two_phase(cs: ConstraintSystem) -> LPSolution:
+    """Lexicographic minimum of (omega, beta1..beta4) by exact simplex.
+
+    The simplex works in standard form, x >= 0; the chain rows already
+    imply that, so nothing feasible is cut off. Each row a.x >= b gets a
+    surplus column, a.x - s = b, and an artificial column when b > 0
+    (rows with b <= 0 start with s basic). Phase 1 drives the
+    artificials to zero; phase 2 minimizes omega, then beta1..beta4 in
+    turn over the optimal face of the objectives before them. The
+    witness is the lexicographically smallest optimal point, a vertex;
+    beta1 > 0 there (see build_constraints).
+
+    The dual is y_i = the omega reduced cost of surplus column i, >= 0
+    since the final basis is optimal for omega alone. Every optimal
+    point has all five coordinates positive, so all five x columns are
+    basic, their reduced costs e_omega - A^T y vanish, and y certifies
+    omega* by weak duality.
+    """
+    if not check_feasible(cs, FEASIBLE_PROBE)[0]:
+        raise AssertionError("constraint system rejected the feasible probe")
+    m = len(cs.rows)
+    n_real = 5 + m  # x columns, then surplus columns; artificials follow
+    T: list[list[Fraction]] = []
+    basis: list[int] = []
+    for i, row in enumerate(cs.rows):
+        line = [*row.coeffs, *(Fraction(-(j == i)) for j in range(m)),
+                *(Fraction(j == i and row.rhs > 0) for j in range(m)), row.rhs]
+        if row.rhs > 0:
+            basis.append(n_real + i)
+        else:
+            line = [-t for t in line]
+            basis.append(5 + i)
+        T.append(line)
+
+    D = _minimize(T, basis, [[0] * n_real + [1] * m])
+    if D[0][-1]:
+        raise AssertionError("phase 1 found no feasible point, yet the probe is feasible")
+    for r, b in enumerate(basis):
+        if b >= n_real:
+            # a basic artificial sits at zero; [A | -I] has full row rank,
+            # so its row has a nonzero entry in a real column to pivot on
+            _pivot(T, basis, D, r, next(j for j in range(n_real) if T[r][j]))
+    T = [row[:n_real] + row[-1:] for row in T]
+
+    D = _minimize(T, basis, [[int(j == k) for j in range(n_real)] for k in range(5)])
+    point = [Fraction(0)] * 5
+    for row, b in zip(T, basis):
+        if b < 5:
+            point[b] = row[-1]
+    witness = WeightVector(*point)
+    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
+    return LPSolution(witness, tight, tuple(D[0][5:n_real]))
 
 
 def emit_graph6_bitwise(G: Graph) -> str:

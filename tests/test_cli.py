@@ -421,11 +421,18 @@ def test_missing_file_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_graph6_is_domain_error(tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    # one token: detected as graph6, and '!' (33) is below the first
+    # graph6 byte '?' (63)
+    ("A!\n", "error: invalid graph6 byte 33 (byte offset 1)"),
+    # two tokens on the first line: detected as an edge list header
+    ("@@@not graph6\n", "error: expected integer header 'n m', got '@@@not graph6'"),
+], ids=["graph6-bad-byte", "edge-list-header"])
+def test_bad_graph6_is_domain_error(tmp_path, capsys, text, message):
     p = tmp_path / "bad.g6"
-    p.write_text("@@@not graph6\n")
+    p.write_text(text)
     assert main(["exact", "--in", str(p)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_weights_report_without_vector(tmp_path, capsys):

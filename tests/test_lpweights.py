@@ -3,12 +3,14 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isobound import (ConstraintSystem, LinearRow, WeightVector,
                       build_constraints, check_feasible, check_optimality,
                       solve_min_omega)
+from isobound.lpweights import FEASIBLE_PROBE, VARIANTS
 
-from oracles import solve_min_omega_by_enumeration
+from oracles import solve_min_omega_by_enumeration, solve_min_omega_two_phase
 
 KNOWN_DELTA4 = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 KNOWN_TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
@@ -183,6 +185,44 @@ def test_simplex_matches_basis_enumeration(key):
     cs = build_constraints(*key)
     fast, slow = solve_min_omega(cs), solve_min_omega_by_enumeration(cs)
     assert (fast.witness, fast.tight_rows) == (slow.witness, slow.tight_rows)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dual_simplex_matches_two_phase(variant):
+    for delta in range(3, 61):
+        cs = build_constraints(delta, variant)
+        sol = solve_min_omega(cs)
+        assert sol == solve_min_omega_two_phase(cs), delta
+        assert check_optimality(cs, sol), delta
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(3, 12), st.sampled_from(VARIANTS), st.data())
+def test_dual_simplex_matches_two_phase_on_degenerate_systems(delta, variant, data):
+    # extra rows the probe satisfies keep the optimum below 1/2, so the
+    # witness stays positive and both duals must certify; duplicates and
+    # rows through the probe make the system degenerate
+    cs = build_constraints(delta, variant)
+    n = len(cs.rows)
+    extra = [cs.rows[i] for i in data.draw(st.lists(st.integers(0, n - 1), max_size=6))]
+    probe = FEASIBLE_PROBE.as_tuple()
+    for coeffs in data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 5), max_size=6)):
+        below = data.draw(st.sampled_from([F(0), F(1, 20), F(1, 10), F(1)]))
+        rhs = sum((c * x for c, x in zip(coeffs, probe)), -below)
+        extra.append(LinearRow(tuple(map(F, coeffs)), rhs, "random"))
+    cs = ConstraintSystem(delta, variant, cs.rows + tuple(extra))
+    fast, slow = solve_min_omega(cs), solve_min_omega_two_phase(cs)
+    assert (fast.witness, fast.tight_rows) == (slow.witness, slow.tight_rows)
+    assert check_optimality(cs, fast) and check_optimality(cs, slow)
+
+
+def test_feasible_probe_satisfies_every_system():
+    # solve_min_omega raises without it, and beta1 > 0 at the optimum
+    # (see build_constraints) rests on omega* <= 9/20
+    for delta in range(3, 300):
+        for variant in VARIANTS:
+            assert check_feasible(build_constraints(delta, variant), FEASIBLE_PROBE)[0], \
+                (delta, variant)
 
 
 def test_check_optimality_accepts_and_rejects():
