@@ -8,8 +8,7 @@ solves small instances exactly, and builds the matching lower-bound
 families.
 """
 
-from .exact import (ExactResult, SearchBudgetExceeded, exact_isolation_number,
-                    path_cycle_min_isolating)
+from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
 from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
                        certify_special_edge, chain, metacirculant_14, prism_k4)
 from .graph import (GenerationError, Graph, Graph6ParseError, complete_graph,
@@ -60,7 +59,6 @@ __all__ = [
     "metacirculant_14",
     "parse_edge_list",
     "parse_graph6",
-    "path_cycle_min_isolating",
     "path_graph",
     "prism_k4",
     "random_bipartite_min_degree_graph",

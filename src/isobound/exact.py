@@ -1,9 +1,4 @@
-"""Exact minimum isolating sets.
-
-Two oracles live here: a branch-and-bound solver for small graphs, and a
-closed form for path and cycle components (the only shapes the greedy
-ever hands to it).
-"""
+"""Exact minimum isolating sets of small graphs, by branch and bound."""
 
 from __future__ import annotations
 
@@ -137,41 +132,3 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
         raise AssertionError("search returned a non-isolating witness")
     return ExactResult(len(best_witness), best_witness, explored)
 
-
-def _walk_order(F: Graph, start: int) -> list[int]:
-    # traverse a path or cycle from start, preferring the lower-index
-    # neighbor at the first step for determinism
-    order = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxt = [u for u in F.neighbors(cur) if u != prev]
-        if not nxt or min(nxt) == start:
-            return order
-        prev, cur = cur, min(nxt)
-        order.append(cur)
-
-
-def path_cycle_min_isolating(F: Graph) -> tuple[int, ...]:
-    """Minimum isolating set of a path or cycle, in closed form.
-
-    A closed neighborhood N[v] meets at most four edges here: the two at
-    v and one more at each neighbor. So a path on n vertices (n - 1
-    edges) needs at least ceil((n - 1)/4) vertices and a cycle (n edges)
-    at least ceil(n/4). Walking a path from its lowest end, positions
-    2, 6, 10, ... meet that bound; walking a cycle from vertex 0 toward
-    its lower neighbor, positions 3, 7, 11, ... do. The last position is
-    clamped to the end of the walk, where it also covers the tail (and,
-    on a cycle, the two edges at vertex 0).
-    """
-    n = F.n
-    if n == 0:
-        return ()
-    if any(F.degree(v) > 2 for v in range(n)):
-        raise ValueError("input must be a single simple path or cycle")
-    ends = [v for v in range(n) if F.degree(v) < 2]
-    order = _walk_order(F, min(ends, default=0))
-    if len(order) != n:
-        raise ValueError("input must be a single simple path or cycle")
-    positions = range(2, n + 1, 4) if ends else range(3, n + 3, 4)
-    return tuple(sorted(order[min(i, n - 1)] for i in positions))

@@ -69,30 +69,14 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self._adj) // 2
 
-    def induced_subgraph(self, vs: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Subgraph induced by vs, plus the map from new index to parent index.
-
-        The mapping is needed whenever a vertex set found in the subgraph
-        (e.g. an isolating set of one component) must be lifted back to
-        this graph's labels.
-        """
-        keep = sorted(set(vs))
-        for v in keep:
-            if not (0 <= v < self.n):
-                raise ValueError(f"vertex {v} outside [0, {self.n})")
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u in keep
-            for v in self._adj[u]
-            if u < v and v in index
-        ]
-        return Graph(len(keep), edges), tuple(keep)
-
     def remove_vertices(self, vs: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Graph minus the given vertices, with the new-to-old index map."""
         drop = set(vs)
-        return self.induced_subgraph(v for v in range(self.n) if v not in drop)
+        keep = tuple(v for v in range(self.n) if v not in drop)
+        index = {v: i for i, v in enumerate(keep)}
+        edges = [(index[u], index[v]) for u in keep for v in self._adj[u]
+                 if u < v and v in index]
+        return Graph(len(keep), edges), keep
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

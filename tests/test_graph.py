@@ -46,7 +46,7 @@ def test_neighbors_sorted_and_symmetric():
 
 def test_induced_subgraph_mapping():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-    sub, back = g.induced_subgraph([1, 2, 4])
+    sub, back = g.remove_vertices([0, 3, 5])
     assert back == (1, 2, 4)
     assert set(sub.edges()) == {(0, 1), (0, 2)}  # 1-2 and 1-4 in parent labels
     # lifting indices through the map reaches the original vertices
