@@ -121,29 +121,28 @@ def girth(G: Graph) -> int | None:
     """Length of a shortest cycle, or None if the graph is acyclic.
 
     One BFS per root; the minimum over roots of the first non-tree edge
-    closure is exact for unweighted graphs.
+    closure is exact for unweighted graphs. u closes only edges to vertices
+    no nearer the root: one to a nearer w is u's tree edge or w closed it.
     """
-    best: int | None = None
-    for root in range(G.n):
-        dist = {root: 0}
-        parent = {root: -1}
+    n, neighbors = G.n, G.neighbors
+    best = n + 1  # longer than any cycle
+    dist = [-1] * n  # shared by all roots: each BFS resets what it set
+    for root in range(n):
+        dist[root] = 0
         queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if best is not None and 2 * dist[u] >= best:
+        for u in queue:  # grows while it is read
+            du = dist[u]
+            if 2 * du >= best:
                 break
-            for v in G.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
+            for v in neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = du + 1
                     queue.append(v)
-                elif v != parent[u]:
-                    cycle = dist[u] + dist[v] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
+                elif dist[v] >= du and du + dist[v] + 1 < best:
+                    best = du + dist[v] + 1
+        for v in queue:
+            dist[v] = -1
+    return best if best <= n else None
 
 
 # ---------------------------------------------------------------------------

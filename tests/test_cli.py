@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from collections import Counter
@@ -456,3 +457,64 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+COMMAND_NAMES = ["greedy", "exact", "lp-weights", "check-weights", "gen", "certify-edge",
+                 "verify-bound"]
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _run_full_parser(argv):
+    args = cli.build_parser().parse_args(argv)
+    args.argv = argv
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], [], ["foo"], ["--version"],
+    *([name, "-h"] for name in COMMAND_NAMES),
+    ["exact"], ["greedy", "--in", "x"], ["certify-edge", "--in", "x"],
+    ["lp-weights", "--delta", "four"], ["exact", "--in", "x", "--cap", "z"],
+    ["lp-weights", "--delta", "4", "--variant", "nope"],
+    ["lp-weights", "--delta", "4", "--bogus"], ["exact", "--in", "x", "--format", "graph6"],
+    ["greedy", "--in", "x", "--delta", "4", "extra"], ["gen", "--format", "x"],
+], ids=" ".join)
+def test_one_command_parser_answers_as_the_full_parser(argv, capsys):
+    # main builds only argv[0]'s subparser; exit code, stdout and stderr
+    # (help, usage and every error message) must read as the full one's
+    got = _outcome(main, argv, capsys)
+    assert got == _outcome(_run_full_parser, argv, capsys)
+    assert got[0] in (0, 2)
+
+
+def test_full_parser_names_the_command_by_its_dest(capsys):
+    # a metavar on the full parser would name it {greedy,...} in both errors
+    assert "arguments are required: command" in _outcome(main, [], capsys)[2]
+    assert "argument command: invalid choice: 'foo'" in _outcome(main, ["foo"], capsys)[2]
+
+
+def test_command_table_lists_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS) == COMMAND_NAMES
+
+
+def test_one_command_builds_no_other_subparser(chain_file, monkeypatch, capsys):
+    def refuse(p):
+        raise AssertionError(f"built the parser of {p.prog}")
+
+    for name, (cmd, _, help) in list(cli.COMMANDS.items()):
+        if name != "greedy":
+            monkeypatch.setitem(cli.COMMANDS, name, (cmd, refuse, help))
+    assert main(["greedy", "--in", chain_file, "--delta", "4"]) == 0
+    assert "isolating: true" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="isobound exact"):
+        cli.build_parser()

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from isobound import (Graph, SearchBudgetExceeded, exact, chain, complete_graph, cycle_graph,
                       exact_isolation_number, is_isolating, path_graph, prism_k4,
-                      metacirculant_14, random_regular_graph)
+                      metacirculant_14, random_min_degree_graph, random_regular_graph)
 from isobound.exact import _greedy_cover_seed
 from isobound.greedy import _r5_set
 
 from oracles import (brute_force_isolation, exact_isolation_number_recursive,
-                     greedy_cover_seed_by_scan, is_isolating_direct, path_cycle_min_isolating,
+                     greedy_cover_seed_by_rescan, greedy_cover_seed_by_scan,
+                     is_isolating_direct, path_cycle_min_isolating,
                      random_graph)
 
 
@@ -101,6 +102,19 @@ def test_cover_seed_matches_scan_seed_on_corpus():
     for g, _ in _corpus():
         closed = [frozenset({v, *g.neighbors(v)}) for v in range(g.n)]
         assert _greedy_cover_seed(g) == greedy_cover_seed_by_scan(g, closed)
+
+
+def test_lazy_cover_seed_matches_rescan_at_n_2000():
+    # gains only fall, so the lazy heap picks what a full rescan picks;
+    # the frozenset scan oracle is cubic (about 5 s at n = 600), so it
+    # checks the rescan at n = 200 and the rescan checks n = 2,000
+    small = random_min_degree_graph(200, 4, 1)
+    closed = [frozenset({v, *small.neighbors(v)}) for v in range(small.n)]
+    assert greedy_cover_seed_by_rescan(small) == greedy_cover_seed_by_scan(small, closed)
+    g = random_min_degree_graph(2000, 4, 1)
+    seed = _greedy_cover_seed(g)
+    assert seed == greedy_cover_seed_by_rescan(g)
+    assert is_isolating(g, seed)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

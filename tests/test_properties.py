@@ -152,6 +152,46 @@ def test_greedy_matches_from_scratch_oracle(G, wv):
 
 
 @st.composite
+def white_cycle_graphs(draw):
+    # disjoint cycles C_k (k = 3..14, k != 5) with short paths hung on
+    # them; hubs of degree >= 5, mostly on the paths' first vertices, go
+    # first under R1 and leave the cycles White for R5; labels are shuffled
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lengths = draw(st.lists(st.sampled_from([3, 4, *range(6, 15)]), min_size=1, max_size=4))
+    edges, hung, n = [], [], 0
+    for k in lengths:
+        cycle = range(n, n + k)
+        n += k
+        edges += [(v, cycle[(i + 1) % k]) for i, v in enumerate(cycle)]
+        for v in cycle:
+            if rng.random() < 0.5:
+                path = [v, *range(n, n + rng.randint(1, 3))]
+                n += len(path) - 1
+                edges += zip(path, path[1:])
+                hung.append(path[1] if rng.random() < 0.8 else rng.choice(path[1:]))
+    hubs = list(range(n, n + rng.randint(1, 3)))
+    n += len(hubs)
+    degree = dict.fromkeys(hubs, 0)
+    for v in hung:
+        hub = rng.choice(hubs)
+        edges.append((v, hub))
+        degree[hub] += 1
+    for hub in hubs:  # leaves lift every hub to degree >= 5
+        for _ in range(max(0, 5 - degree[hub]) + rng.randint(0, 1)):
+            edges.append((hub, n))
+            n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@PROPERTY
+@given(white_cycle_graphs(), st.sampled_from([WV, TF]))
+def test_greedy_matches_from_scratch_oracle_on_white_cycles(G, wv):
+    assert greedy_isolating_set(G, wv) == greedy_isolating_set_from_scratch(G, wv)
+
+
+@st.composite
 def certified_runs(draw):
     n = draw(st.integers(10, 59))
     seed = draw(st.integers(0, 2**32))
