@@ -68,13 +68,29 @@ def _fingerprint(G: Graph) -> dict:
     return {"n": G.n, "m": G.num_edges, "sha256": digest}
 
 
+class _Phases(dict):
+    """Seconds per phase of a command; each lap ends where the last one did."""
+
+    def __init__(self):
+        super().__init__()
+        self.last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self[name] = now - self.last
+        self.last = now
+
+
 def _cmd_greedy(args, report: dict) -> int:
+    phases = _Phases()
     G = _load_graph(args.infile)
     if args.weights:
         wv = _load_weights(args.weights)
     else:
         wv = solve_min_omega(build_constraints(args.delta, args.variant)).witness
+    phases.lap("load_s")
     S, trace = greedy_isolating_set(G, wv)
+    phases.lap("run_s")
     bound = math.floor(wv.omega * G.n)
     # girth is quadratic on acyclic graphs, so it runs only when the degree
     # condition holds and the variant asks for a girth above 3, which every
@@ -83,6 +99,7 @@ def _cmd_greedy(args, report: dict) -> int:
     precondition = (min(map(G.degree, range(G.n)), default=0) >= args.delta
                     and (min_girth <= 3 or (girth(G) or math.inf) >= min_girth))
     isolating = is_isolating(G, S)
+    phases.lap("check_s")
     # per fired rule: its steps and the least slack xi - |A| among them
     rules = {}
     for step in trace.steps:
@@ -109,6 +126,8 @@ def _cmd_greedy(args, report: dict) -> int:
                   for k, (count, least) in rules.items()},
         "trace": trace.to_json_dict(),
     }
+    phases.lap("report_s")
+    report["timing"] = {"phases": phases}
     ok = isolating and (not precondition or len(S) <= bound)
     return 0 if ok else 1
 
@@ -176,26 +195,31 @@ def _cmd_certify_edge(args, report: dict) -> int:
 
 
 def _cmd_verify_bound(args, report: dict) -> int:
+    phases = _Phases()
     G = _load_graph(args.infile)
     wv = _load_weights(args.weights)
     data = json.loads(Path(args.trace).read_text())
     if isinstance(data, dict) and isinstance(data.get("results"), dict):
         data = data["results"].get("trace")
     trace = GreedyTrace.from_json_dict(data)
+    phases.lap("load_s")
     outcome = verify_trace(G, trace, wv)
+    phases.lap("replay_s")
     for key, val in outcome.to_json_dict().items():
         print(f"{key}: {str(val).lower()}")
     report["input"] = {"graph": _fingerprint(G), "weights": wv.to_json_dict()}
     report["results"] = outcome.to_json_dict()
+    phases.lap("report_s")
+    report["timing"] = {"phases": phases}
     return 0 if outcome else 1
 
 
 def _run_reported(cmd, args) -> int:
     """Run a report command, then stamp its report and write it to --out."""
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     report = {"command": args.command, "argv": args.argv, "version": __version__}
     code = cmd(args, report)
-    report["timing_seconds"] = time.monotonic() - t0
+    report["timing_seconds"] = time.perf_counter() - t0
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return code

@@ -24,6 +24,10 @@ R1 prefers the >= 5 tier because a vertex with exactly 4 White
 neighbors only pays for itself once no vertex has more: the respective
 worst-case weight drops differ, and only the two-tier order keeps every
 step above cost. Ties always break to the lowest vertex index.
+
+The engine and the replay each scale the weights once per run by L,
+the lcm of their five denominators, and sum integers; every recorded
+xi is the exact rational Fraction(drop, L).
 """
 
 from __future__ import annotations
@@ -79,6 +83,12 @@ class GreedyStep:
         }
 
 
+def _index(value) -> int:
+    if isinstance(value, bool):  # JSON true and false are not 1 and 0
+        raise ValueError(f"{str(value).lower()} is a boolean, not an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class GreedyTrace:
     """Audit trail of one run: the steps partition the final set D, and
@@ -107,10 +117,10 @@ class GreedyTrace:
             for s in d["steps"]:
                 if s["rule"] not in GreedyRule.__members__:
                     raise ValueError(f"trace JSON names unknown rule {s['rule']!r}")
-                vertices = tuple(map(operator.index, s["set"]))
+                vertices = tuple(map(_index, s["set"]))
                 steps.append(GreedyStep(GreedyRule[s["rule"]], vertices, parse_rational(s["xi"])))
-            final_set = tuple(map(operator.index, d["final_set"]))
-            return cls(operator.index(d["n"]), tuple(steps), final_set,
+            final_set = tuple(map(_index, d["final_set"]))
+            return cls(_index(d["n"]), tuple(steps), final_set,
                        parse_rational(d["initial_weight"]))
         except KeyError as e:
             raise ValueError(f"trace JSON missing key {e.args[0]!r}") from None
@@ -210,6 +220,9 @@ class _GreedyEngine:
     rest of it as new components. Components are ordered by their
     lowest vertex; the R6 heap holds every Blue vertex that touched two
     or more components when a component next to it was built.
+
+    Weights are ints over L, and White degrees are clamped to _CAP
+    through the per-run lookup list cap.
     """
 
     def __init__(self, G: Graph, wv: WeightVector):
@@ -222,19 +235,23 @@ class _GreedyEngine:
         self.wdeg = [len(a) for a in adj]
         self.white = bytearray(1 if d else 0 for d in self.wdeg)
         self.whites = n - self.wdeg.count(0)
+        # min(d, _CAP) for every White degree d the run can see
+        self.cap = cap = [min(d, _CAP) for d in range(max(self.wdeg, default=0) + 1)]
         # Whites and Blues per White degree, capped at _CAP
         self.white_hist = [0] * (_CAP + 1)
         self.blue_hist = [0] * (_CAP + 1)
         for d in self.wdeg:
             if d:
-                self.white_hist[min(d, _CAP)] += 1
-        self.row = [_WHITE_ROW[min(d, _CAP)] if d else -1 for d in self.wdeg]
+                self.white_hist[cap[d]] += 1
+        self.row = [_WHITE_ROW[cap[d]] for d in self.wdeg]
         self.heaps: list[list[int]] = [[] for _ in _DEGREE_RULES]
         for v, r in enumerate(self.row):
             if r >= 0:
                 self.heaps[r].append(v)  # ascending, so already a heap
-        self.omega = wv.omega
-        self.blue_weight = (0, wv.beta1, wv.beta2, wv.beta3, wv.beta4, wv.beta4)
+        # the weights as integers over L, the lcm of their denominators
+        self.scale = math.lcm(*(x.denominator for x in wv.as_tuple()))
+        self.omega, *beta = (int(x * self.scale) for x in wv.as_tuple())
+        self.blue_weight = (0, *beta, beta[-1])
         self.comps: list[tuple[int, ...] | None] | None = None
         self.cid: list[int] = []
         self.order: list[tuple[int, int]] = []
@@ -331,7 +348,7 @@ class _GreedyEngine:
     def add(self, A) -> tuple[Fraction, int]:
         """Add A to the set; return xi(A) and the number of Whites lost."""
         adj, dominated, white, wdeg = self.adj, self.dominated, self.white, self.wdeg
-        white_hist, blue_hist = self.white_hist, self.blue_hist
+        cap, white_hist, blue_hist = self.cap, self.white_hist, self.blue_hist
         blue_before = blue_hist[:]
         lost = []
         for a in A:
@@ -340,14 +357,14 @@ class _GreedyEngine:
                     dominated[v] = 1
                     if white[v] == 1:
                         white[v] = 2
-                        white_hist[min(wdeg[v], _CAP)] -= 1
+                        white_hist[cap[wdeg[v]]] -= 1
                         lost.append(v)
         for u in lost:  # grows while it is read
             for w in adj[u]:
                 wdeg[w] -= 1
-                d = min(wdeg[w], _CAP)
+                d = cap[wdeg[w]]
                 if white[w] == 1:
-                    white_hist[min(wdeg[w] + 1, _CAP)] -= 1
+                    white_hist[cap[wdeg[w] + 1]] -= 1
                     if d:
                         white_hist[d] += 1
                         self._move(w, _WHITE_ROW[d])
@@ -356,20 +373,20 @@ class _GreedyEngine:
                         white[w] = 2
                         lost.append(w)
                 elif white[w] == 0:
-                    blue_hist[min(wdeg[w] + 1, _CAP)] -= 1
+                    blue_hist[cap[wdeg[w] + 1]] -= 1
                     if d:
                         blue_hist[d] += 1
                     self._move(w, _BLUE_ROW[d])
         for v in lost:
             white[v] = 0
-            d = min(wdeg[v], _CAP) if dominated[v] else 0
+            d = cap[wdeg[v]] if dominated[v] else 0
             if d:
                 blue_hist[d] += 1
             self._move(v, _BLUE_ROW[d])
         self.whites -= len(lost)
-        xi = self.omega * len(lost) + sum(
-            (w * (b - a) for w, b, a in zip(self.blue_weight, blue_before, blue_hist) if b != a),
-            Fraction(0))
+        xi = Fraction(self.omega * len(lost) + sum(
+            w * (b - a) for w, b, a in zip(self.blue_weight, blue_before, blue_hist) if b != a),
+            self.scale)
         if self.comps is not None and lost:
             comps, cid = self.comps, self.cid
             dead = sorted({cid[v] for v in lost})
@@ -456,6 +473,10 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     summed over N[A], the vertices that stopped being White and their
     neighbors: no other vertex changes color or White degree.
 
+    Drops are summed as integers over the replay's own L: a claimed
+    xi = p/q matches iff drop*q == p*L, and A is desirable iff
+    drop >= |A|*L, so no comparison rounds.
+
     The checks are reported separately: a run on a graph violating the
     degree precondition can fail the desirability check while its final
     set still isolates.
@@ -467,8 +488,11 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     # White degree is its degree
     white = bytearray(1 if G.degree(v) else 0 for v in range(n))
     white_nbrs = [G.degree(v) for v in range(n)]
-    # weight by class: 0 for White, i for Blue with min(i, 4) White neighbors
-    class_weight = wv.as_tuple()
+    # weight by class, as integers over L, the lcm of the denominators: 0
+    # for White, i for Blue with min(i, 4) White neighbors
+    L = math.lcm(*(x.denominator for x in wv.as_tuple()))
+    class_weight = [int(x * L) for x in wv.as_tuple()]
+    klass = [min(d, 4) for d in range(max(white_nbrs, default=0) + 1)]
 
     def census(vs) -> list[int]:
         counts = [0] * 5
@@ -476,7 +500,7 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
             if white[v]:
                 counts[0] += 1
             elif dominated[v] and white_nbrs[v]:
-                counts[min(white_nbrs[v], 4)] += 1
+                counts[klass[white_nbrs[v]]] += 1
         return counts
 
     D: set[int] = set()
@@ -513,11 +537,10 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
             for u in nbrs(v):
                 white_nbrs[u] -= 1
         after = census(touched)
-        replayed = sum((w * (b - a) for w, b, a in zip(class_weight, before, after) if b != a),
-                       Fraction(0))
-        if replayed != step.xi:
+        replayed = sum(w * (b - a) for w, b, a in zip(class_weight, before, after) if b != a)
+        if replayed * step.xi.denominator != step.xi.numerator * L:
             xi_matches = False
-        if replayed < len(A):
+        if replayed < len(A) * L:
             desirable = False
     if tuple(sorted(D)) != tuple(trace.D):
         partition_ok = False

@@ -30,7 +30,10 @@ _MAX_RATIONAL_CHARS = 1000
 
 def parse_rational(value) -> Fraction:
     """Exact rational from a JSON value. Long strings and exponents are
-    rejected: Fraction("1e999999999") builds a billion-digit integer."""
+    rejected: Fraction("1e999999999") builds a billion-digit integer.
+    JSON true and false are rejected too, though Python counts them as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{str(value).lower()} is a boolean, not a rational")
     if isinstance(value, str):
         if len(value) > _MAX_RATIONAL_CHARS:
             raise ValueError(f"rational string longer than {_MAX_RATIONAL_CHARS} characters")

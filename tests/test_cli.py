@@ -185,6 +185,20 @@ def test_verify_rejects_wrong_header(chain_file, tmp_path, capsys):
     assert "xi_matches: true" in text and "partition_ok: true" in text
 
 
+def test_greedy_and_verify_reports_time_their_phases(chain_file, tmp_path):
+    run, ver = tmp_path / "run.json", tmp_path / "ver.json"
+    assert main(["greedy", "--in", chain_file, "--delta", "4", "--out", str(run)]) == 0
+    assert main(["verify-bound", "--in", chain_file, "--trace", str(run),
+                 "--weights", str(run), "--out", str(ver)]) == 0
+    for path, names in ((run, ["load_s", "run_s", "check_s", "report_s"]),
+                        (ver, ["load_s", "replay_s", "report_s"])):
+        report = json.loads(path.read_text())
+        phases = report["timing"]["phases"]
+        assert list(phases) == names
+        assert all(t >= 0 for t in phases.values())
+        assert sum(phases.values()) <= report["timing_seconds"]
+
+
 def test_report_fingerprints_the_input(chain_file, tmp_path):
     out = tmp_path / "r.json"
     assert main(["exact", "--in", chain_file, "--out", str(out)]) == 0
@@ -214,9 +228,23 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
       "steps": [{"rule": "R1", "set": [0], "xi": "1e5000"}]}),
     (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
      {"n": 16.9, "initial_weight": "1", "final_set": [0], "steps": []}),
+    # JSON true is not 1: a trace replayed it as vertex 1 (or n = 1), and
+    # omega = true with zero betas passed check-weights --delta 4
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": 16, "initial_weight": "1", "final_set": [1],
+      "steps": [{"rule": "R1", "set": [True], "xi": "1"}]}),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": 16, "initial_weight": "1", "final_set": [True],
+      "steps": [{"rule": "R1", "set": [1], "xi": "1"}]}),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": True, "initial_weight": "1", "final_set": [], "steps": []}),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"],
+     {"omega": True, "beta1": "0", "beta2": "0", "beta3": "0", "beta4": "0"}),
 ], ids=["steps-not-list", "trace-is-array", "xi-divides-by-zero", "unknown-rule",
         "weights-is-array", "weights-is-number", "weight-is-infinite",
-        "weight-has-exponent", "xi-has-exponent", "trace-n-is-float"])
+        "weight-has-exponent", "xi-has-exponent", "trace-n-is-float",
+        "set-holds-boolean", "final-set-holds-boolean", "trace-n-is-boolean",
+        "weight-is-boolean"])
 def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, capsys):
     bad, weights = tmp_path / "bad.json", tmp_path / "w.json"
     bad.write_text(json.dumps(payload))

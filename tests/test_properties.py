@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from isobound import (Graph, Graph6ParseError, GreedyStep, GreedyTrace, WeightVe
 
 from oracles import (emit_graph6_bitwise, greedy_isolating_set_from_scratch,
                      is_isolating_direct, parse_graph6_bitwise, random_graph,
-                     verify_trace_from_scratch)
+                     verify_trace_from_scratch, xi)
 
 # fixed examples and no example database keep the suite's time and
 # outcome the same on every run
@@ -149,6 +150,93 @@ def sparse_graphs(draw):
 @given(sparse_graphs(), st.sampled_from([WV, TF]))
 def test_greedy_matches_from_scratch_oracle(G, wv):
     assert greedy_isolating_set(G, wv) == greedy_isolating_set_from_scratch(G, wv)
+
+
+# primes, so that any five of them are pairwise coprime
+_PRIMES = (2, 3, 5, 7, 11, 13, 41, 1009, 65537, 1000003, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def weight_vectors(draw):
+    # omega > 0 and betas >= 0 over small assorted, large, or pairwise
+    # coprime denominators; some beta is zero or equals the weight before it
+    kind = draw(st.sampled_from(["assorted", "large", "coprime"]))
+    if kind == "coprime":
+        dens = draw(st.permutations(_PRIMES))[:5]
+    else:
+        top = 120 if kind == "assorted" else 10**18
+        dens = draw(st.lists(st.integers(1, top), min_size=5, max_size=5))
+    values = [F(draw(st.integers(1, 2 * d)), d) for d in dens]
+    for i in range(1, 5):
+        tweak = draw(st.sampled_from(["keep", "keep", "zero", "equal"]))
+        if tweak != "keep":
+            values[i] = F(0) if tweak == "zero" else values[i - 1]
+    return WeightVector(*values)
+
+
+def _scale(wv):
+    """L, the lcm of the weights' denominators."""
+    return math.lcm(*(x.denominator for x in wv.as_tuple()))
+
+
+@PROPERTY
+@given(sparse_graphs(), weight_vectors())
+def test_greedy_matches_from_scratch_oracle_over_arbitrary_weights(G, wv):
+    # the engine sums integer weights over L; every xi is still the exact rational
+    got = greedy_isolating_set(G, wv)
+    assert got == greedy_isolating_set_from_scratch(G, wv)
+    assert all(type(step.xi) is F for step in got[1].steps)
+
+
+@pytest.mark.parametrize("where", ["xi", "initial_weight"])
+@PROPERTY
+@given(sparse_graphs(), weight_vectors(), st.data())
+def test_replay_sees_nudges_finer_than_the_weights(where, G, wv, data):
+    trace = greedy_isolating_set(G, wv)[1]
+    assume(trace.steps)
+    L = _scale(wv)
+    nudge = data.draw(st.sampled_from([F(1, 7 * L), F(-1, L + 1)]))
+    if where == "xi":
+        i = data.draw(st.integers(0, len(trace.steps) - 1))
+        steps = list(trace.steps)
+        steps[i] = replace(steps[i], xi=steps[i].xi + nudge)
+        forged = replace(trace, steps=tuple(steps))
+    else:
+        forged = replace(trace, initial_weight=trace.initial_weight + nudge)
+    got = verify_trace(G, forged, wv)
+    assert got == verify_trace_from_scratch(G, forged, wv)
+    assert got.xi_matches == (where != "xi") and got.header_ok == (where == "xi")
+
+
+_UNITS = [WeightVector(*(F(int(j == k)) for j in range(5))) for k in range(5)]
+
+
+@PROPERTY
+@given(sparse_graphs(), st.lists(st.integers(0, 1000), min_size=4, max_size=4),
+       st.integers(10**6, 10**15))
+def test_replay_sees_a_drop_short_of_its_set_by_one_over_l(G, betas, start):
+    # weights built so that the first step drops |A| - 1/L, the least
+    # shortfall any drop can have when L is the lcm of the denominators;
+    # c holds that step's Whites lost and Blues lost per class
+    first = greedy_isolating_set(G, WV)[1].steps[:1]
+    assume(first)
+    A = first[0].vertices
+    c = [int(xi(G, (), A, unit)) for unit in _UNITS]
+    rest = sum(ci * b for ci, b in zip(c[1:], betas))
+    for L in range(start, start + 200):
+        a, r = divmod(len(A) * L - 1 - rest, c[0])
+        if not r and math.gcd(a, L) == 1:
+            break
+    else:
+        assume(False)
+    wv = WeightVector(F(a, L), *(F(b, L) for b in betas))
+    assert _scale(wv) == L
+    step = greedy_isolating_set(G, wv)[1].steps[0]
+    assert step.vertices == A and step.xi == len(A) - F(1, L)
+    trace = GreedyTrace(G.n, (step,), A, wv.omega * G.n)
+    got = verify_trace(G, trace, wv)
+    assert got == verify_trace_from_scratch(G, trace, wv)
+    assert got.xi_matches and got.partition_ok and not got.desirable
 
 
 @st.composite
