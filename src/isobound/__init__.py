@@ -8,19 +8,17 @@ solves small instances exactly, and builds the matching lower-bound
 families.
 """
 
+from .check import (RowViolation, TraceVerification, check_feasible, check_optimality,
+                    is_isolating, verify_trace)
 from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
 from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
                        certify_special_edge, chain, metacirculant_14, prism_k4)
-from .graph import (GenerationError, Graph, Graph6ParseError, complete_graph,
-                    cycle_graph, emit_edge_list, emit_graph6, girth, is_connected,
-                    is_isolating, parse_edge_list, parse_graph6, path_graph,
-                    random_bipartite_min_degree_graph, random_min_degree_graph,
-                    random_regular_graph)
-from .greedy import (GreedyRule, GreedyStep, GreedyTrace, TraceVerification,
-                     greedy_isolating_set, verify_trace)
-from .lpweights import (ConstraintSystem, LinearRow, LPSolution, RowViolation,
-                        WeightVector, build_constraints, check_feasible,
-                        check_optimality, solve_min_omega)
+from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list, emit_graph6,
+                    girth, parse_edge_list, parse_graph6, random_bipartite_min_degree_graph,
+                    random_min_degree_graph, random_regular_graph)
+from .greedy import GreedyRule, GreedyStep, GreedyTrace, greedy_isolating_set
+from .lpweights import (ConstraintSystem, LinearRow, LPSolution, WeightVector,
+                        build_constraints, solve_min_omega)
 
 __version__ = "0.1.0"
 
@@ -47,19 +45,15 @@ __all__ = [
     "chain",
     "check_feasible",
     "check_optimality",
-    "complete_graph",
-    "cycle_graph",
     "emit_edge_list",
     "emit_graph6",
     "exact_isolation_number",
     "girth",
     "greedy_isolating_set",
-    "is_connected",
     "is_isolating",
     "metacirculant_14",
     "parse_edge_list",
     "parse_graph6",
-    "path_graph",
     "prism_k4",
     "random_bipartite_min_degree_graph",
     "random_min_degree_graph",

@@ -1,0 +1,193 @@
+"""Independent checkers for every certificate the package produces.
+
+This module is the trusted base. At run time it imports the standard
+library only: package types appear under TYPE_CHECKING, for
+annotations, and the checks only call methods of the objects they are
+given. So no check can share code, or a fault, with what it checks.
+
+A replayed greedy trace proves |S| <= omega*n for its weights with no
+LP row: `desirable`, `isolating` and `header_ok` suffice. An isolated
+end state has no White or Blue vertex, so it weighs zero, and the
+drops, each at least the size of its step, telescope from omega*n.
+The LP rows are needed only for the claim over every graph of a class.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+if TYPE_CHECKING:
+    from .graph import Graph
+    from .greedy import GreedyTrace
+    from .lpweights import ConstraintSystem, LinearRow, LPSolution, WeightVector
+
+
+def is_isolating(G: Graph, S: Iterable[int]) -> bool:
+    """True iff no edge of G survives the removal of N[S]."""
+    dominated = bytearray(G.n)
+    for v in S:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} is outside [0, {G.n})")
+        dominated[v] = 1
+        for u in G.neighbors(v):
+            dominated[u] = 1
+    return all(dominated[u] or dominated[v] for u, v in G.edges())
+
+
+@dataclass(frozen=True)
+class TraceVerification:
+    """Result of an independent trace replay; truthy only if everything holds.
+
+    xi_matches: every recorded xi equals the replayed weight drop.
+    desirable: every replayed xi(A) >= |A|.
+    isolating: the final set isolates the graph.
+    partition_ok: no step repeats a vertex, the steps are disjoint, and
+    their union is the recorded set.
+    header_ok: the trace's n and initial weight omega*n match the graph
+    and the weights.
+    """
+
+    xi_matches: bool
+    desirable: bool
+    isolating: bool
+    partition_ok: bool
+    header_ok: bool
+
+    def __bool__(self) -> bool:
+        return (self.xi_matches and self.desirable and self.isolating
+                and self.partition_ok and self.header_ok)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "xi_matches": self.xi_matches,
+            "desirable": self.desirable,
+            "isolating": self.isolating,
+            "partition_ok": self.partition_ok,
+            "header_ok": self.header_ok,
+            "verified": bool(self),
+        }
+
+
+def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerification:
+    """Replay a trace locally, from the definitions, and check it.
+
+    The replay keeps its own dominated set N[D], White set and White
+    degrees. A vertex is White iff it lies outside N[D] and has a
+    neighbor outside N[D], so adding A can change White status only
+    inside N[N[A]]. The weight change is summed over N[A], the vertices
+    that stopped being White and their neighbors: no other vertex
+    changes color or White degree.
+
+    Drops are summed as integers over the replay's own L: a claimed
+    xi = p/q matches iff drop*q == p*L, and A is desirable iff
+    drop >= |A|*L, so no comparison rounds.
+
+    desirable, isolating and header_ok together prove |S| <= omega*n
+    for any weight vector, with no LP row: the drops telescope from
+    omega*n, and an isolated end state weighs zero. The checks are
+    reported separately: a run on a graph violating the degree
+    precondition can fail the desirability check while its final set
+    still isolates.
+    """
+    n = G.n
+    nbrs = G.neighbors
+    dominated = bytearray(n)
+    # at the start every vertex with a neighbor is White, so a vertex's
+    # White degree is its degree
+    white = bytearray(1 if G.degree(v) else 0 for v in range(n))
+    white_nbrs = [G.degree(v) for v in range(n)]
+    # weight by class, as integers over L, the lcm of the denominators: 0
+    # for White, i for Blue with min(i, 4) White neighbors
+    L = math.lcm(*(x.denominator for x in wv.as_tuple()))
+    class_weight = [int(x * L) for x in wv.as_tuple()]
+    klass = [min(d, 4) for d in range(max(white_nbrs, default=0) + 1)]
+
+    def census(vs) -> list[int]:
+        counts = [0] * 5
+        for v in vs:
+            if white[v]:
+                counts[0] += 1
+            elif dominated[v] and white_nbrs[v]:
+                counts[klass[white_nbrs[v]]] += 1
+        return counts
+
+    D: set[int] = set()
+    xi_matches = True
+    desirable = True
+    partition_ok = True
+    for step in trace.steps:
+        A = step.vertices
+        for v in A:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} is outside [0, {n})")
+        if len(set(A)) < len(A) or not D.isdisjoint(A):
+            partition_ok = False
+        D.update(A)
+        near = set(A)
+        for a in A:
+            near.update(nbrs(a))
+        ball = set(near)
+        for v in near:
+            ball.update(nbrs(v))
+        stopped = []
+        for v in ball:
+            if white[v] and (dominated[v] or v in near
+                             or all(dominated[u] or u in near for u in nbrs(v))):
+                stopped.append(v)
+        touched = near.union(stopped)
+        for v in stopped:
+            touched.update(nbrs(v))
+        before = census(touched)
+        for v in near:
+            dominated[v] = 1
+        for v in stopped:
+            white[v] = 0
+            for u in nbrs(v):
+                white_nbrs[u] -= 1
+        after = census(touched)
+        replayed = sum(w * (b - a) for w, b, a in zip(class_weight, before, after) if b != a)
+        if replayed * step.xi.denominator != step.xi.numerator * L:
+            xi_matches = False
+        if replayed < len(A) * L:
+            desirable = False
+    if tuple(sorted(D)) != tuple(trace.D):
+        partition_ok = False
+    header_ok = trace.n == G.n and trace.initial_weight == wv.omega * G.n
+    return TraceVerification(xi_matches, desirable, is_isolating(G, D), partition_ok,
+                             header_ok)
+
+
+class RowViolation(NamedTuple):
+    index: int
+    row: LinearRow
+    slack: Fraction
+
+
+def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[RowViolation, ...]]:
+    """Exact evaluation of every row; violations come back with slack."""
+    point = wv.as_tuple()
+    slacks = ((i, row, row.slack(point)) for i, row in enumerate(cs.rows))
+    bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
+    return (not bad, bad)
+
+
+def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
+    """Exact weak-duality proof that sol.witness.omega is the minimum.
+
+    For y >= 0 with A^T y = e_omega, every feasible point x has
+    omega = y.(A x) >= y.b. So b.y = omega* proves that no feasible
+    point has a smaller omega, and a feasible witness at omega* shows
+    that it is attained. Nothing here trusts the solver.
+    """
+    y = sol.dual
+    if len(y) != len(cs.rows) or any(v < 0 for v in y):
+        return False
+    combo = [sum((v * row.coeffs[k] for v, row in zip(y, cs.rows)), Fraction(0))
+             for k in range(5)]
+    bound = sum((v * row.rhs for v, row in zip(y, cs.rows)), Fraction(0))
+    return (combo == [1, 0, 0, 0, 0]
+            and bound == sol.witness.omega
+            and check_feasible(cs, sol.witness)[0])

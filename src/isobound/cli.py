@@ -31,14 +31,14 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
+from .check import check_feasible, check_optimality, is_isolating, verify_trace
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
 from .graph import (GenerationError, Graph, emit_edge_list, emit_graph6, girth,
-                    is_isolating, parse_edge_list, parse_graph6,
-                    random_min_degree_graph, random_regular_graph)
-from .greedy import GreedyTrace, greedy_isolating_set, verify_trace
-from .lpweights import (MIN_GIRTH, VARIANTS, WeightVector, build_constraints,
-                        check_feasible, check_optimality, solve_min_omega)
+                    parse_edge_list, parse_graph6, random_min_degree_graph,
+                    random_regular_graph)
+from .greedy import GreedyTrace, greedy_isolating_set
+from .lpweights import MIN_GIRTH, VARIANTS, WeightVector, build_constraints, solve_min_omega
 
 
 def _load_graph(path: str) -> Graph:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 
-from .graph import Graph, is_isolating
+from .check import is_isolating
+from .graph import Graph
 
 NODE_BUDGET = 2_000_000
 

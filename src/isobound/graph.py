@@ -1,5 +1,5 @@
-"""Core graph type, graph6 / edge-list IO, structural predicates, and
-seeded random generators.
+"""Core graph type, graph6 / edge-list IO, girth, and seeded random
+generators.
 
 Vertices are dense integer indices 0..n-1. A Graph is immutable after
 construction and safe to share between concurrent workers.
@@ -88,33 +88,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
-
-
-def is_connected(G: Graph) -> bool:
-    """True for graphs on 0 or 1 vertices and all connected larger graphs."""
-    if G.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in G.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == G.n
-
-
-def is_isolating(G: Graph, S: Iterable[int]) -> bool:
-    """True iff no edge of G survives the removal of N[S]."""
-    dominated = bytearray(G.n)
-    for v in S:
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} is outside [0, {G.n})")
-        dominated[v] = 1
-        for u in G.neighbors(v):
-            dominated[u] = 1
-    return all(dominated[u] or dominated[v] for u, v in G.edges())
 
 
 def girth(G: Graph) -> int | None:
@@ -399,19 +372,3 @@ def random_bipartite_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
     for v in range(left, n):
         add_random_neighbors(v, 0, left)
     return Graph(n, ((u, v) for u in range(n) for v in adj[u] if u < v))
-
-
-# convenience constructors used throughout the tests and families
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))

@@ -25,9 +25,9 @@ neighbors only pays for itself once no vertex has more: the respective
 worst-case weight drops differ, and only the two-tier order keeps every
 step above cost. Ties always break to the lowest vertex index.
 
-The engine and the replay each scale the weights once per run by L,
-the lcm of their five denominators, and sum integers; every recorded
-xi is the exact rational Fraction(drop, L).
+The engine scales the weights once per run by L, the lcm of their five
+denominators, and sums integers; every recorded xi is the exact
+rational Fraction(drop, L). check.verify_trace replays a trace on its own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
-from .graph import Graph, is_isolating
+from .graph import Graph
 from .lpweights import WeightVector, parse_rational
 
 
@@ -427,123 +427,3 @@ def greedy_isolating_set(G: Graph, wv: WeightVector) -> tuple[tuple[int, ...], G
     S = tuple(sorted(D))
     trace = GreedyTrace(G.n, tuple(steps), S, wv.omega * G.n)
     return S, trace
-
-
-@dataclass(frozen=True)
-class TraceVerification:
-    """Result of an independent trace replay; truthy only if everything holds.
-
-    xi_matches: every recorded xi equals the replayed weight drop.
-    desirable: every replayed xi(A) >= |A|.
-    isolating: the final set isolates the graph.
-    partition_ok: no step repeats a vertex, the steps are disjoint, and
-    their union is the recorded set.
-    header_ok: the trace's n and initial weight omega*n match the graph
-    and the weights.
-    """
-
-    xi_matches: bool
-    desirable: bool
-    isolating: bool
-    partition_ok: bool
-    header_ok: bool
-
-    def __bool__(self) -> bool:
-        return (self.xi_matches and self.desirable and self.isolating
-                and self.partition_ok and self.header_ok)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "xi_matches": self.xi_matches,
-            "desirable": self.desirable,
-            "isolating": self.isolating,
-            "partition_ok": self.partition_ok,
-            "header_ok": self.header_ok,
-            "verified": bool(self),
-        }
-
-
-def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerification:
-    """Replay a trace locally, from the definitions, and check it.
-
-    The replay keeps its own dominated set N[D], White set and White
-    degrees, and shares no code with the greedy. A vertex is White iff
-    it lies outside N[D] and has a neighbor outside N[D], so adding A
-    can change White status only inside N[N[A]]. The weight change is
-    summed over N[A], the vertices that stopped being White and their
-    neighbors: no other vertex changes color or White degree.
-
-    Drops are summed as integers over the replay's own L: a claimed
-    xi = p/q matches iff drop*q == p*L, and A is desirable iff
-    drop >= |A|*L, so no comparison rounds.
-
-    The checks are reported separately: a run on a graph violating the
-    degree precondition can fail the desirability check while its final
-    set still isolates.
-    """
-    n = G.n
-    nbrs = G.neighbors
-    dominated = bytearray(n)
-    # at the start every vertex with a neighbor is White, so a vertex's
-    # White degree is its degree
-    white = bytearray(1 if G.degree(v) else 0 for v in range(n))
-    white_nbrs = [G.degree(v) for v in range(n)]
-    # weight by class, as integers over L, the lcm of the denominators: 0
-    # for White, i for Blue with min(i, 4) White neighbors
-    L = math.lcm(*(x.denominator for x in wv.as_tuple()))
-    class_weight = [int(x * L) for x in wv.as_tuple()]
-    klass = [min(d, 4) for d in range(max(white_nbrs, default=0) + 1)]
-
-    def census(vs) -> list[int]:
-        counts = [0] * 5
-        for v in vs:
-            if white[v]:
-                counts[0] += 1
-            elif dominated[v] and white_nbrs[v]:
-                counts[klass[white_nbrs[v]]] += 1
-        return counts
-
-    D: set[int] = set()
-    xi_matches = True
-    desirable = True
-    partition_ok = True
-    for step in trace.steps:
-        A = step.vertices
-        for v in A:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} is outside [0, {n})")
-        if len(set(A)) < len(A) or not D.isdisjoint(A):
-            partition_ok = False
-        D.update(A)
-        near = set(A)
-        for a in A:
-            near.update(nbrs(a))
-        ball = set(near)
-        for v in near:
-            ball.update(nbrs(v))
-        stopped = []
-        for v in ball:
-            if white[v] and (dominated[v] or v in near
-                             or all(dominated[u] or u in near for u in nbrs(v))):
-                stopped.append(v)
-        touched = near.union(stopped)
-        for v in stopped:
-            touched.update(nbrs(v))
-        before = census(touched)
-        for v in near:
-            dominated[v] = 1
-        for v in stopped:
-            white[v] = 0
-            for u in nbrs(v):
-                white_nbrs[u] -= 1
-        after = census(touched)
-        replayed = sum(w * (b - a) for w, b, a in zip(class_weight, before, after) if b != a)
-        if replayed * step.xi.denominator != step.xi.numerator * L:
-            xi_matches = False
-        if replayed < len(A) * L:
-            desirable = False
-    if tuple(sorted(D)) != tuple(trace.D):
-        partition_ok = False
-    header_ok = trace.n == G.n and trace.initial_weight == wv.omega * G.n
-    return TraceVerification(xi_matches, desirable, is_isolating(G, D), partition_ok,
-                             header_ok)

@@ -8,7 +8,7 @@ over the system yields the best size ratio the greedy can certify.
 Everything is exact rational: rows are built symbolically in delta, and
 the optimum is found by a Fraction simplex on the five-row dual, run
 lexicographically over (omega, beta1..beta4). The solver also returns
-dual multipliers, and check_optimality turns them into a proof of
+dual multipliers, and check.check_optimality turns them into a proof of
 optimality by weak duality that does not trust the solver.
 
 Min-terms in the worst-case analysis, c + k*min(a_1..a_m) >= r with
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+
+from .check import check_feasible
 
 WEIGHT_NAMES = ("omega", "beta1", "beta2", "beta3", "beta4")
 
@@ -117,12 +118,6 @@ class ConstraintSystem:
     rows: tuple[LinearRow, ...]
 
 
-class RowViolation(NamedTuple):
-    index: int
-    row: LinearRow
-    slack: Fraction
-
-
 def _row(c0, c1, c2, c3, c4, rhs, tag) -> LinearRow:
     return LinearRow(tuple(Fraction(x) for x in (c0, c1, c2, c3, c4)), Fraction(rhs), tag)
 
@@ -207,14 +202,6 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
     return ConstraintSystem(d, variant, tuple(rows))
 
 
-def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[RowViolation, ...]]:
-    """Exact evaluation of every row; violations come back with slack."""
-    point = wv.as_tuple()
-    slacks = ((i, row, row.slack(point)) for i, row in enumerate(cs.rows))
-    bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
-    return (not bad, bad)
-
-
 @dataclass(frozen=True)
 class LPSolution:
     witness: WeightVector  # an optimal point; witness.omega is the optimum
@@ -297,22 +284,3 @@ def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
             dual[b] = line[m]
     tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
     return LPSolution(witness, tight, tuple(dual))
-
-
-def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
-    """Exact weak-duality proof that sol.witness.omega is the minimum.
-
-    For y >= 0 with A^T y = e_omega, every feasible point x has
-    omega = y.(A x) >= y.b. So b.y = omega* proves that no feasible
-    point has a smaller omega, and a feasible witness at omega* shows
-    that it is attained. Nothing here trusts the solver.
-    """
-    y = sol.dual
-    if len(y) != len(cs.rows) or any(v < 0 for v in y):
-        return False
-    combo = [sum((v * row.coeffs[k] for v, row in zip(y, cs.rows)), Fraction(0))
-             for k in range(5)]
-    bound = sum((v * row.rhs for v, row in zip(y, cs.rows)), Fraction(0))
-    return (combo == [1, 0, 0, 0, 0]
-            and bound == sol.witness.omega
-            and check_feasible(cs, sol.witness)[0])

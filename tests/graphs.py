@@ -1,0 +1,32 @@
+"""Small graph constructors and predicates that only the tests use."""
+
+from isobound import Graph
+
+
+def is_connected(G: Graph) -> bool:
+    """True for graphs on 0 or 1 vertices and all connected larger graphs."""
+    if G.n <= 1:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in G.neighbors(u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == G.n
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))

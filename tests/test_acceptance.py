@@ -13,13 +13,14 @@ from fractions import Fraction as F
 
 from isobound import (WeightVector, build_constraints, chain,
                       certify_special_edge, check_feasible,
-                      cycle_graph, exact_isolation_number, girth,
-                      greedy_isolating_set, is_connected, is_isolating,
-                      metacirculant_14, path_graph, prism_k4,
+                      exact_isolation_number, girth,
+                      greedy_isolating_set, is_isolating,
+                      metacirculant_14, prism_k4,
                       random_bipartite_min_degree_graph, random_min_degree_graph,
                       solve_min_omega)
 from isobound.greedy import _r5_set
 
+from graphs import cycle_graph, is_connected, path_graph
 from oracles import (Color, brute_force_isolation, compute_residual, is_isolating_direct,
                      random_graph)
 

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from isobound import (chain, cli, complete_graph, emit_edge_list, emit_graph6, path_graph,
-                      prism_k4, random_min_degree_graph)
+from isobound import (chain, cli, emit_edge_list, emit_graph6, prism_k4,
+                      random_min_degree_graph)
 from isobound.cli import main
+
+from graphs import complete_graph, path_graph
 
 TF_VECTOR = {"omega": "3/10", "beta1": "1/15", "beta2": "1/10",
              "beta3": "1/8", "beta4": "3/20"}

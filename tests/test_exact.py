@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isobound import (Graph, SearchBudgetExceeded, exact, chain, complete_graph, cycle_graph,
-                      exact_isolation_number, is_isolating, path_graph, prism_k4,
+from isobound import (Graph, SearchBudgetExceeded, exact, chain,
+                      exact_isolation_number, is_isolating, prism_k4,
                       metacirculant_14, random_min_degree_graph, random_regular_graph)
 from isobound.exact import _greedy_cover_seed
 from isobound.greedy import _r5_set
 
+from graphs import complete_graph, cycle_graph, path_graph
 from oracles import (brute_force_isolation, exact_isolation_number_recursive,
                      greedy_cover_seed_by_rescan, greedy_cover_seed_by_scan,
                      is_isolating_direct, path_cycle_min_isolating,

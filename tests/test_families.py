@@ -1,12 +1,13 @@
 import pytest
 
 from isobound import (Gadget, GadgetCertificate, Graph, ORACLE_ORDER_LIMIT,
-                      chain, certify_special_edge, complete_graph,
-                      exact_isolation_number, girth, is_connected,
+                      chain, certify_special_edge,
+                      exact_isolation_number, girth,
                       metacirculant_14, prism_k4)
 
 from isobound.graph import MAX_ORDER
 
+from graphs import complete_graph, is_connected
 from oracles import brute_force_isolation, triangles
 
 

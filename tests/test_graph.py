@@ -6,14 +6,15 @@ import tracemalloc
 import networkx as nx
 import pytest
 
-from isobound import (GenerationError, Graph, Graph6ParseError, complete_graph,
-                      cycle_graph, emit_edge_list, emit_graph6, girth, is_connected,
-                      parse_edge_list, parse_graph6, path_graph,
+from isobound import (GenerationError, Graph, Graph6ParseError,
+                      emit_edge_list, emit_graph6, girth,
+                      parse_edge_list, parse_graph6,
                       random_bipartite_min_degree_graph, random_min_degree_graph,
                       random_regular_graph)
 
 from isobound.graph import MAX_ORDER
 
+from graphs import complete_graph, cycle_graph, is_connected, path_graph
 from oracles import parse_graph6_bitwise, random_graph, triangles
 
 

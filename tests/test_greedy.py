@@ -8,13 +8,14 @@ from fractions import Fraction as F
 import pytest
 
 from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constraints,
-                      chain, cycle_graph, exact_isolation_number,
+                      chain, exact_isolation_number,
                       greedy_isolating_set, is_isolating,
-                      path_graph, prism_k4, random_bipartite_min_degree_graph,
+                      prism_k4, random_bipartite_min_degree_graph,
                       random_min_degree_graph, solve_min_omega, verify_trace)
 
 from isobound.greedy import _GreedyEngine
 
+from graphs import cycle_graph, path_graph
 from oracles import (compute_residual, greedy_isolating_set_from_scratch, random_graph,
                      select_desirable, total_weight, verify_trace_from_scratch)
 

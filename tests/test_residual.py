@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from isobound import (Graph, WeightVector, build_constraints, check_feasible,
-                      cycle_graph, is_isolating, path_graph)
+                      is_isolating)
 
+from graphs import cycle_graph, path_graph
 from oracles import (Color, closed_neighborhood, compute_residual, is_isolating_direct,
                      random_graph, total_weight, xi)
 

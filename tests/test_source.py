@@ -15,24 +15,36 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
-def test_verify_trace_shares_no_code_with_the_greedy():
-    # the replay must stay an independent check: it may not call the
-    # engine, the rule helpers, or the from-scratch residual path
-    tree = ast.parse((SRC / "greedy.py").read_text())
-    defined = {node.name for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
-                for t in node.targets if isinstance(t, ast.Name)}
-    shared_types = {"verify_trace", "TraceVerification", "GreedyTrace", "GreedyStep",
-                    "GreedyRule"}
-    engine = defined - shared_types
-    assert {"_GreedyEngine", "greedy_isolating_set"} <= engine
-    verify = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "verify_trace")
-    names = {node.id for node in ast.walk(verify) if isinstance(node, ast.Name)}
-    attrs = {node.attr for node in ast.walk(verify) if isinstance(node, ast.Attribute)}
-    assert names & (engine | {"compute_residual", "total_weight", "xi"}) == set()
-    assert attrs & engine == set()
+CHECKERS = {"verify_trace", "TraceVerification", "check_feasible", "check_optimality",
+            "RowViolation", "is_isolating"}
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return names | {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def test_checkers_import_no_producer():
+    # check.py is the trusted base: at run time it imports the standard
+    # library only, so no check can call the code whose output it checks;
+    # the TYPE_CHECKING block imports package types for annotations only
+    tree = ast.parse((SRC / "check.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            node.body = []
+    offenders = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level or node.module.partition(".")[0] == "isobound")
+                 or isinstance(node, ast.Import)
+                 and any(a.name.partition(".")[0] == "isobound" for a in node.names)]
+    assert offenders == []
+    # and every checker lives there alone
+    assert CHECKERS <= _defined(tree)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "check.py":
+            assert _defined(ast.parse(path.read_text())) & CHECKERS == set(), path.name
 
 
 def test_all_names_exist_once():
