@@ -8,17 +8,17 @@ solves small instances exactly, and builds the matching lower-bound
 families.
 """
 
-from .check import (RowViolation, TraceVerification, check_feasible, check_optimality,
-                    is_isolating, verify_trace)
+from .check import (ConstraintSystem, GreedyRule, GreedyStep, GreedyTrace, LinearRow,
+                    LPSolution, RowViolation, TraceVerification, WeightVector, check_feasible,
+                    check_optimality, is_isolating, verify_trace)
 from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
 from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
                        certify_special_edge, chain, metacirculant_14, prism_k4)
 from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list, emit_graph6,
                     girth, parse_edge_list, parse_graph6, random_bipartite_min_degree_graph,
                     random_min_degree_graph, random_regular_graph)
-from .greedy import GreedyRule, GreedyStep, GreedyTrace, greedy_isolating_set
-from .lpweights import (ConstraintSystem, LinearRow, LPSolution, WeightVector,
-                        build_constraints, solve_min_omega)
+from .greedy import greedy_isolating_set
+from .lpweights import build_constraints, solve_min_omega
 
 __version__ = "0.1.0"
 

@@ -1,9 +1,9 @@
-"""Independent checkers for every certificate the package produces.
+"""Certificate types, their JSON readers, and the independent checks.
 
-This module is the trusted base. At run time it imports the standard
-library only: package types appear under TYPE_CHECKING, for
-annotations, and the checks only call methods of the objects they are
-given. So no check can share code, or a fault, with what it checks.
+This module, with graph.py's Graph and its two parsers, is the trusted
+base. At run time it imports the standard library only (Graph appears
+under TYPE_CHECKING), and the producers import their certificate types
+from here, so no check can share code, or a fault, with what it checks.
 
 A replayed greedy trace proves |S| <= omega*n for its weights with no
 LP row: `desirable`, `isolating` and `header_ok` suffice. An isolated
@@ -15,14 +15,198 @@ The LP rows are needed only for the claim over every graph of a class.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .graph import Graph
-    from .greedy import GreedyTrace
-    from .lpweights import ConstraintSystem, LinearRow, LPSolution, WeightVector
+
+WEIGHT_NAMES = ("omega", "beta1", "beta2", "beta3", "beta4")
+
+# exact weights and xi values of real runs are a few dozen characters
+_MAX_RATIONAL_CHARS = 1000
+
+
+def parse_rational(value) -> Fraction:
+    """Exact rational from a JSON value. Long strings and exponents are
+    rejected: Fraction("1e999999999") builds a billion-digit integer.
+    JSON true and false are rejected too, though Python counts them as 1 and 0,
+    and so are JSON floats, which Fraction reads as binary fractions."""
+    if isinstance(value, bool):
+        raise ValueError(f"{str(value).lower()} is a boolean, not a rational")
+    if isinstance(value, float):
+        raise ValueError(f"{value!r} is a float; write the rational as a string, e.g. \"3/10\"")
+    if isinstance(value, str):
+        if len(value) > _MAX_RATIONAL_CHARS:
+            raise ValueError(f"rational string longer than {_MAX_RATIONAL_CHARS} characters")
+        if "e" in value or "E" in value:
+            raise ValueError(f"rational {value!r} uses an exponent")
+    return Fraction(value)
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Exact rational weights (omega, beta1..beta4).
+
+    Relative to a partial isolating set D, a White vertex (outside N[D],
+    with a neighbor outside N[D]) costs omega, a Blue vertex (in N[D],
+    with i >= 1 White neighbors) costs beta_i, capped at beta_4, and
+    every other vertex costs nothing. The drop of that total when D
+    grows by A is xi(A).
+
+    Construction does not enforce the chain conditions, since feasibility
+    checking must be able to evaluate arbitrary vectors; the chain and
+    step rows of build_constraints state them.
+    """
+
+    omega: Fraction
+    beta1: Fraction
+    beta2: Fraction
+    beta3: Fraction
+    beta4: Fraction
+
+    def __post_init__(self):
+        for name in WEIGHT_NAMES:
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+        return (self.omega, self.beta1, self.beta2, self.beta3, self.beta4)
+
+    def to_json_dict(self) -> dict:
+        return {name: str(x) for name, x in zip(WEIGHT_NAMES, self.as_tuple())}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "WeightVector":
+        if not isinstance(d, dict):
+            raise ValueError(f"weight vector JSON must be an object, got {type(d).__name__}")
+        try:
+            return cls(*(parse_rational(d[k]) for k in WEIGHT_NAMES))
+        except KeyError as e:
+            raise ValueError(f"weight vector JSON missing key {e.args[0]!r}") from None
+        except (TypeError, ZeroDivisionError, OverflowError) as e:
+            raise ValueError(f"malformed weight vector JSON: {e}") from None
+
+
+@dataclass(frozen=True)
+class LinearRow:
+    """One inequality sum(coeffs * (omega, beta1..beta4)) >= rhs."""
+
+    coeffs: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
+    rhs: Fraction
+    tag: str
+
+    def slack(self, point: tuple[Fraction, ...]) -> Fraction:
+        return sum((c * x for c, x in zip(self.coeffs, point)), -self.rhs)
+
+    def __str__(self):
+        terms = []
+        for c, name in zip(self.coeffs, WEIGHT_NAMES):
+            if c:
+                terms.append(f"{c}*{name}")
+        return f"{' + '.join(terms) or '0'} >= {self.rhs}"
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    delta: int
+    variant: str
+    rows: tuple[LinearRow, ...]
+
+
+@dataclass(frozen=True)
+class LPSolution:
+    witness: WeightVector  # an optimal point; witness.omega is the optimum
+    tight_rows: tuple[int, ...]
+    # one multiplier per row of the system; check_optimality reads them
+    # as a proof that witness.omega cannot be undercut
+    dual: tuple[Fraction, ...]
+
+    def to_json_dict(self) -> dict:
+        # the solver raises rather than return a non-optimal solution
+        return {
+            "status": "optimal",
+            "optimal_omega": str(self.witness.omega),
+            "witness": self.witness.to_json_dict(),
+            "tight_rows": list(self.tight_rows),
+            "dual": [str(y) for y in self.dual],
+        }
+
+
+class GreedyRule(IntEnum):
+    R1 = 1
+    R2 = 2
+    R3 = 3
+    R4 = 4
+    R5 = 5
+    R6 = 6
+    R7 = 7
+
+
+@dataclass(frozen=True)
+class GreedyStep:
+    rule: GreedyRule
+    vertices: tuple[int, ...]
+    xi: Fraction
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "rule": self.rule.name,
+            "set": list(self.vertices),
+            "xi": str(self.xi),
+            "size": self.size,
+        }
+
+
+def _index(value) -> int:
+    if isinstance(value, bool):  # JSON true and false are not 1 and 0
+        raise ValueError(f"{str(value).lower()} is a boolean, not an integer")
+    return operator.index(value)
+
+
+@dataclass(frozen=True)
+class GreedyTrace:
+    """Audit trail of one run: the steps partition the final set D, and
+    initial_weight − sum of step xi values telescopes to the final
+    weight, which is zero once no White vertex remains."""
+
+    n: int
+    steps: tuple[GreedyStep, ...]
+    D: tuple[int, ...]
+    initial_weight: Fraction
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "initial_weight": str(self.initial_weight),
+            "steps": [s.to_json_dict() for s in self.steps],
+            "final_set": list(self.D),
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "GreedyTrace":
+        if not isinstance(d, dict):
+            raise ValueError(f"trace JSON must be an object, got {type(d).__name__}")
+        try:
+            steps = []
+            for s in d["steps"]:
+                if s["rule"] not in GreedyRule.__members__:
+                    raise ValueError(f"trace JSON names unknown rule {s['rule']!r}")
+                vertices = tuple(map(_index, s["set"]))
+                steps.append(GreedyStep(GreedyRule[s["rule"]], vertices, parse_rational(s["xi"])))
+            final_set = tuple(map(_index, d["final_set"]))
+            return cls(_index(d["n"]), tuple(steps), final_set,
+                       parse_rational(d["initial_weight"]))
+        except KeyError as e:
+            raise ValueError(f"trace JSON missing key {e.args[0]!r}") from None
+        except (TypeError, ZeroDivisionError, OverflowError) as e:
+            raise ValueError(f"malformed trace JSON: {e}") from None
 
 
 def is_isolating(G: Graph, S: Iterable[int]) -> bool:

@@ -31,14 +31,15 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .check import check_feasible, check_optimality, is_isolating, verify_trace
+from .check import (GreedyTrace, WeightVector, check_feasible, check_optimality,
+                    is_isolating, verify_trace)
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
 from .graph import (GenerationError, Graph, emit_edge_list, emit_graph6, girth,
                     parse_edge_list, parse_graph6, random_min_degree_graph,
                     random_regular_graph)
-from .greedy import GreedyTrace, greedy_isolating_set
-from .lpweights import MIN_GIRTH, VARIANTS, WeightVector, build_constraints, solve_min_omega
+from .greedy import greedy_isolating_set
+from .lpweights import MIN_GIRTH, VARIANTS, build_constraints, solve_min_omega
 
 
 def _load_graph(path: str) -> Graph:
@@ -50,10 +51,8 @@ def _load_graph(path: str) -> Graph:
 
 def _load_weights(path: str) -> WeightVector:
     data = json.loads(Path(path).read_text())
-    # accept a bare weight vector, an LP solution, or any run report
-    # that carries one (lp-weights stores "witness", greedy "weights")
-    if isinstance(data, dict) and "witness" in data and "omega" not in data:
-        data = data["witness"]
+    # accept a bare weight vector or a run report that carries one
+    # (lp-weights stores "witness", greedy "weights")
     if isinstance(data, dict) and "results" in data:
         inner = data["results"] if isinstance(data["results"], dict) else {}
         data = inner.get("witness") or inner.get("weights")

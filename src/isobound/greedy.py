@@ -27,31 +27,18 @@ step above cost. Ties always break to the lowest vertex index.
 
 The engine scales the weights once per run by L, the lcm of their five
 denominators, and sums integers; every recorded xi is the exact
-rational Fraction(drop, L). check.verify_trace replays a trace on its own.
+rational Fraction(drop, L). The step and trace types are check.py's,
+and check.verify_trace replays a trace on its own.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
-from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 
+from .check import GreedyRule, GreedyStep, GreedyTrace, WeightVector
 from .graph import Graph
-from .lpweights import WeightVector, parse_rational
-
-
-class GreedyRule(IntEnum):
-    R1 = 1
-    R2 = 2
-    R3 = 3
-    R4 = 4
-    R5 = 5
-    R6 = 6
-    R7 = 7
-
 
 # R1-R4 in the order tried: (rule, vertex pool: White or Blue, lowest and
 # highest White degree); the first row with a hit picks its lowest vertex
@@ -62,70 +49,6 @@ _DEGREE_RULES = (
     (GreedyRule.R3, "whites", 3, 3),
     (GreedyRule.R4, "blues", 4, 4),
 )
-
-
-@dataclass(frozen=True)
-class GreedyStep:
-    rule: GreedyRule
-    vertices: tuple[int, ...]
-    xi: Fraction
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule.name,
-            "set": list(self.vertices),
-            "xi": str(self.xi),
-            "size": self.size,
-        }
-
-
-def _index(value) -> int:
-    if isinstance(value, bool):  # JSON true and false are not 1 and 0
-        raise ValueError(f"{str(value).lower()} is a boolean, not an integer")
-    return operator.index(value)
-
-
-@dataclass(frozen=True)
-class GreedyTrace:
-    """Audit trail of one run: the steps partition the final set D, and
-    initial_weight − sum of step xi values telescopes to the final
-    weight, which is zero once no White vertex remains."""
-
-    n: int
-    steps: tuple[GreedyStep, ...]
-    D: tuple[int, ...]
-    initial_weight: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "initial_weight": str(self.initial_weight),
-            "steps": [s.to_json_dict() for s in self.steps],
-            "final_set": list(self.D),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GreedyTrace":
-        if not isinstance(d, dict):
-            raise ValueError(f"trace JSON must be an object, got {type(d).__name__}")
-        try:
-            steps = []
-            for s in d["steps"]:
-                if s["rule"] not in GreedyRule.__members__:
-                    raise ValueError(f"trace JSON names unknown rule {s['rule']!r}")
-                vertices = tuple(map(_index, s["set"]))
-                steps.append(GreedyStep(GreedyRule[s["rule"]], vertices, parse_rational(s["xi"])))
-            final_set = tuple(map(_index, d["final_set"]))
-            return cls(_index(d["n"]), tuple(steps), final_set,
-                       parse_rational(d["initial_weight"]))
-        except KeyError as e:
-            raise ValueError(f"trace JSON missing key {e.args[0]!r}") from None
-        except (TypeError, ZeroDivisionError, OverflowError) as e:
-            raise ValueError(f"malformed trace JSON: {e}") from None
 
 
 def _is_c5(comp: tuple[int, ...], wdeg) -> bool:

@@ -9,7 +9,8 @@ Everything is exact rational: rows are built symbolically in delta, and
 the optimum is found by a Fraction simplex on the five-row dual, run
 lexicographically over (omega, beta1..beta4). The solver also returns
 dual multipliers, and check.check_optimality turns them into a proof of
-optimality by weak duality that does not trust the solver.
+optimality by weak duality that does not trust the solver. The weight,
+row, system and solution types built and solved here are check.py's.
 
 Min-terms in the worst-case analysis, c + k*min(a_1..a_m) >= r with
 k > 0, expand into the m rows c + k*a_j >= r; satisfaction of all m is
@@ -18,104 +19,14 @@ equivalent to the original inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .check import check_feasible
-
-WEIGHT_NAMES = ("omega", "beta1", "beta2", "beta3", "beta4")
-
-# exact weights and xi values of real runs are a few dozen characters
-_MAX_RATIONAL_CHARS = 1000
-
-
-def parse_rational(value) -> Fraction:
-    """Exact rational from a JSON value. Long strings and exponents are
-    rejected: Fraction("1e999999999") builds a billion-digit integer.
-    JSON true and false are rejected too, though Python counts them as 1 and 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{str(value).lower()} is a boolean, not a rational")
-    if isinstance(value, str):
-        if len(value) > _MAX_RATIONAL_CHARS:
-            raise ValueError(f"rational string longer than {_MAX_RATIONAL_CHARS} characters")
-        if "e" in value or "E" in value:
-            raise ValueError(f"rational {value!r} uses an exponent")
-    return Fraction(value)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Exact rational weights (omega, beta1..beta4).
-
-    Relative to a partial isolating set D, a White vertex (outside N[D],
-    with a neighbor outside N[D]) costs omega, a Blue vertex (in N[D],
-    with i >= 1 White neighbors) costs beta_i, capped at beta_4, and
-    every other vertex costs nothing. The drop of that total when D
-    grows by A is xi(A).
-
-    Construction does not enforce the chain conditions, since feasibility
-    checking must be able to evaluate arbitrary vectors; the chain and
-    step rows of build_constraints state them.
-    """
-
-    omega: Fraction
-    beta1: Fraction
-    beta2: Fraction
-    beta3: Fraction
-    beta4: Fraction
-
-    def __post_init__(self):
-        for name in WEIGHT_NAMES:
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-        return (self.omega, self.beta1, self.beta2, self.beta3, self.beta4)
-
-    def to_json_dict(self) -> dict:
-        return {name: str(x) for name, x in zip(WEIGHT_NAMES, self.as_tuple())}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WeightVector":
-        if not isinstance(d, dict):
-            raise ValueError(f"weight vector JSON must be an object, got {type(d).__name__}")
-        try:
-            return cls(*(parse_rational(d[k]) for k in WEIGHT_NAMES))
-        except KeyError as e:
-            raise ValueError(f"weight vector JSON missing key {e.args[0]!r}") from None
-        except (TypeError, ZeroDivisionError, OverflowError) as e:
-            raise ValueError(f"malformed weight vector JSON: {e}") from None
-
+from .check import ConstraintSystem, LinearRow, LPSolution, WeightVector, check_feasible
 
 # the shortest cycle each variant's graphs may have; only the R7 rows
 # below differ by variant
 MIN_GIRTH = {"general": 3, "triangle-free": 4, "girth5": 5}
 VARIANTS = tuple(MIN_GIRTH)
-
-
-@dataclass(frozen=True)
-class LinearRow:
-    """One inequality sum(coeffs * (omega, beta1..beta4)) >= rhs."""
-
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-    rhs: Fraction
-    tag: str
-
-    def slack(self, point: tuple[Fraction, ...]) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, point)), -self.rhs)
-
-    def __str__(self):
-        terms = []
-        for c, name in zip(self.coeffs, WEIGHT_NAMES):
-            if c:
-                terms.append(f"{c}*{name}")
-        return f"{' + '.join(terms) or '0'} >= {self.rhs}"
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    delta: int
-    variant: str
-    rows: tuple[LinearRow, ...]
 
 
 def _row(c0, c1, c2, c3, c4, rhs, tag) -> LinearRow:
@@ -200,25 +111,6 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
         _row(0, 2, -1, 0, 0, 0, "step-eps2-le-beta1"),
     ]
     return ConstraintSystem(d, variant, tuple(rows))
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    witness: WeightVector  # an optimal point; witness.omega is the optimum
-    tight_rows: tuple[int, ...]
-    # one multiplier per row of the system; check_optimality reads them
-    # as a proof that witness.omega cannot be undercut
-    dual: tuple[Fraction, ...]
-
-    def to_json_dict(self) -> dict:
-        # the solver raises rather than return a non-optimal solution
-        return {
-            "status": "optimal",
-            "optimal_omega": str(self.witness.omega),
-            "witness": self.witness.to_json_dict(),
-            "tight_rows": list(self.tight_rows),
-            "dual": [str(y) for y in self.dual],
-        }
 
 
 # Feasible for every delta >= 3 and every variant (a test checks it

@@ -242,11 +242,17 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
      {"n": True, "initial_weight": "1", "final_set": [], "steps": []}),
     (["check-weights", "--delta", "4", "--weights", "{bad}"],
      {"omega": True, "beta1": "0", "beta2": "0", "beta3": "0", "beta4": "0"}),
+    # a JSON float is a binary fraction: omega 0.3171 was checked, and
+    # echoed in the report, as 5712365767356737/18014398509481984
+    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega=0.3171)),
+    (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
+     {"n": 16, "initial_weight": "1", "final_set": [0],
+      "steps": [{"rule": "R1", "set": [0], "xi": 0.5}]}),
 ], ids=["steps-not-list", "trace-is-array", "xi-divides-by-zero", "unknown-rule",
         "weights-is-array", "weights-is-number", "weight-is-infinite",
         "weight-has-exponent", "xi-has-exponent", "trace-n-is-float",
         "set-holds-boolean", "final-set-holds-boolean", "trace-n-is-boolean",
-        "weight-is-boolean"])
+        "weight-is-boolean", "weight-is-float", "xi-is-float"])
 def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, capsys):
     bad, weights = tmp_path / "bad.json", tmp_path / "w.json"
     bad.write_text(json.dumps(payload))

@@ -1,7 +1,11 @@
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import isobound
+from isobound.cli import main
 
 SRC = Path(isobound.__file__).parent
 
@@ -17,6 +21,10 @@ def test_no_assert_statements_in_package():
 
 CHECKERS = {"verify_trace", "TraceVerification", "check_feasible", "check_optimality",
             "RowViolation", "is_isolating"}
+# the certificate types the checkers read, with their JSON readers
+CERTIFICATES = {"WEIGHT_NAMES", "_MAX_RATIONAL_CHARS", "parse_rational", "WeightVector",
+                "LinearRow", "ConstraintSystem", "LPSolution", "GreedyRule", "GreedyStep",
+                "_index", "GreedyTrace"}
 
 
 def _defined(tree: ast.AST) -> set[str]:
@@ -29,10 +37,11 @@ def _defined(tree: ast.AST) -> set[str]:
 def test_checkers_import_no_producer():
     # check.py is the trusted base: at run time it imports the standard
     # library only, so no check can call the code whose output it checks;
-    # the TYPE_CHECKING block imports package types for annotations only
+    # the TYPE_CHECKING block imports Graph, for annotations, and nothing else
     tree = ast.parse((SRC / "check.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            assert [ast.unparse(s) for s in node.body] == ["from .graph import Graph"]
             node.body = []
     offenders = [ast.unparse(node) for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)
@@ -40,11 +49,54 @@ def test_checkers_import_no_producer():
                  or isinstance(node, ast.Import)
                  and any(a.name.partition(".")[0] == "isobound" for a in node.names)]
     assert offenders == []
-    # and every checker lives there alone
-    assert CHECKERS <= _defined(tree)
+    # and every checker and certificate type lives there alone
+    trusted = CHECKERS | CERTIFICATES
+    assert trusted <= _defined(tree)
     for path in sorted(SRC.glob("*.py")):
         if path.name != "check.py":
-            assert _defined(ast.parse(path.read_text())) & CHECKERS == set(), path.name
+            assert _defined(ast.parse(path.read_text())) & trusted == set(), path.name
+
+
+# loads graph.py and check.py by path, without the package, and replays
+# a greedy report's trace twice: as written, and with its first xi forged
+STANDALONE = """
+import importlib.util, json, sys
+from fractions import Fraction
+from pathlib import Path
+
+src, graph_file, report_file = map(Path, sys.argv[1:])
+if importlib.util.find_spec("isobound") is not None:
+    sys.exit("the isobound package is importable")
+for name in ("graph", "check"):
+    spec = importlib.util.spec_from_file_location(name, src / f"{name}.py")
+    # dataclasses look their class's module up in sys.modules
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+graph, check = sys.modules["graph"], sys.modules["check"]
+G = graph.parse_graph6(graph_file.read_text())
+results = json.loads(report_file.read_text())["results"]
+wv = check.WeightVector.from_json_dict(results["weights"])
+outcomes = [check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)]
+step = results["trace"]["steps"][0]
+step["xi"] = str(Fraction(step["xi"]) + Fraction(1, 1000003))
+outcomes.append(check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv))
+print(json.dumps([o.to_json_dict() for o in outcomes]))
+"""
+
+
+def test_trusted_base_runs_alone(tmp_path):
+    graph_file, report = tmp_path / "g.g6", tmp_path / "run.json"
+    assert main(["gen", "--random", "min-degree", "--n", "60", "--param", "4", "--seed", "1",
+                 "--out", str(graph_file)]) == 0
+    assert main(["greedy", "--in", str(graph_file), "--delta", "4", "--out", str(report)]) == 0
+    # -I drops PYTHONPATH and the script's directory, -S site-packages
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", STANDALONE, str(SRC),
+                          str(graph_file), str(report)],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    genuine, forged = json.loads(run.stdout)
+    assert genuine["verified"]
+    assert not forged["xi_matches"] and not forged["verified"]
 
 
 def test_all_names_exist_once():
