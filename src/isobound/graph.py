@@ -306,6 +306,19 @@ def random_regular_graph(n: int, r: int, seed: int) -> Graph:
     )
 
 
+def _fill(rng: Random, adj: list[set[int]], v: int, delta: int, lo: int, hi: int) -> None:
+    """Join v to random vertices of [lo, hi) until it has delta neighbors."""
+    budget = _RETRY_BUDGET
+    while len(adj[v]) < delta:
+        budget -= 1
+        if budget < 0:
+            raise GenerationError(f"edge repair at vertex {v} ran out of {_RETRY_BUDGET} draws")
+        u = rng.randrange(lo, hi)
+        if u != v and u not in adj[v]:
+            adj[v].add(u)
+            adj[u].add(v)
+
+
 def random_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
     """Random simple graph with minimum degree >= delta, deterministic per seed.
 
@@ -326,16 +339,8 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
         if u != v and v not in adj[u]:
             adj[u].add(v)
             adj[v].add(u)
-    budget = _RETRY_BUDGET * max(n, 1)
     for v in range(n):
-        while len(adj[v]) < delta:
-            budget -= 1
-            if budget < 0:
-                raise GenerationError("edge-repair retry budget exhausted")
-            u = rng.randrange(n)
-            if u != v and u not in adj[v]:
-                adj[v].add(u)
-                adj[u].add(v)
+        _fill(rng, adj, v, delta, 0, n)
     return Graph(n, ((u, v) for u in range(n) for v in adj[u] if u < v))
 
 
@@ -355,20 +360,8 @@ def random_bipartite_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
         )
     rng = Random(seed)
     adj: list[set[int]] = [set() for _ in range(n)]
-
-    def add_random_neighbors(v: int, lo: int, hi: int) -> None:
-        budget = _RETRY_BUDGET
-        while len(adj[v]) < delta:
-            budget -= 1
-            if budget < 0:
-                raise GenerationError("bipartite repair budget exhausted")
-            u = rng.randrange(lo, hi)
-            if u not in adj[v]:
-                adj[v].add(u)
-                adj[u].add(v)
-
     for v in range(left):
-        add_random_neighbors(v, left, n)
+        _fill(rng, adj, v, delta, left, n)
     for v in range(left, n):
-        add_random_neighbors(v, 0, left)
+        _fill(rng, adj, v, delta, 0, left)
     return Graph(n, ((u, v) for u in range(n) for v in adj[u] if u < v))

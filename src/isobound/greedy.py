@@ -135,14 +135,17 @@ class _GreedyEngine:
     A and White degrees within distance 3. Whites never come back and
     White degrees only fall.
 
-    R1-R4 read one lazy-deletion min-heap per _DEGREE_RULES row: an
-    entry is live iff the vertex's current row is that row. Once those
-    heaps are empty they stay empty, White components are paths and
-    cycles, and from then on the components are kept explicitly: a
+    So a vertex's _DEGREE_RULES row only moves to a later row or to
+    none (a White turns Blue into a later row), and once rows 0..r-1
+    are empty, row r only loses vertices: R1-R4 scan the rows once,
+    upward, each from vertex 0 and resuming at the last hit. After
+    that, White components are paths and cycles, kept explicitly: a
     step destroys every component that loses a vertex and rebuilds the
-    rest of it as new components. Components are ordered by their
-    lowest vertex; the R6 heap holds every Blue vertex that touched two
-    or more components when a component next to it was built.
+    rest of it as new components. R5 and R6 keep heaps, since a rebuild
+    can add entries below their minimum; the R6 heap holds every Blue
+    vertex that touched two or more components when a component next
+    to it was built. R7 takes the component of the lowest White
+    vertex, found by a second upward scan.
 
     Weights are ints over L, and White degrees are clamped to _CAP
     through the per-run lookup list cap.
@@ -166,18 +169,14 @@ class _GreedyEngine:
         for d in self.wdeg:
             if d:
                 self.white_hist[cap[d]] += 1
-        self.row = [_WHITE_ROW[cap[d]] for d in self.wdeg]
-        self.heaps: list[list[int]] = [[] for _ in _DEGREE_RULES]
-        for v, r in enumerate(self.row):
-            if r >= 0:
-                self.heaps[r].append(v)  # ascending, so already a heap
+        # the scan position of R1-R4 (row, vertex) and of R7 (vertex)
+        self.r = self.v = self.w = 0
         # the weights as integers over L, the lcm of their denominators
         self.scale = math.lcm(*(x.denominator for x in wv.as_tuple()))
         self.omega, *beta = (int(x * self.scale) for x in wv.as_tuple())
         self.blue_weight = (0, *beta, beta[-1])
         self.comps: list[tuple[int, ...] | None] | None = None
         self.cid: list[int] = []
-        self.order: list[tuple[int, int]] = []
         self.bad: list[tuple[int, int]] = []
         self.r6: list[int] = []
 
@@ -190,17 +189,18 @@ class _GreedyEngine:
         return max((d for d, k in enumerate(self.blue_hist) if k), default=0)
 
     def select(self) -> tuple[GreedyRule, frozenset[int]]:
-        row = self.row
-        for r, (rule, _, _, _) in enumerate(_DEGREE_RULES):
-            heap = self.heaps[r]
-            while heap and row[heap[0]] != r:
-                heapq.heappop(heap)
-            if heap:
-                return rule, frozenset((heap[0],))
+        white, wdeg, cap, n = self.white, self.wdeg, self.cap, self.G.n
+        while self.r < len(_DEGREE_RULES):
+            r = self.r
+            for v in range(self.v, n):
+                if (_WHITE_ROW if white[v] else _BLUE_ROW)[cap[wdeg[v]]] == r:
+                    self.v = v
+                    return _DEGREE_RULES[r][0], frozenset((v,))
+            self.r, self.v = r + 1, 0
         if self.comps is None:
             self.comps = []
-            self.cid = [-1] * self.G.n
-            self._build([v for v in range(self.G.n) if self.white[v]])
+            self.cid = [-1] * n
+            self._build([v for v in range(n) if white[v]])
         comps = self.comps
         bad = self.bad
         while bad and comps[bad[0][1]] is None:
@@ -215,10 +215,9 @@ class _GreedyEngine:
                 picked = [comps[c] for c in touched[:2]]
                 return GreedyRule.R6, _r6_set(self.G, x, picked, self.wdeg)
             heapq.heappop(self.r6)
-        order = self.order
-        while comps[order[0][1]] is None:
-            heapq.heappop(order)
-        return GreedyRule.R7, _r7_set(self.G, comps[order[0][1]])
+        while not white[self.w]:
+            self.w += 1
+        return GreedyRule.R7, _r7_set(self.G, comps[self.cid[self.w]])
 
     def _touched(self, x: int) -> list[int]:
         white, cid = self.white, self.cid
@@ -246,7 +245,6 @@ class _GreedyEngine:
             comps.append(tuple(comp))
             for v in comp:
                 cid[v] = c
-            heapq.heappush(self.order, (comp[0], c))
             if len(comp) != 2 and not _is_c5(comp, wdeg):
                 heapq.heappush(self.bad, (comp[0], c))
             new.append(comp)
@@ -260,13 +258,6 @@ class _GreedyEngine:
                         checked.add(x)
                         if len(self._touched(x)) >= 2:
                             heapq.heappush(self.r6, x)
-
-    def _move(self, v: int, r: int) -> None:
-        """Put v in row r of _DEGREE_RULES (-1: in none)."""
-        if self.row[v] != r:
-            self.row[v] = r
-            if r >= 0:
-                heapq.heappush(self.heaps[r], v)
 
     def add(self, A) -> tuple[Fraction, int]:
         """Add A to the set; return xi(A) and the number of Whites lost."""
@@ -290,7 +281,6 @@ class _GreedyEngine:
                     white_hist[cap[wdeg[w] + 1]] -= 1
                     if d:
                         white_hist[d] += 1
-                        self._move(w, _WHITE_ROW[d])
                     else:
                         # undominated with no undominated neighbor left
                         white[w] = 2
@@ -299,13 +289,11 @@ class _GreedyEngine:
                     blue_hist[cap[wdeg[w] + 1]] -= 1
                     if d:
                         blue_hist[d] += 1
-                    self._move(w, _BLUE_ROW[d])
         for v in lost:
             white[v] = 0
-            d = cap[wdeg[v]] if dominated[v] else 0
-            if d:
-                blue_hist[d] += 1
-            self._move(v, _BLUE_ROW[d])
+            # an undominated loss has no White neighbor left
+            if wdeg[v]:
+                blue_hist[cap[wdeg[v]]] += 1
         self.whites -= len(lost)
         xi = Fraction(self.omega * len(lost) + sum(
             w * (b - a) for w, b, a in zip(self.blue_weight, blue_before, blue_hist) if b != a),

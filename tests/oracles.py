@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 from typing import Iterable
 
 from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
@@ -26,7 +26,6 @@ from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
                       SearchBudgetExceeded, TraceVerification, WeightVector,
                       check_feasible, exact, is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
-from isobound.greedy import _DEGREE_RULES, _is_c5, _r6_set, _r7_set
 from isobound.lpweights import FEASIBLE_PROBE
 
 
@@ -476,40 +475,70 @@ def path_cycle_min_isolating(F: Graph) -> tuple[int, ...]:
     return tuple(sorted(order[min(i, n - 1)] for i in positions))
 
 
+# R1-R4 as the rule list of the greedy module's docstring gives them, in
+# the order tried: (rule, color, lowest and highest White degree)
+DEGREE_RULES = (
+    (GreedyRule.R1, Color.WHITE, 5, inf),
+    (GreedyRule.R1, Color.WHITE, 4, 4),
+    (GreedyRule.R2, Color.BLUE, 5, inf),
+    (GreedyRule.R3, Color.WHITE, 3, 3),
+    (GreedyRule.R4, Color.BLUE, 4, 4),
+)
+
+
+def degree_row(state: ResidualState, v: int) -> int:
+    """Index of the first DEGREE_RULES row that v meets, -1 for none."""
+    return next((r for r, (_, color, lowest, highest) in enumerate(DEGREE_RULES)
+                 if state.color[v] is color and lowest <= state.white_degree[v] <= highest),
+                -1)
+
+
+def _is_cycle5(F: Graph) -> bool:
+    return F.n == 5 and all(F.degree(v) == 2 for v in range(5))
+
+
 def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     """First applicable rule and its set, with lowest-index tie-breaking.
 
     This is the rule specification read off one from-scratch state;
     greedy_isolating_set makes the same choices incrementally. No
     variant enters here: the variant only decides which weight vector
-    makes the steps pay for themselves.
+    makes the steps pay for themselves. R6 takes the two touched
+    components with the lowest vertices and, on each C5 among them,
+    walks the cycle from x's lowest attachment and takes the lower of
+    the two vertices two steps away.
     """
     if not state.whites:
         raise ValueError("no white vertex: the current set is already isolating")
     G = state.graph
-    wdeg = state.white_degree
-    for rule, pool, lowest, highest in _DEGREE_RULES:
-        for v in getattr(state, pool):
-            if lowest <= wdeg[v] <= highest:
-                return rule, frozenset((v,))
+    hits = [(r, v) for v in range(G.n) if (r := degree_row(state, v)) >= 0]
+    if hits:
+        r, v = min(hits)
+        return DEGREE_RULES[r][0], frozenset((v,))
 
-    # white components are now paths and cycles (max white degree <= 2)
+    # white components are now paths and cycles (max white degree <= 2);
+    # each one as its own graph, with the new-to-old index map
     comps = state.white_components()
-    for comp in comps:
-        if len(comp) != 2 and not _is_c5(comp, wdeg):
-            inside = set(comp)
-            sub, back = G.remove_vertices(v for v in range(G.n) if v not in inside)
+    subs = [G.remove_vertices(set(range(G.n)).difference(comp)) for comp in comps]
+    for sub, back in subs:
+        if sub.n != 2 and not _is_cycle5(sub):
             return GreedyRule.R5, frozenset(back[i] for i in path_cycle_min_isolating(sub))
 
-    comp_id: dict[int, int] = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = idx
+    comp_id = {v: idx for idx, comp in enumerate(comps) for v in comp}
     for x in state.blues:
         touched = sorted({comp_id[u] for u in G.neighbors(x) if u in comp_id})
         if len(touched) >= 2:
-            return GreedyRule.R6, _r6_set(G, x, [comps[i] for i in touched[:2]], wdeg)
-    return GreedyRule.R7, _r7_set(G, comps[0])
+            A = {x}
+            for sub, back in (subs[i] for i in touched[:2]):
+                if _is_cycle5(sub):
+                    y = min(u for u in G.neighbors(x) if u in back)
+                    cycle = _walk_order(sub, back.index(y))
+                    A.add(back[min(cycle[2], cycle[3])])
+            return GreedyRule.R6, frozenset(A)
+    # the lowest component: a K2 gives its lower endpoint, a C5 the two
+    # neighbors of its lowest vertex
+    sub, back = subs[0]
+    return GreedyRule.R7, frozenset(back[i] for i in (sub.neighbors(0) if sub.n == 5 else (0,)))
 
 
 def greedy_isolating_set_from_scratch(G: Graph, wv: WeightVector):

@@ -16,8 +16,8 @@ from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constr
 from isobound.greedy import _GreedyEngine
 
 from graphs import cycle_graph, path_graph
-from oracles import (compute_residual, greedy_isolating_set_from_scratch, random_graph,
-                     select_desirable, total_weight, verify_trace_from_scratch)
+from oracles import (compute_residual, degree_row, greedy_isolating_set_from_scratch,
+                     random_graph, select_desirable, total_weight, verify_trace_from_scratch)
 
 WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 
@@ -276,6 +276,42 @@ def test_r6_vertex_touching_three_components():
         assert (S, trace) == greedy_isolating_set_from_scratch(g, WV)
     assert trace.steps[1].vertices == (1,)
     assert greedy_isolating_set(picked, WV)[1].steps[1].vertices == (1, 12)
+
+
+def _rows(g, D) -> list[int]:
+    state = compute_residual(g, D)
+    return [degree_row(state, v) for v in range(g.n)]
+
+
+def _only_later(before, after) -> bool:
+    return all(a in (b, -1) or -1 < b < a for b, a in zip(before, after))
+
+
+def test_degree_rows_only_move_later():
+    # the R1-R4 scan rests on this: read off a from-scratch state, a
+    # vertex's row only moves to a later row or to none (-1), along a run
+    # and across an arbitrary set added at once after some steps; and the
+    # engine, its scan part-way through, still picks what the oracle picks
+    rng = random.Random(18)
+    graphs = [random_graph(rng, rng.randrange(2, 50), rng.uniform(0.03, 0.4)) for _ in range(150)]
+    graphs += [random_min_degree_graph(rng.randrange(6, 50), 4, seed) for seed in range(40)]
+    for g in graphs:
+        engine, D = _GreedyEngine(g, WV), set()
+        rows = _rows(g, D)
+        arbitrary_after = rng.randrange(g.n)
+        while engine.whites:
+            if arbitrary_after == 0:
+                A = set(rng.sample(range(g.n), rng.randrange(g.n // 3 + 1)))
+            else:
+                A = engine.select()[1]
+            arbitrary_after -= 1
+            D |= A
+            engine.add(A)
+            new = _rows(g, D)
+            assert _only_later(rows, new)
+            rows = new
+            if engine.whites:
+                assert engine.select() == select_desirable(compute_residual(g, D))
 
 
 def test_greedy_and_replay_scale_linearly():

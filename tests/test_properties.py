@@ -280,6 +280,48 @@ def test_greedy_matches_from_scratch_oracle_on_white_cycles(G, wv):
 
 
 @st.composite
+def blue_spanner_graphs(draw):
+    # K2s, C5s and the paths P3, P4, with vertices x joined to one to three
+    # of their vertices, often twice to one C5; each x hangs on a hub that
+    # leaves lift to degree >= 5, so R1 takes the hubs first and the x
+    # turn Blue next to the components for R6; labels are shuffled
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = draw(st.lists(st.sampled_from([2, 2, 3, 4, 5, 5, 5]), min_size=2, max_size=6))
+    edges, comps, n = [], [], 0
+    for k in sizes:
+        comp = range(n, n + k)
+        n += k
+        comps.append(comp)
+        edges += zip(comp, comp[1:])
+        if k == 5:
+            edges.append((comp[-1], comp[0]))
+    hubs = list(range(n, n + rng.randint(1, 2)))
+    n += len(hubs)
+    degree = dict.fromkeys(hubs, 0)
+    for _ in range(rng.randint(1, 6)):
+        x, hub = n, rng.choice(hubs)
+        n += 1
+        edges.append((x, hub))
+        degree[hub] += 1
+        picked = rng.sample(comps, min(2, len(comps)))
+        at = [rng.choice(comp) for comp in picked for _ in range(rng.randint(1, 2))]
+        edges += [(x, v) for v in set(at[:3])]
+    for hub in hubs:
+        for _ in range(max(0, 5 - degree[hub])):
+            edges.append((hub, n))
+            n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@PROPERTY
+@given(blue_spanner_graphs(), st.sampled_from([WV, TF]))
+def test_greedy_matches_from_scratch_oracle_on_blue_spanners(G, wv):
+    assert greedy_isolating_set(G, wv) == greedy_isolating_set_from_scratch(G, wv)
+
+
+@st.composite
 def certified_runs(draw):
     n = draw(st.integers(10, 59))
     seed = draw(st.integers(0, 2**32))
