@@ -145,6 +145,8 @@ def _cmd_exact(args, report: dict) -> int:
         "iota": result.iota,
         "witness": None if result.witness is None else list(result.witness),
         "explored": result.explored,
+        "seed_size": result.seed_size,
+        "incumbent_updates": result.incumbent_updates,
         "size_cap": args.cap,
     }
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .exact import exact_isolation_number
 from .graph import Graph, check_order
 
-ORACLE_ORDER_LIMIT = 20
+ORACLE_ORDER_LIMIT = 40
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,20 @@ def test_exact_cap_miss_is_still_success(chain_file, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["results"]["iota"] is None
     assert report["results"]["size_cap"] == 3
+    assert report["results"]["seed_size"] is None
+    assert report["results"]["incumbent_updates"] == 0
+
+
+def test_exact_report_counts_incumbent_updates(tmp_path, capsys):
+    p, out = tmp_path / "chain4.g6", tmp_path / "r.json"
+    p.write_text(emit_graph6(chain(prism_k4(), 4)) + "\n")
+    assert main(["exact", "--in", str(p), "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    # the greedy seed is already optimal, so the search only refutes 7
+    assert (results["seed_size"], results["incumbent_updates"]) == (8, 0)
+    # stdout keeps its three lines; the new counts are in the report only
+    assert capsys.readouterr().out.splitlines() == [
+        "iota = 8", f"witness = {results['witness']}", "explored = 10033"]
 
 
 def test_greedy_below_precondition_still_isolates(tmp_path, capsys):

@@ -95,8 +95,33 @@ def _corpus():
 def test_bitmask_search_matches_recursive_search_on_corpus():
     pairs = [_same_as_recursive(g, cap) for g, cap in _corpus()]
     assert [got.iota for got, _ in pairs[:3]] == [6, None, 6]
+    # one level below the incumbent only vertices covering every alive
+    # edge become children; without that filter the three chain runs
+    # take 1,870, 1,870 and 4,056 nodes
+    assert [got.explored for got, _ in pairs[:3]] == [536, 536, 862]
     # the packing bound prunes somewhere on the corpus
     assert sum(got.explored for got, _ in pairs) < sum(want.explored for _, want in pairs)
+
+
+def test_bitmask_search_matches_recursive_search_one_below_and_at_iota():
+    # a refutation at iota - 1 walks the whole tree; a hit at iota stops
+    # at the first leaf, which the filter must not skip
+    for g, _ in _corpus():
+        iota = exact_isolation_number_recursive(g).iota
+        for cap in (iota - 1, iota):
+            got, _ = _same_as_recursive(g, cap)
+            assert (got.witness is None) == (cap < iota)
+
+
+def test_optimal_seed_is_never_updated():
+    # the greedy seed of the 4-copy prism chain already has iota = 8 vertices
+    g = chain(prism_k4(), 4)
+    res = exact_isolation_number(g)
+    assert (res.iota, res.seed_size, res.incumbent_updates) == (8, 8, 0)
+    assert res.witness == tuple(sorted(_greedy_cover_seed(g)))
+    capped = exact_isolation_number(g, size_cap=8)
+    assert (capped.seed_size, capped.incumbent_updates) == (None, 1)
+    assert exact_isolation_number(Graph(3, [])).seed_size == 0
 
 
 def test_cover_seed_matches_scan_seed_on_corpus():

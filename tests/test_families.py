@@ -8,7 +8,7 @@ from isobound import (Gadget, GadgetCertificate, Graph, ORACLE_ORDER_LIMIT,
 from isobound.graph import MAX_ORDER
 
 from graphs import complete_graph, is_connected
-from oracles import brute_force_isolation, triangles
+from oracles import brute_force_isolation, exact_isolation_number_recursive, triangles
 
 
 def test_prism_structure():
@@ -78,11 +78,22 @@ def test_gadget_validation():
 
 
 def test_oracle_order_limit():
-    big = chain(prism_k4(), 3)  # 24 vertices, 4-regular
+    big = chain(prism_k4(), 6)  # 48 vertices, 4-regular
     gadget = Gadget(big, next(iter(big.edges())), b=1)
     assert big.n > ORACLE_ORDER_LIMIT
     with pytest.raises(ValueError, match="limit"):
         certify_special_edge(gadget)
+
+
+def test_certify_a_24_vertex_gadget():
+    F = chain(prism_k4(), 3)  # 24 vertices
+    x, y = next(iter(F.edges()))
+    cert = certify_special_edge(Gadget(F, (x, y), b=6))
+    want = [exact_isolation_number_recursive(F.remove_vertices(drop)[0]).iota
+            for drop in ((), (x,), (y,), (x, y))]
+    assert [cert.iota_f, cert.iota_f_minus_x, cert.iota_f_minus_y,
+            cert.iota_f_minus_xy] == want
+    assert want == [6, 6, 5, 5] and not cert.valid
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
