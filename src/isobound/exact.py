@@ -78,8 +78,13 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     So such a frame keeps only the candidates common to all alive edges
     (bans do not matter for covering): the surviving children, their
     order and their bans are unchanged, and each skipped child is a
-    packing of length 1. Random 4-regular graphs take 0.02-0.06 s at
-    n = 40 and 1.2-2.5 s at n = 56 (2-core machine, Python 3.11).
+    packing of length 1. No alive edge ever runs out of unbanned
+    candidates, so no node needs a closure for that: the root bans
+    nothing; a frame branches on an edge with the fewest unbanned
+    candidates, so every alive edge has at least |todo| of them; and its
+    child i bans only the i < |todo| siblings tried before it. Random
+    4-regular graphs take 0.02-0.06 s at n = 40 and 1.2-2.5 s at n = 56
+    (2-core machine, Python 3.11).
     Raises SearchBudgetExceeded past NODE_BUDGET nodes.
     Only search nodes count: without a cap, the incumbent seed runs first
     and unbounded, a lazy greedy that re-scores few vertices per pick
@@ -126,12 +131,10 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
                 k = cand.bit_count()
                 if k < least:
                     pick, least = cand, k
-                    if not k:
-                        break
                 if not cand & used:
                     used |= cand
                     packing += 1
-            if pick and len(chosen) + packing < best_size:
+            if len(chosen) + packing < best_size:
                 if len(chosen) + 2 == best_size:
                     # children here can only survive as leaves
                     for cand in alive:

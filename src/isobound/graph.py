@@ -153,6 +153,7 @@ def emit_graph6(G: Graph) -> str:
     step per edge; the n(n-1)/12 bytes are allocated in C.
     """
     n = G.n
+    size = _encode_size(n)  # rejects an order too large before the body exists
     body = bytearray(b"?") * ((n * (n - 1) // 2 + 5) // 6)
     for v in range(1, n):
         base = v * (v - 1) // 2
@@ -161,7 +162,7 @@ def emit_graph6(G: Graph) -> str:
                 break
             k = base + u
             body[k // 6] += 32 >> k % 6
-    return _encode_size(n) + body.decode("ascii")
+    return size + body.decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -307,12 +308,12 @@ def random_regular_graph(n: int, r: int, seed: int) -> Graph:
 
 
 def _fill(rng: Random, adj: list[set[int]], v: int, delta: int, lo: int, hi: int) -> None:
-    """Join v to random vertices of [lo, hi) until it has delta neighbors."""
-    budget = _RETRY_BUDGET
+    """Join v to random vertices of [lo, hi) until it has delta neighbors.
+
+    The callers ensure [lo, hi) holds delta vertices other than v, so
+    while v has fewer neighbors, each draw finds a new one with positive
+    probability: the loop ends with probability 1, and needs no budget."""
     while len(adj[v]) < delta:
-        budget -= 1
-        if budget < 0:
-            raise GenerationError(f"edge repair at vertex {v} ran out of {_RETRY_BUDGET} draws")
         u = rng.randrange(lo, hi)
         if u != v and u not in adj[v]:
             adj[v].add(u)

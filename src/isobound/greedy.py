@@ -133,7 +133,9 @@ class _GreedyEngine:
     for White, 2 while a step is taking v out of White, 0 otherwise.
     Adding A dominates N[A], so colors change only within distance 2 of
     A and White degrees within distance 3. Whites never come back and
-    White degrees only fall.
+    White degrees only fall. A White vertex is undominated, so white[v]
+    == 1 is all add needs to know of v's domination, and the Whites
+    number sum(white_hist), their count per capped White degree.
 
     So a vertex's _DEGREE_RULES row only moves to a later row or to
     none (a White turns Blue into a later row), and once rows 0..r-1
@@ -155,12 +157,10 @@ class _GreedyEngine:
         n = G.n
         self.G = G
         self.adj = adj = [G.neighbors(v) for v in range(n)]
-        self.dominated = bytearray(n)
         # a vertex with a neighbor is White at the start, so every
         # neighbor of every vertex is White
         self.wdeg = [len(a) for a in adj]
         self.white = bytearray(1 if d else 0 for d in self.wdeg)
-        self.whites = n - self.wdeg.count(0)
         # min(d, _CAP) for every White degree d the run can see
         self.cap = cap = [min(d, _CAP) for d in range(max(self.wdeg, default=0) + 1)]
         # Whites and Blues per White degree, capped at _CAP
@@ -179,14 +179,6 @@ class _GreedyEngine:
         self.cid: list[int] = []
         self.bad: list[tuple[int, int]] = []
         self.r6: list[int] = []
-
-    def delta_w(self) -> int:
-        """Max White degree over Whites, capped at _CAP (0 if none)."""
-        return max((d for d, k in enumerate(self.white_hist) if k), default=0)
-
-    def delta_b(self) -> int:
-        """Max White degree over Blues, capped at _CAP (0 if none)."""
-        return max((d for d, k in enumerate(self.blue_hist) if k), default=0)
 
     def select(self) -> tuple[GreedyRule, frozenset[int]]:
         white, wdeg, cap, n = self.white, self.wdeg, self.cap, self.G.n
@@ -261,18 +253,16 @@ class _GreedyEngine:
 
     def add(self, A) -> tuple[Fraction, int]:
         """Add A to the set; return xi(A) and the number of Whites lost."""
-        adj, dominated, white, wdeg = self.adj, self.dominated, self.white, self.wdeg
+        adj, white, wdeg = self.adj, self.white, self.wdeg
         cap, white_hist, blue_hist = self.cap, self.white_hist, self.blue_hist
         blue_before = blue_hist[:]
         lost = []
         for a in A:
             for v in (a, *adj[a]):
-                if not dominated[v]:
-                    dominated[v] = 1
-                    if white[v] == 1:
-                        white[v] = 2
-                        white_hist[cap[wdeg[v]]] -= 1
-                        lost.append(v)
+                if white[v] == 1:
+                    white[v] = 2
+                    white_hist[cap[wdeg[v]]] -= 1
+                    lost.append(v)
         for u in lost:  # grows while it is read
             for w in adj[u]:
                 wdeg[w] -= 1
@@ -294,7 +284,6 @@ class _GreedyEngine:
             # an undominated loss has no White neighbor left
             if wdeg[v]:
                 blue_hist[cap[wdeg[v]]] += 1
-        self.whites -= len(lost)
         xi = Fraction(self.omega * len(lost) + sum(
             w * (b - a) for w, b, a in zip(self.blue_weight, blue_before, blue_hist) if b != a),
             self.scale)
@@ -320,21 +309,20 @@ def greedy_isolating_set(G: Graph, wv: WeightVector) -> tuple[tuple[int, ...], G
     every step.
     """
     engine = _GreedyEngine(G, wv)
-    D: set[int] = set()
+    white_hist, blue_hist = engine.white_hist, engine.blue_hist
     steps: list[GreedyStep] = []
-    while engine.whites:
+    while any(white_hist):
         rule, A = engine.select()
-        if rule >= GreedyRule.R3 and (engine.delta_w() > 3 or engine.delta_b() > 4):
+        if rule >= GreedyRule.R3 and (any(white_hist[4:]) or blue_hist[5]):
             raise AssertionError(f"{rule.name} fired with degrees past the R1/R2 stage")
-        if rule >= GreedyRule.R5 and (engine.delta_w() > 2 or engine.delta_b() > 3):
+        if rule >= GreedyRule.R5 and (any(white_hist[3:]) or any(blue_hist[4:])):
             raise AssertionError(f"{rule.name} fired with degrees past the R3/R4 stage")
-        D |= A
         xi_A, lost = engine.add(A)
         steps.append(GreedyStep(rule, tuple(sorted(A)), xi_A))
         if not lost:
             raise AssertionError(f"{rule.name} made no progress")
-    if any(engine.blue_hist):
+    if any(blue_hist):
         raise AssertionError("non-white endstate must weigh nothing")
-    S = tuple(sorted(D))
+    S = tuple(sorted({v for step in steps for v in step.vertices}))
     trace = GreedyTrace(G.n, tuple(steps), S, wv.omega * G.n)
     return S, trace

@@ -1,0 +1,42 @@
+"""Replay a greedy report's trace with the trusted base alone.
+
+    python -I -S tests/replay_alone.py SRC GRAPH REPORT
+
+SRC is the isobound source directory. -I drops PYTHONPATH and the
+script's directory from the path, -S site-packages, so the package is
+not importable (the script stops if it is); graph.py and check.py are
+loaded from SRC by path instead. GRAPH is read as an edge list when its
+first line has two tokens, else as graph6, the CLI's rule. REPORT's
+trace is replayed twice: as written, and with its first xi raised by
+1/1000003. Both outcomes are printed as one JSON list, and the exit code
+is 0 only if the first verifies and the second fails xi_matches.
+"""
+
+import importlib.util
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+src, graph_file, report_file = map(Path, sys.argv[1:])
+if importlib.util.find_spec("isobound") is not None:
+    sys.exit("the isobound package is importable")
+for name in ("graph", "check"):
+    spec = importlib.util.spec_from_file_location(name, src / f"{name}.py")
+    # dataclasses look their class's module up in sys.modules
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+graph, check = sys.modules["graph"], sys.modules["check"]
+
+text = graph_file.read_text()
+head = text.lstrip().partition("\n")[0]
+G = graph.parse_edge_list(text) if len(head.split()) > 1 else graph.parse_graph6(text)
+results = json.loads(report_file.read_text())["results"]
+wv = check.WeightVector.from_json_dict(results["weights"])
+genuine = check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)
+step = results["trace"]["steps"][0]
+step["xi"] = str(Fraction(step["xi"]) + Fraction(1, 1000003))
+forged = check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)
+print(json.dumps([genuine.to_json_dict(), forged.to_json_dict()]))
+if not genuine or forged.xi_matches:
+    sys.exit("the trusted base alone misjudged the genuine or the forged trace")

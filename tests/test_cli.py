@@ -262,11 +262,15 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
     (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
      {"n": 16, "initial_weight": "1", "final_set": [0],
       "steps": [{"rule": "R1", "set": [0], "xi": 0.5}]}),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega=[1])),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega="1/0")),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega="1" * 1001)),
 ], ids=["steps-not-list", "trace-is-array", "xi-divides-by-zero", "unknown-rule",
         "weights-is-array", "weights-is-number", "weight-is-infinite",
         "weight-has-exponent", "xi-has-exponent", "trace-n-is-float",
         "set-holds-boolean", "final-set-holds-boolean", "trace-n-is-boolean",
-        "weight-is-boolean", "weight-is-float", "xi-is-float"])
+        "weight-is-boolean", "weight-is-float", "xi-is-float",
+        "weight-is-list", "weight-divides-by-zero", "weight-is-too-long"])
 def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, capsys):
     bad, weights = tmp_path / "bad.json", tmp_path / "w.json"
     bad.write_text(json.dumps(payload))
@@ -478,7 +482,8 @@ def test_missing_file_is_domain_error(capsys):
     ("A!\n", "error: invalid graph6 byte 33 (byte offset 1)"),
     # two tokens on the first line: detected as an edge list header
     ("@@@not graph6\n", "error: expected integer header 'n m', got '@@@not graph6'"),
-], ids=["graph6-bad-byte", "edge-list-header"])
+    ("3 1\n0 1 2\n", "error: expected edge line 'u v', got '0 1 2'"),
+], ids=["graph6-bad-byte", "edge-list-header", "edge-line-three-tokens"])
 def test_bad_graph6_is_domain_error(tmp_path, capsys, text, message):
     p = tmp_path / "bad.g6"
     p.write_text(text)

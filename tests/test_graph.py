@@ -255,6 +255,24 @@ def test_random_bipartite_min_degree():
         random_bipartite_min_degree_graph(MAX_ORDER + 1, 4, 1)
 
 
+def test_dense_min_degree_requests_build_complete_graphs():
+    # the repair used to give up after 5,000 draws per vertex, at vertex
+    # 201 of the first request, although the complete graph meets both
+    for n in (500, 700):
+        g = random_min_degree_graph(n, n - 1, 0)
+        assert all(g.degree(v) == n - 1 for v in range(n))
+
+
+def test_edge_list_and_graph6_input_checks():
+    with pytest.raises(ValueError, match="empty edge-list input"):
+        parse_edge_list(" \n\t\n")
+    with pytest.raises(ValueError, match="expected edge line 'u v', got '0 1 2'"):
+        parse_edge_list("3 1\n0 1 2\n")
+    # the order is rejected before a body of n(n-1)/12 bytes is allocated
+    with pytest.raises(ValueError, match=f"n <= {MAX_ORDER}"):
+        emit_graph6(Graph(MAX_ORDER + 1, []))
+
+
 def test_generation_error_is_raisable():
     # degree n-1 on odd-ish tight settings must still work or raise the
     # declared error type, never hang

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from isobound import (ConstraintSystem, LinearRow, WeightVector,
                       build_constraints, check_feasible, check_optimality,
                       solve_min_omega)
+from isobound.check import parse_rational
 from isobound.lpweights import FEASIBLE_PROBE, VARIANTS
 
 from oracles import solve_min_omega_by_enumeration, solve_min_omega_two_phase
@@ -167,6 +168,15 @@ def test_row_evaluate_and_str():
     assert row.slack((F(1, 2), F(1, 3), F(0), F(0), F(0))) == 1
     assert row.slack((F(1, 2), F(0), F(0), F(0), F(0))) == 0
     assert "2*omega" in str(row) and "beta2" not in str(row)
+
+
+def test_weight_json_rejects_bad_rationals():
+    with pytest.raises(ValueError, match="longer than 1000 characters"):
+        parse_rational("1" * 1001)
+    for omega in ([1], "1/0"):
+        d = dict(KNOWN_TF.to_json_dict(), omega=omega)
+        with pytest.raises(ValueError, match="malformed weight vector JSON"):
+            WeightVector.from_json_dict(d)
 
 
 def test_solution_and_system_json():

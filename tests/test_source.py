@@ -57,46 +57,25 @@ def test_checkers_import_no_producer():
             assert _defined(ast.parse(path.read_text())) & trusted == set(), path.name
 
 
-# loads graph.py and check.py by path, without the package, and replays
-# a greedy report's trace twice: as written, and with its first xi forged
-STANDALONE = """
-import importlib.util, json, sys
-from fractions import Fraction
-from pathlib import Path
-
-src, graph_file, report_file = map(Path, sys.argv[1:])
-if importlib.util.find_spec("isobound") is not None:
-    sys.exit("the isobound package is importable")
-for name in ("graph", "check"):
-    spec = importlib.util.spec_from_file_location(name, src / f"{name}.py")
-    # dataclasses look their class's module up in sys.modules
-    sys.modules[name] = module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-graph, check = sys.modules["graph"], sys.modules["check"]
-G = graph.parse_graph6(graph_file.read_text())
-results = json.loads(report_file.read_text())["results"]
-wv = check.WeightVector.from_json_dict(results["weights"])
-outcomes = [check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)]
-step = results["trace"]["steps"][0]
-step["xi"] = str(Fraction(step["xi"]) + Fraction(1, 1000003))
-outcomes.append(check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv))
-print(json.dumps([o.to_json_dict() for o in outcomes]))
-"""
+REPLAY_ALONE = Path(__file__).with_name("replay_alone.py")
 
 
 def test_trusted_base_runs_alone(tmp_path):
-    graph_file, report = tmp_path / "g.g6", tmp_path / "run.json"
-    assert main(["gen", "--random", "min-degree", "--n", "60", "--param", "4", "--seed", "1",
-                 "--out", str(graph_file)]) == 0
-    assert main(["greedy", "--in", str(graph_file), "--delta", "4", "--out", str(report)]) == 0
-    # -I drops PYTHONPATH and the script's directory, -S site-packages
-    run = subprocess.run([sys.executable, "-I", "-S", "-c", STANDALONE, str(SRC),
-                          str(graph_file), str(report)],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    genuine, forged = json.loads(run.stdout)
-    assert genuine["verified"]
-    assert not forged["xi_matches"] and not forged["verified"]
+    # the replay script loads graph.py and check.py by path, without the
+    # package, and replays each report's trace as written and forged;
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps src/ free of bytecode
+    for fmt in ("graph6", "edgelist"):
+        graph_file, report = tmp_path / f"g.{fmt}", tmp_path / f"{fmt}.json"
+        assert main(["gen", "--random", "min-degree", "--n", "60", "--param", "4", "--seed", "1",
+                     "--format", fmt, "--out", str(graph_file)]) == 0
+        assert main(["greedy", "--in", str(graph_file), "--delta", "4", "--out", str(report)]) == 0
+        run = subprocess.run([sys.executable, "-I", "-S", "-B", str(REPLAY_ALONE), str(SRC),
+                              str(graph_file), str(report)],
+                             cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        genuine, forged = json.loads(run.stdout)
+        assert genuine["verified"]
+        assert not forged["xi_matches"] and not forged["verified"]
 
 
 def test_all_names_exist_once():
