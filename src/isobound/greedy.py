@@ -141,16 +141,31 @@ class _GreedyEngine:
     none (a White turns Blue into a later row), and once rows 0..r-1
     are empty, row r only loses vertices: R1-R4 scan the rows once,
     upward, each from vertex 0 and resuming at the last hit. After
-    that, White components are paths and cycles, kept explicitly: a
-    step destroys every component that loses a vertex and rebuilds the
-    rest of it as new components. R5 and R6 keep heaps, since a rebuild
-    can add entries below their minimum; the R6 heap holds every Blue
-    vertex that touched two or more components when a component next
-    to it was built. R7 takes the component of the lowest White
-    vertex, found by a second upward scan.
+    that, White components are paths and cycles. None is stored: _comp
+    walks one, and the R5 heap holds the lowest vertex of each component
+    that was neither a K2 nor a C5 when queued. Components only shrink,
+    so an entry stays the lowest vertex of its component while it is
+    White; the top entry counts if it is White and its component is
+    still neither a K2 nor a C5. Two invariants make this enough:
 
-    Weights are ints over L, and White degrees are clamped to _CAP
-    through the per-run lookup list cap.
+    1. Whatever survives of a component that lost a vertex lies next to
+       a lost vertex: a path inside the component leads from it to a
+       lost vertex, and the first one on the path is next to it. So add
+       queues only the components through neighbors of lost vertices;
+       every other component is unchanged, its entry still in the heap,
+       and a failing entry fails until its component is queued again.
+    2. R6 is reached only when every component is a K2 or a C5; after
+       that, a component is a K2, a C5 or a path of at most four
+       vertices. A White vertex always has a White neighbor, so every
+       piece has at least two vertices, and two pieces with a lost
+       vertex between them take five path or six cycle vertices. So
+       no vertex starts touching a second component (one that turns
+       Blue touched only its own), and one upward scan, resuming at the
+       last hit, finds every R6 pick, also after an add of any set.
+
+    R7 walks the component of the lowest White vertex, found by an
+    upward scan too. Weights are ints over L, and White degrees are
+    clamped to _CAP through the per-run lookup list cap.
     """
 
     def __init__(self, G: Graph, wv: WeightVector):
@@ -169,16 +184,14 @@ class _GreedyEngine:
         for d in self.wdeg:
             if d:
                 self.white_hist[cap[d]] += 1
-        # the scan position of R1-R4 (row, vertex) and of R7 (vertex)
-        self.r = self.v = self.w = 0
+        # the scan position of R1-R4 (row, vertex), of R6 and of R7 (vertex)
+        self.r = self.v = self.x = self.w = 0
         # the weights as integers over L, the lcm of their denominators
         self.scale = math.lcm(*(x.denominator for x in wv.as_tuple()))
         self.omega, *beta = (int(x * self.scale) for x in wv.as_tuple())
         self.blue_weight = (0, *beta, beta[-1])
-        self.comps: list[tuple[int, ...] | None] | None = None
-        self.cid: list[int] = []
-        self.bad: list[tuple[int, int]] = []
-        self.r6: list[int] = []
+        # the R5 heap, from the first select past R1-R4 on
+        self.r5: list[int] | None = None
 
     def select(self) -> tuple[GreedyRule, frozenset[int]]:
         white, wdeg, cap, n = self.white, self.wdeg, self.cap, self.G.n
@@ -189,67 +202,49 @@ class _GreedyEngine:
                     self.v = v
                     return _DEGREE_RULES[r][0], frozenset((v,))
             self.r, self.v = r + 1, 0
-        if self.comps is None:
-            self.comps = []
-            self.cid = [-1] * n
-            self._build([v for v in range(n) if white[v]])
-        comps = self.comps
-        bad = self.bad
-        while bad and comps[bad[0][1]] is None:
-            heapq.heappop(bad)
-        if bad:
-            return GreedyRule.R5, _r5_set(self.G, comps[bad[0][1]])
-        while self.r6:
-            x = self.r6[0]
-            touched = self._touched(x)
-            if len(touched) >= 2:
-                touched.sort(key=lambda c: comps[c][0])
-                picked = [comps[c] for c in touched[:2]]
-                return GreedyRule.R6, _r6_set(self.G, x, picked, self.wdeg)
-            heapq.heappop(self.r6)
+        if self.r5 is None:
+            self.r5 = []
+            self._queue(range(n))
+        r5 = self.r5
+        while r5:
+            comp = self._comp(r5[0]) if white[r5[0]] else ()
+            if len(comp) > 2 and not _is_c5(comp, wdeg):
+                return GreedyRule.R5, _r5_set(self.G, comp)
+            heapq.heappop(r5)
+        for x in range(self.x, n):
+            if not white[x] and wdeg[x] >= 2:
+                touched = sorted({self._comp(u) for u in self.adj[x] if white[u]})
+                if len(touched) >= 2:
+                    self.x = x
+                    return GreedyRule.R6, _r6_set(self.G, x, touched[:2], wdeg)
+        self.x = n
         while not white[self.w]:
             self.w += 1
-        return GreedyRule.R7, _r7_set(self.G, comps[self.cid[self.w]])
+        return GreedyRule.R7, _r7_set(self.G, self._comp(self.w))
 
-    def _touched(self, x: int) -> list[int]:
-        white, cid = self.white, self.cid
-        return list({cid[u] for u in self.adj[x] if white[u]})
+    def _comp(self, s: int) -> tuple[int, ...]:
+        """The White component of the White vertex s, sorted."""
+        adj, white = self.adj, self.white
+        seen = {s}
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if white[w] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return tuple(sorted(seen))
 
-    def _build(self, vertices) -> None:
-        """Turn the given White vertices into components, with their heaps."""
-        adj, white, wdeg, cid, comps = self.adj, self.white, self.wdeg, self.cid, self.comps
-        new = []
+    def _queue(self, vertices) -> None:
+        """Push onto the R5 heap the lowest vertex of each component
+        through the given vertices that is neither a K2 nor a C5."""
+        white, wdeg = self.white, self.wdeg
         seen: set[int] = set()
         for s in vertices:
-            if s in seen:
-                continue
-            seen.add(s)
-            comp = [s]
-            stack = [s]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if white[w] and w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            comp.sort()
-            c = len(comps)
-            comps.append(tuple(comp))
-            for v in comp:
-                cid[v] = c
-            if len(comp) != 2 and not _is_c5(comp, wdeg):
-                heapq.heappush(self.bad, (comp[0], c))
-            new.append(comp)
-        # a Blue vertex can only start touching two components when a
-        # component next to it is built
-        checked: set[int] = set()
-        for comp in new:
-            for v in comp:
-                for x in adj[v]:
-                    if x not in checked and not white[x]:
-                        checked.add(x)
-                        if len(self._touched(x)) >= 2:
-                            heapq.heappush(self.r6, x)
+            if white[s] and s not in seen:
+                comp = self._comp(s)
+                seen.update(comp)
+                if len(comp) > 2 and not _is_c5(comp, wdeg):
+                    heapq.heappush(self.r5, comp[0])
 
     def add(self, A) -> tuple[Fraction, int]:
         """Add A to the set; return xi(A) and the number of Whites lost."""
@@ -287,13 +282,8 @@ class _GreedyEngine:
         xi = Fraction(self.omega * len(lost) + sum(
             w * (b - a) for w, b, a in zip(self.blue_weight, blue_before, blue_hist) if b != a),
             self.scale)
-        if self.comps is not None and lost:
-            comps, cid = self.comps, self.cid
-            dead = sorted({cid[v] for v in lost})
-            rest = [v for c in dead for v in comps[c] if white[v]]
-            for c in dead:
-                comps[c] = None
-            self._build(rest)
+        if self.r5 is not None:
+            self._queue(u for v in lost for u in adj[v])
         return xi, len(lost)
 
 

@@ -324,6 +324,43 @@ def test_greedy_and_replay_scale_linearly():
     assert len(S) <= math.floor(WV.omega * g.n)
 
 
+def _r6_r7_blocks(k: int) -> Graph:
+    # k blocks of 20 vertices: a hub with four leaves and a spanner x,
+    # x joined to one end of a K2 and to one vertex of a C5, plus a lone
+    # K2 and a lone C5; labels are shuffled
+    edges = []
+    for b in range(0, 20 * k, 20):
+        hub, x = b, b + 5
+        edges += [(hub, v) for v in range(b + 1, b + 6)]
+        edges += [(x, b + 6), (b + 6, b + 7), (x, b + 8), (b + 13, b + 14)]
+        for c in (b + 8, b + 15):
+            edges += [(c + i, c + (i + 1) % 5) for i in range(5)]
+    label = list(range(20 * k))
+    random.Random(21).shuffle(label)
+    return Graph(20 * k, [(label[u], label[v]) for u, v in edges])
+
+
+def test_r6_and_r7_scale_linearly():
+    # R1 takes each hub and leaves its x Blue between a K2 and a C5 for
+    # R6; R7 takes the lone K2s and C5s. Every R6 pick is found by one
+    # upward scan; a scan that restarted from vertex 0 at each R6 step
+    # reads about n/2 vertices 5,000 times. The lone K2s break the degree
+    # precondition, so the steps are not all desirable
+    g = _r6_r7_blocks(5000)
+    t0 = time.perf_counter()
+    S, trace = greedy_isolating_set(g, WV)
+    outcome = verify_trace(g, trace, WV)
+    assert time.perf_counter() - t0 < 10
+    counts = {rule: sum(s.rule is rule for s in trace.steps) for rule in GreedyRule}
+    assert {r: c for r, c in counts.items() if c} == {
+        GreedyRule.R1: 5000, GreedyRule.R6: 5000, GreedyRule.R7: 10000}
+    assert len(S) == 30000
+    assert outcome.xi_matches and outcome.isolating and outcome.partition_ok
+    assert outcome.header_ok and not outcome.desirable
+    small = _r6_r7_blocks(30)
+    assert greedy_isolating_set(small, WV) == greedy_isolating_set_from_scratch(small, WV)
+
+
 def test_white_count_strictly_decreases():
     g = random_min_degree_graph(35, 4, 21)
     D = set()

@@ -11,9 +11,11 @@ from isobound import (Graph, Graph6ParseError, GreedyStep, GreedyTrace, WeightVe
                       parse_graph6, random_bipartite_min_degree_graph,
                       random_min_degree_graph, verify_trace)
 
-from oracles import (emit_graph6_bitwise, greedy_isolating_set_from_scratch,
+from isobound.greedy import _GreedyEngine
+
+from oracles import (compute_residual, emit_graph6_bitwise, greedy_isolating_set_from_scratch,
                      is_isolating_direct, parse_graph6_bitwise, random_graph,
-                     verify_trace_from_scratch, xi)
+                     select_desirable, verify_trace_from_scratch, xi)
 
 # fixed examples and no example database keep the suite's time and
 # outcome the same on every run
@@ -279,21 +281,26 @@ def test_greedy_matches_from_scratch_oracle_on_white_cycles(G, wv):
     assert greedy_isolating_set(G, wv) == greedy_isolating_set_from_scratch(G, wv)
 
 
+# (order, closed into a cycle): K2s, C5s and the paths P3, P4
+SHORT = ((2, False), (2, False), (3, False), (4, False), (5, True), (5, True), (5, True))
+
+
 @st.composite
-def blue_spanner_graphs(draw):
-    # K2s, C5s and the paths P3, P4, with vertices x joined to one to three
-    # of their vertices, often twice to one C5; each x hangs on a hub that
-    # leaves lift to degree >= 5, so R1 takes the hubs first and the x
-    # turn Blue next to the components for R6; labels are shuffled
+def blue_spanner_graphs(draw, shapes=SHORT):
+    # paths and cycles of the given shapes, with vertices x joined to one
+    # to three of their vertices, often twice to one component; each x
+    # hangs on a hub that leaves lift to degree >= 5, so R1 takes the hubs
+    # first and the x turn Blue next to the components for R6; labels are
+    # shuffled
     rng = random.Random(draw(st.integers(0, 2**32)))
-    sizes = draw(st.lists(st.sampled_from([2, 2, 3, 4, 5, 5, 5]), min_size=2, max_size=6))
+    shapes = draw(st.lists(st.sampled_from(shapes), min_size=2, max_size=6))
     edges, comps, n = [], [], 0
-    for k in sizes:
+    for k, closed in shapes:
         comp = range(n, n + k)
         n += k
         comps.append(comp)
         edges += zip(comp, comp[1:])
-        if k == 5:
+        if closed:
             edges.append((comp[-1], comp[0]))
     hubs = list(range(n, n + rng.randint(1, 2)))
     n += len(hubs)
@@ -319,6 +326,26 @@ def blue_spanner_graphs(draw):
 @given(blue_spanner_graphs(), st.sampled_from([WV, TF]))
 def test_greedy_matches_from_scratch_oracle_on_blue_spanners(G, wv):
     assert greedy_isolating_set(G, wv) == greedy_isolating_set_from_scratch(G, wv)
+
+
+@PROPERTY
+@given(blue_spanner_graphs(((2, False), (5, True), (7, False), (9, True), (12, False),
+                            (6, True), (4, False), (5, True))),
+       st.integers(0, 2**32))
+def test_engine_matches_oracle_after_arbitrary_adds(G, seed):
+    # long White paths and cycles beside K2s and C5s; at random steps one
+    # or two random vertices go in place of the engine's pick and split
+    # components anywhere, also once R6 has been reached. The R5 heap's
+    # top check and the single R6 scan must still pick what the
+    # from-scratch oracle picks
+    rng = random.Random(seed)
+    engine, D = _GreedyEngine(G, WV), set()
+    while any(engine.white_hist):
+        pick = engine.select()
+        assert pick == select_desirable(compute_residual(G, D))
+        A = set(rng.sample(range(G.n), rng.randint(1, 2))) if rng.random() < 0.3 else pick[1]
+        D |= A
+        engine.add(A)
 
 
 @st.composite
