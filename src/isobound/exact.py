@@ -38,27 +38,33 @@ class ExactResult:
     incumbent_updates: int = 0
 
 
-def _greedy_cover_seed(G: Graph) -> list[int]:
-    # incumbent only: repeatedly take the first vertex covering the most
-    # surviving edges; hits[v] has bit i when edge i meets N[v]. Gains only
-    # fall, so a heap top whose stale key is its fresh gain is that vertex
-    hits = [0] * G.n
+def _edge_masks(G: Graph) -> list[int]:
+    # covers[v] has bit i when v covers edge i, i.e. edge i meets N[v]
+    covers = [0] * G.n
     for i, (a, b) in enumerate(G.edges()):
         for v in {a, b, *G.neighbors(a), *G.neighbors(b)}:
-            hits[v] |= 1 << i
+            covers[v] |= 1 << i
+    return covers
+
+
+def _greedy_cover_seed(G: Graph, covers: list[int] | None = None) -> list[int]:
+    # incumbent only: repeatedly take the first vertex covering the most
+    # surviving edges. Gains only fall, so a heap top whose stale key is
+    # its fresh gain is that vertex
+    covers = _edge_masks(G) if covers is None else covers
     alive = (1 << G.num_edges) - 1
-    heap = [(-h.bit_count(), v) for v, h in enumerate(hits)]
+    heap = [(-h.bit_count(), v) for v, h in enumerate(covers)]
     heapify(heap)
     S: list[int] = []
     while alive:
         key, v = heap[0]
-        gain = (alive & hits[v]).bit_count()
+        gain = (alive & covers[v]).bit_count()
         if gain < -key:
             heapreplace(heap, (-gain, v))
             continue
         heappop(heap)
         S.append(v)
-        alive &= ~hits[v]
+        alive &= ~covers[v]
     return S
 
 
@@ -72,19 +78,24 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     vertex of their own, so a node is pruned once the chosen vertices
     plus such a packing reach the incumbent's size. A pruned subtree
     holds no strictly smaller set, so the incumbents, and the witness,
-    are those of the search without this bound. One level below the
-    incumbent a child survives only as a leaf, covering every alive edge
-    by itself; any other child is closed at once by a one-edge packing.
-    So such a frame keeps only the candidates common to all alive edges
-    (bans do not matter for covering): the surviving children, their
-    order and their bans are unchanged, and each skipped child is a
-    packing of length 1. No alive edge ever runs out of unbanned
-    candidates, so no node needs a closure for that: the root bans
-    nothing; a frame branches on an edge with the fewest unbanned
-    candidates, so every alive edge has at least |todo| of them; and its
-    child i bans only the i < |todo| siblings tried before it. Random
-    4-regular graphs take 0.02-0.06 s at n = 40 and 1.2-2.5 s at n = 56
-    (2-core machine, Python 3.11).
+    are those of the search without this bound. Alive edges are kept as
+    a mask, cut by covers[v] (the edges v covers), and as the list of
+    their candidate sets, which the packing scans; within two of the
+    incumbent, the root included, the list is skipped. One below, a node
+    is a leaf or closed. Two below, a child survives only as a leaf, so
+    the node keeps just the unbanned candidates w of its lowest alive
+    edge with mask ⊆ covers[w], and packing 1. The packing scan would
+    decide alike: if such a w exists, every unbanned candidate set holds
+    it, so the greedy packing is 1 and cutting the pick to the candidates
+    common to all alive edges leaves exactly these w; if none does, the
+    packing is at least 2 or that cut is empty. So the children, their
+    order and bans, and every output are those of the full scan. No
+    alive edge ever runs out of unbanned candidates, so no node needs a
+    closure for that: the root bans nothing; a frame branches on an edge
+    with the fewest unbanned candidates, so every alive edge has at
+    least |todo| of them; and its child i bans only the i < |todo|
+    siblings tried before it. Random 4-regular graphs take 0.01-0.04 s
+    at n = 40 and 1.0-1.5 s at n = 56 (2-core machine, Python 3.11).
     Raises SearchBudgetExceeded past NODE_BUDGET nodes.
     Only search nodes count: without a cap, the incumbent seed runs first
     and unbounded, a lazy greedy that re-scores few vertices per pick
@@ -100,29 +111,42 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     decision_mode = size_cap is not None
     if not edges:
         return ExactResult(0, (), 0, None if decision_mode else 0)
+    covers = _edge_masks(G)
 
-    best_witness = None if decision_mode else tuple(sorted(_greedy_cover_seed(G)))
+    best_witness = None if decision_mode else tuple(sorted(_greedy_cover_seed(G, covers)))
     best_size = size_cap + 1 if decision_mode else len(best_witness)
     seed_size = None if decision_mode else best_size
 
     explored = updates = 0
     chosen: list[int] = []
-    # frame d = [alive edges, untried candidates, banned, packing] after d choices
+    # frame d = [alive edges, alive mask, untried candidates, banned,
+    # packing] after d choices; within two of the incumbent no alive list
     stack: list[list] = []
-    alive, banned = edges, 0
+    alive, mask, banned = edges, (1 << len(edges)) - 1, 0
     while True:
         explored += 1
         if explored > budget:
             raise SearchBudgetExceeded(
                 f"exceeded {budget} branch nodes on n={n}, m={len(edges)}")
-        if not alive:
+        if not mask:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_witness = tuple(sorted(chosen))
                 updates += 1
                 if decision_mode:
                     break
-        else:
+        elif len(chosen) + 2 == best_size:
+            # children here survive only as leaves: keep the unbanned
+            # candidates of the lowest alive edge that cover every alive edge
+            todo, cand = 0, edges[(mask & -mask).bit_length() - 1] & ~banned
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if mask & covers[low.bit_length() - 1] == mask:
+                    todo |= low
+            if todo:
+                stack.append([None, mask, todo, banned, 1])
+        elif len(chosen) + 2 < best_size:
             # branch on the first edge with fewest candidates; pack greedily
             pick, least, used, packing = 0, n + 1, 0, 0
             allowed = ~banned
@@ -135,23 +159,20 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
                     used |= cand
                     packing += 1
             if len(chosen) + packing < best_size:
-                if len(chosen) + 2 == best_size:
-                    # children here can only survive as leaves
-                    for cand in alive:
-                        pick &= cand
-                if pick:
-                    stack.append([alive, pick, banned, packing])
+                stack.append([alive, mask, pick, banned, packing])
         # descend into the lowest untried candidate of the deepest live frame
         while stack:
-            alive, todo, banned, packing = frame = stack[-1]
+            alive, mask, todo, banned, packing = frame = stack[-1]
             del chosen[len(stack) - 1:]
             if not todo or len(chosen) + packing >= best_size:
                 stack.pop()
                 continue
             low = todo & -todo
-            frame[1], frame[2] = todo ^ low, banned | low
+            frame[2], frame[3] = todo ^ low, banned | low
             chosen.append(low.bit_length() - 1)
-            alive = [cand for cand in alive if not cand & low]
+            mask &= ~covers[chosen[-1]]
+            if len(chosen) + 2 < best_size:
+                alive = [cand for cand in alive if not cand & low]
             break
         else:
             break

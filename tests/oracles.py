@@ -7,8 +7,8 @@ graph6 codec that handles one bit at a time, the residual coloring and
 its weight computed from scratch, a greedy and a trace replay that
 recompute the whole residual state after every step, the greedy's R5
 set from a relabeled copy of its component, and the exact solver as a
-recursion over frozensets without a packing bound. Slow but
-trustworthy.
+recursion over frozensets without a packing bound and as the bitmask
+search that builds every node's alive-edge list. Slow but trustworthy.
 """
 
 from __future__ import annotations
@@ -599,9 +599,10 @@ def verify_trace_from_scratch(G: Graph, trace: GreedyTrace, wv: WeightVector):
 
 # ---------------------------------------------------------------------------
 # exact solver: the recursive branch and bound over frozensets, with a
-# dom counter per vertex and no lower bound beyond |chosen| + 1, and its
-# max-coverage seed that rescans every surviving edge per vertex, or every
-# vertex's edge bitmask per pick
+# dom counter per vertex and no lower bound beyond |chosen| + 1; the
+# bitmask branch and bound that builds every node's alive-edge list; and
+# the max-coverage seed that rescans every surviving edge per vertex, or
+# every vertex's edge bitmask per pick
 
 
 def greedy_cover_seed_by_scan(G: Graph, closed: list[frozenset[int]]) -> list[int]:
@@ -716,3 +717,81 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None) -> E
     if not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
     return ExactResult(len(best_witness), best_witness, explored)
+
+
+def exact_isolation_number_by_lists(G: Graph, size_cap: int | None = None) -> ExactResult:
+    """The bitmask branch and bound that builds each node's alive-edge list.
+
+    The package's search decides nodes within two of the incumbent from
+    per-vertex edge masks instead; this is the search it replaced, with
+    the greedy packing bound at every node and, two below the incumbent,
+    the filter that keeps only the candidates common to all alive edges.
+    It must agree with the package on all five ExactResult fields.
+    """
+    if size_cap is not None and size_cap < 0:
+        raise ValueError(f"size_cap must be >= 0, got {size_cap}")
+    budget = exact.NODE_BUDGET
+    n = G.n
+    closed = [sum(1 << u for u in (v, *G.neighbors(v))) for v in range(n)]
+    edges = [closed[a] | closed[b] for a, b in G.edges()]
+    decision_mode = size_cap is not None
+    if not edges:
+        return ExactResult(0, (), 0, None if decision_mode else 0)
+
+    best_witness = None if decision_mode else tuple(sorted(greedy_cover_seed_by_rescan(G)))
+    best_size = size_cap + 1 if decision_mode else len(best_witness)
+    seed_size = None if decision_mode else best_size
+
+    explored = updates = 0
+    chosen: list[int] = []
+    # frame d = [alive edges, untried candidates, banned, packing] after d choices
+    stack: list[list] = []
+    alive, banned = edges, 0
+    while True:
+        explored += 1
+        if explored > budget:
+            raise SearchBudgetExceeded(
+                f"exceeded {budget} branch nodes on n={n}, m={len(edges)}")
+        if not alive:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_witness = tuple(sorted(chosen))
+                updates += 1
+                if decision_mode:
+                    break
+        else:
+            pick, least, used, packing = 0, n + 1, 0, 0
+            allowed = ~banned
+            for cand in alive:
+                cand &= allowed
+                k = cand.bit_count()
+                if k < least:
+                    pick, least = cand, k
+                if not cand & used:
+                    used |= cand
+                    packing += 1
+            if len(chosen) + packing < best_size:
+                if len(chosen) + 2 == best_size:
+                    for cand in alive:
+                        pick &= cand
+                if pick:
+                    stack.append([alive, pick, banned, packing])
+        while stack:
+            alive, todo, banned, packing = frame = stack[-1]
+            del chosen[len(stack) - 1:]
+            if not todo or len(chosen) + packing >= best_size:
+                stack.pop()
+                continue
+            low = todo & -todo
+            frame[1], frame[2] = todo ^ low, banned | low
+            chosen.append(low.bit_length() - 1)
+            alive = [cand for cand in alive if not cand & low]
+            break
+        else:
+            break
+
+    if best_witness is None:
+        return ExactResult(None, None, explored)
+    if not is_isolating(G, best_witness):
+        raise AssertionError("search returned a non-isolating witness")
+    return ExactResult(len(best_witness), best_witness, explored, seed_size, updates)

@@ -10,10 +10,10 @@ from isobound.exact import _greedy_cover_seed
 from isobound.greedy import _r5_set
 
 from graphs import complete_graph, cycle_graph, path_graph
-from oracles import (brute_force_isolation, exact_isolation_number_recursive,
-                     greedy_cover_seed_by_rescan, greedy_cover_seed_by_scan,
-                     is_isolating_direct, path_cycle_min_isolating,
-                     random_graph)
+from oracles import (brute_force_isolation, exact_isolation_number_by_lists,
+                     exact_isolation_number_recursive, greedy_cover_seed_by_rescan,
+                     greedy_cover_seed_by_scan, is_isolating_direct,
+                     path_cycle_min_isolating, random_graph)
 
 
 def test_known_values():
@@ -143,12 +143,54 @@ def test_lazy_cover_seed_matches_rescan_at_n_2000():
     assert is_isolating(g, seed)
 
 
+# ---------------------------------------------------------------------------
+# differential: nodes within two of the incumbent decided from per-vertex
+# edge masks, against the search that builds every node's alive-edge list
+
+
+def _same_as_lists(g, cap=None):
+    got = exact_isolation_number(g, size_cap=cap)
+    assert got == exact_isolation_number_by_lists(g, size_cap=cap)
+    return got
+
+
+def test_mask_search_matches_list_search():
+    graphs = [g for g, _ in _corpus()]
+    graphs += [random_regular_graph(n, 4, seed) for n in (32, 40) for seed in range(3)]
+    for gadget in (prism_k4(), metacirculant_14()):
+        x, y = gadget.special_edge
+        graphs += [gadget.F.remove_vertices(drop)[0] for drop in ((), (x,), (y,), (x, y))]
+    for g in graphs:
+        # no cap, a refutation one below iota and a hit at iota
+        iota = _same_as_lists(g).iota
+        for cap in (iota - 1, iota):
+            _same_as_lists(g, cap)
+
+
+def test_searches_starting_within_two_of_the_incumbent():
+    # a seed of one or two vertices, or a cap of at most 2, puts the root
+    # within two of the incumbent, so it too is decided from edge masks
+    star = Graph(5, [(0, i) for i in range(1, 5)])
+    graphs = [star, path_graph(5), cycle_graph(5), cycle_graph(6), complete_graph(4),
+              Graph(4, [(0, 1), (2, 3)]), Graph(4, [(0, 1)])]
+    for g in graphs:
+        res = _same_as_lists(g)
+        assert res.seed_size in (1, 2)
+        for cap in (0, 1, 2):
+            _same_as_lists(g, cap)
+    # iota = 2 = seed size: no vertex covers every edge, so the root is
+    # the only node
+    for g in (cycle_graph(5), cycle_graph(6), Graph(4, [(0, 1), (2, 3)])):
+        assert exact_isolation_number(g).explored == 1
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(st.integers(0, 14), st.integers(0, 100), st.integers(0, 2**32),
        st.sampled_from([None, 0, 1, 2, 3, 4]))
 def test_bitmask_search_matches_recursive_and_brute_force(n, percent, seed, cap):
     g = random_graph(random.Random(seed), n, percent / 100)
     got, _ = _same_as_recursive(g, cap)
+    _same_as_lists(g, cap)
     if n <= 10:
         iota = brute_force_isolation(g)[0]
         if cap is None:
