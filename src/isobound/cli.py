@@ -36,29 +36,30 @@ from .check import (GreedyTrace, WeightVector, check_feasible, check_optimality,
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
 from .graph import (GenerationError, Graph, emit_edge_list, emit_graph6, girth,
-                    parse_edge_list, parse_graph6, random_min_degree_graph,
-                    random_regular_graph)
+                    is_edge_list, parse_edge_list, parse_graph6,
+                    random_min_degree_graph, random_regular_graph)
 from .greedy import greedy_isolating_set
 from .lpweights import MIN_GIRTH, VARIANTS, build_constraints, solve_min_omega
 
 
 def _load_graph(path: str) -> Graph:
     text = Path(path).read_text()
-    # graph6 text never contains whitespace; an edge-list header is "n m"
-    head = text.lstrip().partition("\n")[0]
-    return parse_edge_list(text) if len(head.split()) > 1 else parse_graph6(text)
+    return parse_edge_list(text) if is_edge_list(text) else parse_graph6(text)
+
+
+def _load_json(path: str, what: str, *fields: str):
+    """A bare JSON value, or the first of fields set in a run report's results."""
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, dict) and "results" in data:
+        results = data["results"] if isinstance(data["results"], dict) else {}
+        data = next(filter(None, map(results.get, fields)), None)
+        if data is None:
+            raise ValueError(f"report JSON carries no {what}")
+    return data
 
 
 def _load_weights(path: str) -> WeightVector:
-    data = json.loads(Path(path).read_text())
-    # accept a bare weight vector or a run report that carries one
-    # (lp-weights stores "witness", greedy "weights")
-    if isinstance(data, dict) and "results" in data:
-        inner = data["results"] if isinstance(data["results"], dict) else {}
-        data = inner.get("witness") or inner.get("weights")
-        if data is None:
-            raise ValueError("report JSON carries no weight vector")
-    return WeightVector.from_json_dict(data)
+    return WeightVector.from_json_dict(_load_json(path, "weight vector", "witness", "weights"))
 
 
 def _fingerprint(G: Graph) -> dict:
@@ -83,10 +84,8 @@ class _Phases(dict):
 def _cmd_greedy(args, report: dict) -> int:
     phases = _Phases()
     G = _load_graph(args.infile)
-    if args.weights:
-        wv = _load_weights(args.weights)
-    else:
-        wv = solve_min_omega(build_constraints(args.delta, args.variant)).witness
+    wv = (_load_weights(args.weights) if args.weights
+          else solve_min_omega(build_constraints(args.delta, args.variant)).witness)
     phases.lap("load_s")
     S, trace = greedy_isolating_set(G, wv)
     phases.lap("run_s")
@@ -137,12 +136,13 @@ def _cmd_exact(args, report: dict) -> int:
     if result.witness is None:
         print(f"no isolating set of size <= {args.cap}")
     else:
-        print(f"iota = {result.iota}")
+        print(f"iota = {result.iota}" if args.cap is None
+              else f"isolating set of size {result.iota} <= {args.cap}")
         print(f"witness = {list(result.witness)}")
     print(f"explored = {result.explored}")
     report["input"] = {"graph": _fingerprint(G)}
     report["results"] = {
-        "iota": result.iota,
+        "iota": result.iota if args.cap is None else None,
         "witness": None if result.witness is None else list(result.witness),
         "explored": result.explored,
         "seed_size": result.seed_size,
@@ -199,10 +199,7 @@ def _cmd_verify_bound(args, report: dict) -> int:
     phases = _Phases()
     G = _load_graph(args.infile)
     wv = _load_weights(args.weights)
-    data = json.loads(Path(args.trace).read_text())
-    if isinstance(data, dict) and isinstance(data.get("results"), dict):
-        data = data["results"].get("trace")
-    trace = GreedyTrace.from_json_dict(data)
+    trace = GreedyTrace.from_json_dict(_load_json(args.trace, "trace", "trace"))
     phases.lap("load_s")
     outcome = verify_trace(G, trace, wv)
     phases.lap("replay_s")

@@ -47,12 +47,11 @@ def _edge_masks(G: Graph) -> list[int]:
     return covers
 
 
-def _greedy_cover_seed(G: Graph, covers: list[int] | None = None) -> list[int]:
+def _greedy_cover_seed(covers: list[int], m: int) -> list[int]:
     # incumbent only: repeatedly take the first vertex covering the most
-    # surviving edges. Gains only fall, so a heap top whose stale key is
-    # its fresh gain is that vertex
-    covers = _edge_masks(G) if covers is None else covers
-    alive = (1 << G.num_edges) - 1
+    # of the m edges still alive. Gains only fall, so a heap top whose
+    # stale key is its fresh gain is that vertex
+    alive = (1 << m) - 1
     heap = [(-h.bit_count(), v) for v, h in enumerate(covers)]
     heapify(heap)
     S: list[int] = []
@@ -96,10 +95,11 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     least |todo| of them; and its child i bans only the i < |todo|
     siblings tried before it. Random 4-regular graphs take 0.01-0.04 s
     at n = 40 and 1.0-1.5 s at n = 56 (2-core machine, Python 3.11).
-    Raises SearchBudgetExceeded past NODE_BUDGET nodes.
-    Only search nodes count: without a cap, the incumbent seed runs first
-    and unbounded, a lazy greedy that re-scores few vertices per pick
-    (about 0.2 s at n = 5,000, minimum degree 4; 7 s rescanning them all).
+    Raises SearchBudgetExceeded past NODE_BUDGET search nodes, which
+    bounds nodes, not time or memory: prism chains spend it in about
+    39 s on 80 vertices and 580 s on 800. Without a cap the incumbent
+    seed runs first, unbudgeted: a lazy greedy re-scoring few vertices
+    per pick (0.2 s at n = 5,000, minimum degree 4; 7 s rescanning all).
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
@@ -113,7 +113,7 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
         return ExactResult(0, (), 0, None if decision_mode else 0)
     covers = _edge_masks(G)
 
-    best_witness = None if decision_mode else tuple(sorted(_greedy_cover_seed(G, covers)))
+    best_witness = None if decision_mode else tuple(sorted(_greedy_cover_seed(covers, len(edges))))
     best_size = size_cap + 1 if decision_mode else len(best_witness)
     seed_size = None if decision_mode else best_size
 

@@ -230,6 +230,11 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # edge-list text format: header "n m", then one "u v" line per edge
 
+def is_edge_list(text: str) -> bool:
+    """The format rule: an edge list if the first non-blank line has 2+ tokens."""
+    return len(text.lstrip().partition("\n")[0].split()) > 1
+
+
 def emit_edge_list(G: Graph) -> str:
     lines = [f"{G.n} {G.num_edges}"]
     lines.extend(f"{u} {v}" for u, v in G.edges())

@@ -1,6 +1,6 @@
 """Small graph constructors and predicates that only the tests use."""
 
-from isobound import Graph
+from isobound import Graph, emit_edge_list, emit_graph6
 
 
 def is_connected(G: Graph) -> bool:
@@ -30,3 +30,13 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+# one graph's text in each form the input-format rule must read; write
+# it as bytes, so that no newline is translated
+INPUT_FORMS = {
+    "tab-separated": lambda G: emit_edge_list(G).replace(" ", "\t"),
+    "leading-blank-lines": lambda G: "\n  \n\n" + emit_edge_list(G),
+    "crlf": lambda G: emit_edge_list(G).replace("\n", "\r\n"),
+    "graph6-header": lambda G: " \n\t>>graph6<<" + emit_graph6(G) + "\n",
+}

@@ -5,11 +5,11 @@
 SRC is the isobound source directory. -I drops PYTHONPATH and the
 script's directory from the path, -S site-packages, so the package is
 not importable (the script stops if it is); graph.py and check.py are
-loaded from SRC by path instead. GRAPH is read as an edge list when its
-first line has two tokens, else as graph6, the CLI's rule. REPORT's
-trace is replayed twice: as written, and with its first xi raised by
-1/1000003. Both outcomes are printed as one JSON list, and the exit code
-is 0 only if the first verifies and the second fails xi_matches.
+loaded from SRC by path instead. GRAPH's format is decided by
+graph.is_edge_list, the rule the CLI applies. REPORT's trace is
+replayed twice: as written, and with its first xi raised by 1/1000003.
+Both outcomes are printed as one JSON list, and the exit code is 0 only
+if the first verifies and the second fails xi_matches.
 """
 
 import importlib.util
@@ -29,8 +29,7 @@ for name in ("graph", "check"):
 graph, check = sys.modules["graph"], sys.modules["check"]
 
 text = graph_file.read_text()
-head = text.lstrip().partition("\n")[0]
-G = graph.parse_edge_list(text) if len(head.split()) > 1 else graph.parse_graph6(text)
+G = graph.parse_edge_list(text) if graph.is_edge_list(text) else graph.parse_graph6(text)
 results = json.loads(report_file.read_text())["results"]
 wv = check.WeightVector.from_json_dict(results["weights"])
 genuine = check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)

@@ -11,7 +11,7 @@ from isobound import (chain, cli, emit_edge_list, emit_graph6, prism_k4,
                       random_min_degree_graph)
 from isobound.cli import main
 
-from graphs import complete_graph, path_graph
+from graphs import INPUT_FORMS, complete_graph, path_graph
 
 TF_VECTOR = {"omega": "3/10", "beta1": "1/15", "beta2": "1/10",
              "beta3": "1/8", "beta4": "3/20"}
@@ -308,8 +308,24 @@ def test_exact_search_deeper_than_the_recursion_limit_answers(tmp_path, capsys):
     assert main(["exact", "--in", str(p), "--cap", "1000"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.splitlines()[0] == "iota = 1000"
+    assert out.splitlines()[0] == "isolating set of size 1000 <= 1000"
     assert out.splitlines()[-1] == "explored = 1001"
+
+
+def test_exact_cap_hit_prints_a_size_not_iota(tmp_path, capsys):
+    # iota is 6, but the first set the search finds under cap 12 has 11
+    # vertices, which bounds iota from above only
+    p, out = tmp_path / "reg.g6", tmp_path / "r.json"
+    assert main(["gen", "--random", "regular", "--n", "32", "--param", "4", "--seed", "3",
+                 "--out", str(p)]) == 0
+    assert main(["exact", "--in", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "iota = 6"
+    assert main(["exact", "--in", str(p), "--cap", "12", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    results = json.loads(out.read_text())["results"]
+    assert lines[0] == "isolating set of size 11 <= 12"
+    assert lines[1] == f"witness = {results['witness']}" and len(results["witness"]) == 11
+    assert results["iota"] is None and results["size_cap"] == 12
 
 
 def test_reports_hold_every_key_the_benchmark_reads(prism_file, chain_file, tmp_path):
@@ -453,16 +469,11 @@ def test_edgelist_format_flag(tmp_path, capsys):
     assert "iota = 2" in runs[0]
 
 
-@pytest.mark.parametrize("text", [
-    "3\t2\n0\t1\n1\t2\n",
-    "\n  \n\n3 2\n0 1\n1 2\n",
-    "3 2\r\n0 1\r\n1 2\r\n",
-    " \n\t>>graph6<<" + emit_graph6(path_graph(3)) + "\n",
-], ids=["tab-separated", "leading-blank-lines", "crlf", "graph6-header"])
-def test_auto_format_reads_tab_separated_edge_list(text, tmp_path, capsys):
+@pytest.mark.parametrize("form", INPUT_FORMS)
+def test_auto_format_reads_tab_separated_edge_list(form, tmp_path, capsys):
     plain, p = tmp_path / "p3.el", tmp_path / "p3.txt"
     plain.write_text("3 2\n0 1\n1 2\n")
-    p.write_bytes(text.encode())
+    p.write_bytes(INPUT_FORMS[form](path_graph(3)).encode())
     runs = []
     for path in (plain, p):
         assert main(["exact", "--in", str(path)]) == 0
@@ -496,6 +507,31 @@ def test_weights_report_without_vector(tmp_path, capsys):
     p.write_text(json.dumps({"results": {}}))
     assert main(["check-weights", "--delta", "4", "--weights", str(p)]) == 1
     assert "no weight vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,what,results", [
+    ("--weights", "weight vector", {"size": 3}),
+    ("--weights", "weight vector", []),
+    ("--trace", "trace", {"size": 3}),
+    ("--trace", "trace", []),
+    ("--trace", "trace", "lp-weights"),
+], ids=["weights-no-field", "weights-results-list", "trace-no-field", "trace-results-list",
+        "trace-from-lp-weights"])
+def test_report_without_the_field_names_it(flag, what, results, chain_file, tmp_path,
+                                           capsys):
+    # --weights and --trace read a bare value or one field of a run report
+    weights, report = tmp_path / "w.json", tmp_path / "report.json"
+    weights.write_text(json.dumps(TF_VECTOR))
+    if results == "lp-weights":
+        assert main(["lp-weights", "--delta", "4", "--out", str(report)]) == 0
+        capsys.readouterr()
+    else:
+        report.write_text(json.dumps({"results": results}))
+    argv = ["verify-bound", "--in", chain_file, "--trace", str(weights), "--weights", str(weights)]
+    argv[argv.index(flag) + 1] = str(report)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: report JSON carries no {what}\n"
 
 
 def test_usage_errors_exit_2():

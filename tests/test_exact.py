@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from isobound import (Graph, SearchBudgetExceeded, exact, chain,
                       exact_isolation_number, is_isolating, prism_k4,
                       metacirculant_14, random_min_degree_graph, random_regular_graph)
-from isobound.exact import _greedy_cover_seed
+from isobound.exact import _edge_masks, _greedy_cover_seed
 from isobound.greedy import _r5_set
 
 from graphs import complete_graph, cycle_graph, path_graph
@@ -113,12 +113,16 @@ def test_bitmask_search_matches_recursive_search_one_below_and_at_iota():
             assert (got.witness is None) == (cap < iota)
 
 
+def _cover_seed(g):
+    return _greedy_cover_seed(_edge_masks(g), g.num_edges)
+
+
 def test_optimal_seed_is_never_updated():
     # the greedy seed of the 4-copy prism chain already has iota = 8 vertices
     g = chain(prism_k4(), 4)
     res = exact_isolation_number(g)
     assert (res.iota, res.seed_size, res.incumbent_updates) == (8, 8, 0)
-    assert res.witness == tuple(sorted(_greedy_cover_seed(g)))
+    assert res.witness == tuple(sorted(_cover_seed(g)))
     capped = exact_isolation_number(g, size_cap=8)
     assert (capped.seed_size, capped.incumbent_updates) == (None, 1)
     assert exact_isolation_number(Graph(3, [])).seed_size == 0
@@ -127,7 +131,7 @@ def test_optimal_seed_is_never_updated():
 def test_cover_seed_matches_scan_seed_on_corpus():
     for g, _ in _corpus():
         closed = [frozenset({v, *g.neighbors(v)}) for v in range(g.n)]
-        assert _greedy_cover_seed(g) == greedy_cover_seed_by_scan(g, closed)
+        assert _cover_seed(g) == greedy_cover_seed_by_scan(g, closed)
 
 
 def test_lazy_cover_seed_matches_rescan_at_n_2000():
@@ -138,7 +142,7 @@ def test_lazy_cover_seed_matches_rescan_at_n_2000():
     closed = [frozenset({v, *small.neighbors(v)}) for v in range(small.n)]
     assert greedy_cover_seed_by_rescan(small) == greedy_cover_seed_by_scan(small, closed)
     g = random_min_degree_graph(2000, 4, 1)
-    seed = _greedy_cover_seed(g)
+    seed = _cover_seed(g)
     assert seed == greedy_cover_seed_by_rescan(g)
     assert is_isolating(g, seed)
 

@@ -5,7 +5,10 @@ import sys
 from pathlib import Path
 
 import isobound
+from isobound import emit_edge_list, emit_graph6, random_min_degree_graph
 from isobound.cli import main
+
+from graphs import INPUT_FORMS
 
 SRC = Path(isobound.__file__).parent
 
@@ -62,17 +65,21 @@ REPLAY_ALONE = Path(__file__).with_name("replay_alone.py")
 
 def test_trusted_base_runs_alone(tmp_path):
     # the replay script loads graph.py and check.py by path, without the
-    # package, and replays each report's trace as written and forged;
-    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps src/ free of bytecode
-    for fmt in ("graph6", "edgelist"):
-        graph_file, report = tmp_path / f"g.{fmt}", tmp_path / f"{fmt}.json"
-        assert main(["gen", "--random", "min-degree", "--n", "60", "--param", "4", "--seed", "1",
-                     "--format", fmt, "--out", str(graph_file)]) == 0
+    # package, and replays each report's trace as written and forged. It
+    # reads a graph by graph.is_edge_list, the CLI's format rule, so each
+    # form the CLI reads goes through it; -I ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps src/ free of bytecode
+    G = random_min_degree_graph(60, 4, 1)
+    texts = {"graph6": emit_graph6(G) + "\n", "edgelist": emit_edge_list(G),
+             **{form: write(G) for form, write in INPUT_FORMS.items()}}
+    for form, text in texts.items():
+        graph_file, report = tmp_path / f"{form}.txt", tmp_path / f"{form}.json"
+        graph_file.write_bytes(text.encode())
         assert main(["greedy", "--in", str(graph_file), "--delta", "4", "--out", str(report)]) == 0
         run = subprocess.run([sys.executable, "-I", "-S", "-B", str(REPLAY_ALONE), str(SRC),
                               str(graph_file), str(report)],
                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
-        assert run.returncode == 0, run.stderr
+        assert run.returncode == 0, (form, run.stderr)
         genuine, forged = json.loads(run.stdout)
         assert genuine["verified"]
         assert not forged["xi_matches"] and not forged["verified"]
