@@ -137,12 +137,12 @@ def _cmd_exact(args, report: dict) -> int:
         print(f"no isolating set of size <= {args.cap}")
     else:
         print(f"iota = {result.iota}" if args.cap is None
-              else f"isolating set of size {result.iota} <= {args.cap}")
+              else f"isolating set of size {len(result.witness)} <= {args.cap}")
         print(f"witness = {list(result.witness)}")
     print(f"explored = {result.explored}")
     report["input"] = {"graph": _fingerprint(G)}
     report["results"] = {
-        "iota": result.iota if args.cap is None else None,
+        "iota": result.iota,
         "witness": None if result.witness is None else list(result.witness),
         "explored": result.explored,
         "seed_size": result.seed_size,

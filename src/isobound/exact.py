@@ -24,9 +24,9 @@ class ExactResult:
     """Outcome of exact_isolation_number.
 
     Without a size cap, iota is the exact isolation number and witness a
-    minimum isolating set. With size_cap k, witness is some isolating set
-    of size <= k (iota echoes its size, an upper bound only), or both are
-    None when no isolating set of size <= k exists: a certified answer.
+    minimum isolating set. With size_cap k, iota is None (the first set
+    found need not be a minimum), and witness is some isolating set of
+    size <= k, or None when none exists: a certified answer.
     seed_size is the greedy incumbent's size (None under a cap), and
     incumbent_updates counts the leaves that beat the incumbent.
     """
@@ -110,7 +110,7 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     edges = [closed[a] | closed[b] for a, b in G.edges()]
     decision_mode = size_cap is not None
     if not edges:
-        return ExactResult(0, (), 0, None if decision_mode else 0)
+        return ExactResult(None, (), 0) if decision_mode else ExactResult(0, (), 0, 0)
     covers = _edge_masks(G)
 
     best_witness = None if decision_mode else tuple(sorted(_greedy_cover_seed(covers, len(edges))))
@@ -181,5 +181,6 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
         return ExactResult(None, None, explored)
     if not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
-    return ExactResult(len(best_witness), best_witness, explored, seed_size, updates)
+    iota = None if decision_mode else len(best_witness)
+    return ExactResult(iota, best_witness, explored, seed_size, updates)
 

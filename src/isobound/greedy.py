@@ -40,14 +40,14 @@ from fractions import Fraction
 from .check import GreedyRule, GreedyStep, GreedyTrace, WeightVector
 from .graph import Graph
 
-# R1-R4 in the order tried: (rule, vertex pool: White or Blue, lowest and
-# highest White degree); the first row with a hit picks its lowest vertex
+# R1-R4 in the order tried: (rule, vertex pool: 1 for White, 0 for Blue,
+# lowest White degree); the first row with a hit picks its lowest vertex
 _DEGREE_RULES = (
-    (GreedyRule.R1, "whites", 5, math.inf),
-    (GreedyRule.R1, "whites", 4, 4),
-    (GreedyRule.R2, "blues", 5, math.inf),
-    (GreedyRule.R3, "whites", 3, 3),
-    (GreedyRule.R4, "blues", 4, 4),
+    (GreedyRule.R1, 1, 5),
+    (GreedyRule.R1, 1, 4),
+    (GreedyRule.R2, 0, 5),
+    (GreedyRule.R3, 1, 3),
+    (GreedyRule.R4, 0, 4),
 )
 
 
@@ -110,32 +110,20 @@ def _r7_set(G: Graph, comp: tuple[int, ...]) -> frozenset[int]:
     return frozenset(inner)
 
 
-# White degrees at or above _CAP share a row, a histogram bucket and a
-# weight (the highest rows are open-ended, and beta caps at beta_4)
+# White degrees at or above _CAP share a histogram bucket and beta_4
 _CAP = 5
-
-
-def _row_of(pool: str) -> tuple[int, ...]:
-    """Row index of _DEGREE_RULES per White degree 0.._CAP, -1 for none."""
-    return tuple(next((r for r, (_, p, lo, hi) in enumerate(_DEGREE_RULES)
-                       if p == pool and lo <= d <= hi), -1)
-                 for d in range(_CAP + 1))
-
-
-_WHITE_ROW = _row_of("whites")
-_BLUE_ROW = _row_of("blues")
 
 
 class _GreedyEngine:
     """Residual state of one greedy run, updated in the ball around each step.
 
     wdeg[v] counts the White neighbors of every vertex v; white[v] is 1
-    for White, 2 while a step is taking v out of White, 0 otherwise.
-    Adding A dominates N[A], so colors change only within distance 2 of
-    A and White degrees within distance 3. Whites never come back and
-    White degrees only fall. A White vertex is undominated, so white[v]
-    == 1 is all add needs to know of v's domination, and the Whites
-    number sum(white_hist), their count per capped White degree.
+    for White, 0 otherwise. Adding A dominates N[A], so colors change
+    only within distance 2 of A and White degrees within distance 3.
+    Whites never come back and White degrees only fall. A White vertex
+    is undominated, so white[v] is all add needs to know of v's
+    domination, and the Whites number sum(white_hist), their count per
+    capped White degree.
 
     So a vertex's _DEGREE_RULES row only moves to a later row or to
     none (a White turns Blue into a later row), and once rows 0..r-1
@@ -163,6 +151,11 @@ class _GreedyEngine:
        Blue touched only its own), and one upward scan, resuming at the
        last hit, finds every R6 pick, also after an add of any set.
 
+    A row of R1-R4 names only a pool and the lowest White degree. Pool
+    0 is Blue: a non-White vertex with a White neighbor is dominated, as
+    an undominated vertex with an undominated neighbor is White. And
+    rows 0..r-1 are empty while row r is scanned, so a hit in R1's
+    second tier or in R4 has White degree exactly 4, and in R3 exactly 3.
     R7 walks the component of the lowest White vertex, found by an
     upward scan too. Weights are ints over L, and White degrees are
     clamped to _CAP through the per-run lookup list cap.
@@ -172,15 +165,13 @@ class _GreedyEngine:
         n = G.n
         self.G = G
         self.adj = adj = [G.neighbors(v) for v in range(n)]
-        # a vertex with a neighbor is White at the start, so every
-        # neighbor of every vertex is White
+        # at the start every vertex with a neighbor is White: wdeg is the degree
         self.wdeg = [len(a) for a in adj]
         self.white = bytearray(1 if d else 0 for d in self.wdeg)
         # min(d, _CAP) for every White degree d the run can see
         self.cap = cap = [min(d, _CAP) for d in range(max(self.wdeg, default=0) + 1)]
         # Whites and Blues per White degree, capped at _CAP
-        self.white_hist = [0] * (_CAP + 1)
-        self.blue_hist = [0] * (_CAP + 1)
+        self.white_hist, self.blue_hist = [0] * (_CAP + 1), [0] * (_CAP + 1)
         for d in self.wdeg:
             if d:
                 self.white_hist[cap[d]] += 1
@@ -194,14 +185,14 @@ class _GreedyEngine:
         self.r5: list[int] | None = None
 
     def select(self) -> tuple[GreedyRule, frozenset[int]]:
-        white, wdeg, cap, n = self.white, self.wdeg, self.cap, self.G.n
+        white, wdeg, n = self.white, self.wdeg, self.G.n
         while self.r < len(_DEGREE_RULES):
-            r = self.r
+            rule, pool, lo = _DEGREE_RULES[self.r]
             for v in range(self.v, n):
-                if (_WHITE_ROW if white[v] else _BLUE_ROW)[cap[wdeg[v]]] == r:
+                if white[v] == pool and wdeg[v] >= lo:
                     self.v = v
-                    return _DEGREE_RULES[r][0], frozenset((v,))
-            self.r, self.v = r + 1, 0
+                    return rule, frozenset((v,))
+            self.r, self.v = self.r + 1, 0
         if self.r5 is None:
             self.r5 = []
             self._queue(range(n))
@@ -254,31 +245,24 @@ class _GreedyEngine:
         lost = []
         for a in A:
             for v in (a, *adj[a]):
-                if white[v] == 1:
-                    white[v] = 2
+                if white[v]:
+                    # dominated now, and a White vertex has a White neighbor
+                    white[v] = 0
                     white_hist[cap[wdeg[v]]] -= 1
+                    blue_hist[cap[wdeg[v]]] += 1
                     lost.append(v)
-        for u in lost:  # grows while it is read
+        for u in lost:  # grows while it is read; wdeg counts u until its turn
             for w in adj[u]:
                 wdeg[w] -= 1
                 d = cap[wdeg[w]]
-                if white[w] == 1:
-                    white_hist[cap[wdeg[w] + 1]] -= 1
-                    if d:
-                        white_hist[d] += 1
-                    else:
-                        # undominated with no undominated neighbor left
-                        white[w] = 2
-                        lost.append(w)
-                elif white[w] == 0:
-                    blue_hist[cap[wdeg[w] + 1]] -= 1
-                    if d:
-                        blue_hist[d] += 1
-        for v in lost:
-            white[v] = 0
-            # an undominated loss has no White neighbor left
-            if wdeg[v]:
-                blue_hist[cap[wdeg[v]]] += 1
+                hist = white_hist if white[w] else blue_hist
+                hist[cap[wdeg[w] + 1]] -= 1
+                if d:
+                    hist[d] += 1
+                elif white[w]:
+                    # undominated with no undominated neighbor left
+                    white[w] = 0
+                    lost.append(w)
         xi = Fraction(self.omega * len(lost) + sum(
             w * (b - a) for w, b, a in zip(self.blue_weight, blue_before, blue_hist) if b != a),
             self.scale)

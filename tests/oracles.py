@@ -412,6 +412,20 @@ def compute_residual(G: Graph, D: Iterable[int]) -> ResidualState:
     return ResidualState(G, tuple(color), tuple(wdeg), tuple(whites), tuple(blues))
 
 
+def engine_fields(state: ResidualState) -> tuple:
+    """What the package's greedy engine keeps, read off state: the White
+    flags (1 for White, 0 otherwise), the White degrees, and the Whites
+    and the Blues counted per White degree capped at 5."""
+    white = bytearray(len(state.color))
+    for v in state.whites:
+        white[v] = 1
+    hists = ([0] * 6, [0] * 6)
+    for hist, pool in zip(hists, (state.whites, state.blues)):
+        for v in pool:
+            hist[min(state.white_degree[v], 5)] += 1
+    return (white, list(state.white_degree), *hists)
+
+
 def total_weight(state: ResidualState, wv: WeightVector) -> Fraction:
     """Sum of vertex weights: omega per White, beta_i per Blue, 0 per Red."""
     counts = [0, 0, 0, 0]
@@ -658,10 +672,10 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None) -> E
     # unions in search walk the whole table
     closed = [frozenset({v, *G.neighbors(v)}) for v in range(n)]
     edges = list(G.edges())
-    if not edges:
-        return ExactResult(0, (), 0)
-
     decision_mode = size_cap is not None
+    if not edges:
+        return ExactResult(None if decision_mode else 0, (), 0)
+
     if decision_mode:
         best_size = size_cap + 1
         best_witness: tuple[int, ...] | None = None
@@ -716,7 +730,7 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None) -> E
         return ExactResult(None, None, explored)
     if not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
-    return ExactResult(len(best_witness), best_witness, explored)
+    return ExactResult(None if decision_mode else len(best_witness), best_witness, explored)
 
 
 def exact_isolation_number_by_lists(G: Graph, size_cap: int | None = None) -> ExactResult:
@@ -736,7 +750,7 @@ def exact_isolation_number_by_lists(G: Graph, size_cap: int | None = None) -> Ex
     edges = [closed[a] | closed[b] for a, b in G.edges()]
     decision_mode = size_cap is not None
     if not edges:
-        return ExactResult(0, (), 0, None if decision_mode else 0)
+        return ExactResult(None, (), 0) if decision_mode else ExactResult(0, (), 0, 0)
 
     best_witness = None if decision_mode else tuple(sorted(greedy_cover_seed_by_rescan(G)))
     best_size = size_cap + 1 if decision_mode else len(best_witness)
@@ -794,4 +808,5 @@ def exact_isolation_number_by_lists(G: Graph, size_cap: int | None = None) -> Ex
         return ExactResult(None, None, explored)
     if not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
-    return ExactResult(len(best_witness), best_witness, explored, seed_size, updates)
+    iota = None if decision_mode else len(best_witness)
+    return ExactResult(iota, best_witness, explored, seed_size, updates)

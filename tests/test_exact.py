@@ -45,6 +45,16 @@ def test_size_cap_decision_mode():
         exact_isolation_number(g, size_cap=-1)
 
 
+def test_capped_hit_reports_no_iota():
+    # iota is 6, but the first set found under cap 12 has 11 vertices:
+    # an upper bound only, so a capped result names no iota
+    g = random_regular_graph(32, 4, 3)
+    assert exact_isolation_number(g).iota == 6
+    hit = exact_isolation_number(g, size_cap=12)
+    assert hit.iota is None and len(hit.witness) == 11 and is_isolating(g, hit.witness)
+    assert exact_isolation_number(Graph(3, []), size_cap=2) == exact.ExactResult(None, (), 0)
+
+
 def test_budget_error_is_distinct_from_none(monkeypatch):
     g = random_graph(random.Random(5), 14, 0.35)
     monkeypatch.setattr(exact, "NODE_BUDGET", 1)

@@ -16,8 +16,9 @@ from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constr
 from isobound.greedy import _GreedyEngine
 
 from graphs import cycle_graph, path_graph
-from oracles import (compute_residual, degree_row, greedy_isolating_set_from_scratch,
-                     random_graph, select_desirable, total_weight, verify_trace_from_scratch)
+from oracles import (compute_residual, degree_row, engine_fields,
+                     greedy_isolating_set_from_scratch, random_graph, select_desirable,
+                     total_weight, verify_trace_from_scratch)
 
 WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 
@@ -278,9 +279,8 @@ def test_r6_vertex_touching_three_components():
     assert greedy_isolating_set(picked, WV)[1].steps[1].vertices == (1, 12)
 
 
-def _rows(g, D) -> list[int]:
-    state = compute_residual(g, D)
-    return [degree_row(state, v) for v in range(g.n)]
+def _rows(state) -> list[int]:
+    return [degree_row(state, v) for v in range(state.graph.n)]
 
 
 def _only_later(before, after) -> bool:
@@ -291,13 +291,14 @@ def test_degree_rows_only_move_later():
     # the R1-R4 scan rests on this: read off a from-scratch state, a
     # vertex's row only moves to a later row or to none (-1), along a run
     # and across an arbitrary set added at once after some steps; and the
-    # engine, its scan part-way through, still picks what the oracle picks
+    # engine, its scan part-way through, still picks what the oracle picks,
+    # with the oracle's colors, White degrees and histograms after every add
     rng = random.Random(18)
     graphs = [random_graph(rng, rng.randrange(2, 50), rng.uniform(0.03, 0.4)) for _ in range(150)]
     graphs += [random_min_degree_graph(rng.randrange(6, 50), 4, seed) for seed in range(40)]
     for g in graphs:
         engine, D = _GreedyEngine(g, WV), set()
-        rows = _rows(g, D)
+        rows = _rows(compute_residual(g, D))
         arbitrary_after = rng.randrange(g.n)
         while any(engine.white_hist):
             if arbitrary_after == 0:
@@ -307,11 +308,14 @@ def test_degree_rows_only_move_later():
             arbitrary_after -= 1
             D |= A
             engine.add(A)
-            new = _rows(g, D)
+            state = compute_residual(g, D)
+            kept = engine.white, engine.wdeg, engine.white_hist, engine.blue_hist
+            assert kept == engine_fields(state)
+            new = _rows(state)
             assert _only_later(rows, new)
             rows = new
             if any(engine.white_hist):
-                assert engine.select() == select_desirable(compute_residual(g, D))
+                assert engine.select() == select_desirable(state)
 
 
 def test_greedy_and_replay_scale_linearly():

@@ -13,9 +13,10 @@ from isobound import (Graph, Graph6ParseError, GreedyStep, GreedyTrace, WeightVe
 
 from isobound.greedy import _GreedyEngine
 
-from oracles import (compute_residual, emit_graph6_bitwise, greedy_isolating_set_from_scratch,
-                     is_isolating_direct, parse_graph6_bitwise, random_graph,
-                     select_desirable, verify_trace_from_scratch, xi)
+from oracles import (compute_residual, emit_graph6_bitwise, engine_fields,
+                     greedy_isolating_set_from_scratch, is_isolating_direct,
+                     parse_graph6_bitwise, random_graph, select_desirable,
+                     verify_trace_from_scratch, xi)
 
 # fixed examples and no example database keep the suite's time and
 # outcome the same on every run
@@ -337,15 +338,20 @@ def test_engine_matches_oracle_after_arbitrary_adds(G, seed):
     # or two random vertices go in place of the engine's pick and split
     # components anywhere, also once R6 has been reached. The R5 heap's
     # top check and the single R6 scan must still pick what the
-    # from-scratch oracle picks
+    # from-scratch oracle picks, and after every add the engine's colors,
+    # White degrees and histograms must be the oracle's
     rng = random.Random(seed)
     engine, D = _GreedyEngine(G, WV), set()
+    state = compute_residual(G, D)
     while any(engine.white_hist):
         pick = engine.select()
-        assert pick == select_desirable(compute_residual(G, D))
+        assert pick == select_desirable(state)
         A = set(rng.sample(range(G.n), rng.randint(1, 2))) if rng.random() < 0.3 else pick[1]
         D |= A
         engine.add(A)
+        state = compute_residual(G, D)
+        kept = engine.white, engine.wdeg, engine.white_hist, engine.blue_hist
+        assert kept == engine_fields(state)
 
 
 @st.composite
