@@ -15,8 +15,8 @@ from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
 from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
                        certify_special_edge, chain, metacirculant_14, prism_k4)
 from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list, emit_graph6,
-                    girth, parse_edge_list, parse_graph6, random_bipartite_min_degree_graph,
-                    random_min_degree_graph, random_regular_graph)
+                    girth_at_least, parse_edge_list, parse_graph6,
+                    random_bipartite_min_degree_graph, random_min_degree_graph, random_regular_graph)
 from .greedy import greedy_isolating_set
 from .lpweights import build_constraints, solve_min_omega
 
@@ -48,7 +48,7 @@ __all__ = [
     "emit_edge_list",
     "emit_graph6",
     "exact_isolation_number",
-    "girth",
+    "girth_at_least",
     "greedy_isolating_set",
     "is_isolating",
     "metacirculant_14",

@@ -35,8 +35,8 @@ from .check import (GreedyTrace, WeightVector, check_feasible, check_optimality,
                     is_isolating, verify_trace)
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
-from .graph import (GenerationError, Graph, emit_edge_list, emit_graph6, girth,
-                    is_edge_list, parse_edge_list, parse_graph6,
+from .graph import (GenerationError, Graph, emit_edge_list, emit_graph6, girth_at_least,
+                    is_edge_list, parse_edge_list, parse_graph6, random_bipartite_min_degree_graph,
                     random_min_degree_graph, random_regular_graph)
 from .greedy import greedy_isolating_set
 from .lpweights import MIN_GIRTH, VARIANTS, build_constraints, solve_min_omega
@@ -90,12 +90,11 @@ def _cmd_greedy(args, report: dict) -> int:
     S, trace = greedy_isolating_set(G, wv)
     phases.lap("run_s")
     bound = math.floor(wv.omega * G.n)
-    # girth is quadratic on acyclic graphs, so it runs only when the degree
-    # condition holds and the variant asks for a girth above 3, which every
-    # simple graph has; girth None means no cycle, an infinite girth
+    # the short-cycle test runs only when the degree condition holds and
+    # the variant asks for a girth above 3, which every simple graph has
     min_girth = MIN_GIRTH[args.variant]
     precondition = (min(map(G.degree, range(G.n)), default=0) >= args.delta
-                    and (min_girth <= 3 or (girth(G) or math.inf) >= min_girth))
+                    and (min_girth <= 3 or girth_at_least(G, min_girth)))
     isolating = is_isolating(G, S)
     phases.lap("check_s")
     # per fired rule: its steps and the least slack xi - |A| among them
@@ -203,10 +202,14 @@ def _cmd_verify_bound(args, report: dict) -> int:
     phases.lap("load_s")
     outcome = verify_trace(G, trace, wv)
     phases.lap("replay_s")
-    for key, val in outcome.to_json_dict().items():
+    results = outcome.to_json_dict()
+    for key, val in results.items():
         print(f"{key}: {str(val).lower()}")
+    size, bound = len(set(trace.D)), math.floor(wv.omega * G.n)
+    if outcome:  # a verified replay proves |S| <= omega*n
+        print(f"bound: |S| = {size} <= floor(omega*n) = {bound}")
     report["input"] = {"graph": _fingerprint(G), "weights": wv.to_json_dict()}
-    report["results"] = outcome.to_json_dict()
+    report["results"] = {**results, "size": size, "bound": bound}
     phases.lap("report_s")
     report["timing"] = {"phases": phases}
     return 0 if outcome else 1
@@ -219,7 +222,8 @@ def _run_reported(cmd, args) -> int:
     code = cmd(args, report)
     report["timing_seconds"] = time.perf_counter() - t0
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        # compact: with indent, json leaves its C encoder for pure Python
+        Path(args.out).write_text(json.dumps(report, separators=(",", ":")) + "\n")
     return code
 
 
@@ -239,10 +243,9 @@ def _cmd_gen(args) -> int:
         if missing:
             print(f"error: --random requires {', '.join(missing)}", file=sys.stderr)
             return 2
-        if args.random == "min-degree":
-            G = random_min_degree_graph(args.n, args.param, args.seed)
-        else:
-            G = random_regular_graph(args.n, args.param, args.seed)
+        make = {"min-degree": random_min_degree_graph, "regular": random_regular_graph,
+                "bipartite-min-degree": random_bipartite_min_degree_graph}[args.random]
+        G = make(args.n, args.param, args.seed)
     text = emit_edge_list(G) if args.graph_format == "edgelist" else emit_graph6(G) + "\n"
     if args.graph_out:
         Path(args.graph_out).write_text(text)
@@ -281,7 +284,7 @@ def _check_weights_args(p):
 def _gen_args(p):
     p.add_argument("--family", choices=("prism-chain", "meta-chain"))
     p.add_argument("--s", type=int, help="copies in the chained family")
-    p.add_argument("--random", choices=("min-degree", "regular"))
+    p.add_argument("--random", choices=("min-degree", "regular", "bipartite-min-degree"))
     p.add_argument("--n", type=int)
     p.add_argument("--param", type=int, help="degree bound / regularity degree")
     p.add_argument("--seed", type=int)

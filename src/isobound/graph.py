@@ -1,5 +1,5 @@
-"""Core graph type, graph6 / edge-list IO, girth, and seeded random
-generators.
+"""Core graph type, graph6 / edge-list IO, a short-cycle test, and seeded
+random generators.
 
 Vertices are dense integer indices 0..n-1. A Graph is immutable after
 construction and safe to share between concurrent workers.
@@ -7,6 +7,7 @@ construction and safe to share between concurrent workers.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt
 from random import Random
 from typing import Iterable, Iterator
@@ -90,32 +91,28 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def girth(G: Graph) -> int | None:
-    """Length of a shortest cycle, or None if the graph is acyclic.
+def girth_at_least(G: Graph, g: int) -> bool:
+    """Whether G has no cycle shorter than g, for g <= 5.
 
-    One BFS per root; the minimum over roots of the first non-tree edge
-    closure is exact for unweighted graphs. u closes only edges to vertices
-    no nearer the root: one to a nearer w is u's tree edge or w closed it.
+    O(sum of squared degrees) in C-level set work, with no BFS. A
+    triangle is an edge whose ends share a neighbor. A C4 through v is a
+    vertex other than v next to two of v's neighbors: the list of their
+    neighbors holds it twice (and v once per neighbor).
     """
-    n, neighbors = G.n, G.neighbors
-    best = n + 1  # longer than any cycle
-    dist = [-1] * n  # shared by all roots: each BFS resets what it set
-    for root in range(n):
-        dist[root] = 0
-        queue = [root]
-        for u in queue:  # grows while it is read
-            du = dist[u]
-            if 2 * du >= best:
-                break
-            for v in neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
-                elif dist[v] >= du and du + dist[v] + 1 < best:
-                    best = du + dist[v] + 1
-        for v in queue:
-            dist[v] = -1
-    return best if best <= n else None
+    if g > 5:
+        raise ValueError(f"girth_at_least decides g <= 5, got {g}")
+    adj = G._adj
+    if g > 3:
+        nbr_sets = list(map(set, adj))
+        for u, v in G.edges():
+            if not nbr_sets[u].isdisjoint(adj[v]):
+                return False
+    if g > 4:
+        for nbrs in adj:  # a vertex of degree 0 or 1 lies on no cycle
+            two = list(chain.from_iterable(map(adj.__getitem__, nbrs)))
+            if len(nbrs) > 1 and len(set(two)) != len(two) - len(nbrs) + 1:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

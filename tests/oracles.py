@@ -8,7 +8,8 @@ its weight computed from scratch, a greedy and a trace replay that
 recompute the whole residual state after every step, the greedy's R5
 set from a relabeled copy of its component, and the exact solver as a
 recursion over frozensets without a packing bound and as the bitmask
-search that builds every node's alive-edge list. Slow but trustworthy.
+search that builds every node's alive-edge list, and the girth by one
+BFS per root. Slow but trustworthy.
 """
 
 from __future__ import annotations
@@ -59,6 +60,35 @@ def triangles(G: Graph) -> list[tuple[int, int, int]]:
             if w > v and G.has_edge(v, w):
                 out.append((u, v, w))
     return out
+
+
+def girth(G: Graph) -> int | None:
+    """Length of a shortest cycle, or None if the graph is acyclic: the
+    slow path that girth_at_least replaces in the CLI's precondition.
+
+    One BFS per root; the minimum over roots of the first non-tree edge
+    closure is exact for unweighted graphs. u closes only edges to vertices
+    no nearer the root: one to a nearer w is u's tree edge or w closed it.
+    """
+    n, neighbors = G.n, G.neighbors
+    best = n + 1  # longer than any cycle
+    dist = [-1] * n  # shared by all roots: each BFS resets what it set
+    for root in range(n):
+        dist[root] = 0
+        queue = [root]
+        for u in queue:  # grows while it is read
+            du = dist[u]
+            if 2 * du >= best:
+                break
+            for v in neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = du + 1
+                    queue.append(v)
+                elif dist[v] >= du and du + dist[v] + 1 < best:
+                    best = du + dist[v] + 1
+        for v in queue:
+            dist[v] = -1
+    return best if best <= n else None
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

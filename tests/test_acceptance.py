@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 from isobound import (WeightVector, build_constraints, chain,
                       certify_special_edge, check_feasible,
-                      exact_isolation_number, girth,
+                      exact_isolation_number,
                       greedy_isolating_set, is_isolating,
                       metacirculant_14, prism_k4,
                       random_bipartite_min_degree_graph, random_min_degree_graph,
@@ -21,8 +21,8 @@ from isobound import (WeightVector, build_constraints, chain,
 from isobound.greedy import _r5_set
 
 from graphs import cycle_graph, is_connected, path_graph
-from oracles import (Color, brute_force_isolation, compute_residual, is_isolating_direct,
-                     random_graph)
+from oracles import (Color, brute_force_isolation, compute_residual, girth,
+                     is_isolating_direct, random_graph)
 
 GOLDEN = (
     (4, "general", F(13, 41)),

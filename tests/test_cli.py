@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from isobound import (chain, cli, emit_edge_list, emit_graph6, prism_k4,
-                      random_min_degree_graph)
+                      random_bipartite_min_degree_graph, random_min_degree_graph)
 from isobound.cli import main
 
 from graphs import INPUT_FORMS, complete_graph, path_graph
@@ -138,17 +138,43 @@ def test_greedy_runs_girth_only_for_a_girth_variant(chain_file, monkeypatch, cap
     # every simple graph has girth >= 3, so the general variant needs no pass
     calls = []
 
-    def counted_girth(G):
-        calls.append(G.n)
-        return 4
+    def counted_girth_at_least(G, g):
+        calls.append((G.n, g))
+        return True
 
-    monkeypatch.setattr(cli, "girth", counted_girth)
+    monkeypatch.setattr(cli, "girth_at_least", counted_girth_at_least)
     assert main(["greedy", "--in", chain_file, "--delta", "4"]) == 0
     assert "precondition (min degree >= 4, general): true" in capsys.readouterr().out
     assert calls == []
     main(["greedy", "--in", chain_file, "--delta", "4", "--variant", "triangle-free"])
     assert "triangle-free): true" in capsys.readouterr().out
-    assert calls == [16]
+    assert calls == [(16, 4)]
+    main(["greedy", "--in", chain_file, "--delta", "4", "--variant", "girth5"])
+    assert "girth5): true" in capsys.readouterr().out
+    assert calls == [(16, 4), (16, 5)]
+
+
+def test_verify_bound_states_the_bound_it_proves(chain_file, tmp_path, capsys):
+    run, ver = tmp_path / "run.json", tmp_path / "ver.json"
+    assert main(["greedy", "--in", chain_file, "--delta", "4", "--out", str(run)]) == 0
+    greedy = json.loads(run.read_text())["results"]
+    capsys.readouterr()
+    assert main(["verify-bound", "--in", chain_file, "--trace", str(run),
+                 "--weights", str(run), "--out", str(ver)]) == 0
+    size, bound = greedy["size"], greedy["bound"]
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "verified: true", f"bound: |S| = {size} <= floor(omega*n) = {bound}"]
+    results = json.loads(ver.read_text())["results"]
+    assert (results["size"], results["bound"]) == (size, bound)
+    # a replay that fails proves nothing, so it states no bound
+    report = json.loads(run.read_text())
+    step = report["results"]["trace"]["steps"][0]
+    step["xi"] = str(Fraction(step["xi"]) + Fraction(1, 1000003))
+    run.write_text(json.dumps(report))
+    assert main(["verify-bound", "--in", chain_file, "--trace", str(run),
+                 "--weights", str(run)]) == 1
+    out = capsys.readouterr().out
+    assert "verified: false" in out and "bound:" not in out
 
 
 def test_verify_rejects_repeated_vertex_in_a_step(chain_file, tmp_path, capsys):
@@ -408,7 +434,7 @@ def test_gen_flag_validation(tmp_path, capsys):
     assert main(["gen", "--random", "regular", "--n", "10"]) == 2
     err = capsys.readouterr().err
     assert "--param" in err and "--seed" in err
-    for kind in ("min-degree", "regular"):
+    for kind in ("min-degree", "regular", "bipartite-min-degree"):
         assert main(["gen", "--random", kind, "--n", "10", "--param", "-4",
                      "--seed", "1"]) == 1
         err = capsys.readouterr().err
@@ -419,6 +445,40 @@ def test_gen_flag_validation(tmp_path, capsys):
         assert main(["gen"] + oversized) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_bipartite_feeds_the_triangle_free_bound(tmp_path, capsys):
+    # the CLI builds an input for the 3/10 claim end to end
+    graph, weights, run = tmp_path / "g.txt", tmp_path / "w.json", tmp_path / "run.json"
+    assert main(["gen", "--random", "bipartite-min-degree", "--n", "60", "--param", "4",
+                 "--seed", "5", "--format", "edgelist", "--out", str(graph)]) == 0
+    assert graph.read_text() == emit_edge_list(random_bipartite_min_degree_graph(60, 4, 5))
+    weights.write_text(json.dumps(TF_VECTOR))
+    assert main(["greedy", "--in", str(graph), "--delta", "4", "--variant", "triangle-free",
+                 "--weights", str(weights), "--out", str(run)]) == 0
+    assert "precondition (min degree >= 4, triangle-free): true" in capsys.readouterr().out
+    assert main(["verify-bound", "--in", str(graph), "--trace", str(run),
+                 "--weights", str(weights)]) == 0
+    assert "bound: |S| = " in capsys.readouterr().out
+
+
+def test_every_report_is_one_compact_json_line(prism_file, chain_file, tmp_path):
+    lp, run = tmp_path / "lp.json", tmp_path / "run.json"
+    calls = {
+        lp: ["lp-weights", "--delta", "4"],
+        tmp_path / "check.json": ["check-weights", "--delta", "4", "--weights", str(lp)],
+        tmp_path / "exact.json": ["exact", "--in", chain_file, "--cap", "3"],
+        run: ["greedy", "--in", chain_file, "--delta", "4", "--weights", str(lp)],
+        tmp_path / "verify.json": ["verify-bound", "--in", chain_file, "--trace", str(run),
+                                   "--weights", str(lp)],
+        tmp_path / "edge.json": ["certify-edge", "--in", prism_file,
+                                 "--x", "0", "--y", "4", "--b", "2"],
+    }
+    assert {argv[0] for argv in calls.values()} == set(cli.COMMANDS) - {"gen"}
+    for out, argv in calls.items():
+        assert main([*argv, "--out", str(out)]) == 0, argv[0]
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", argv[0]
 
 
 def test_gen_edgelist_route_matches_graph6(tmp_path, capsys):

@@ -2,13 +2,14 @@ import pytest
 
 from isobound import (Gadget, GadgetCertificate, Graph, ORACLE_ORDER_LIMIT,
                       chain, certify_special_edge,
-                      exact_isolation_number, girth,
+                      exact_isolation_number,
                       metacirculant_14, prism_k4)
 
 from isobound.graph import MAX_ORDER
 
 from graphs import complete_graph, is_connected
-from oracles import brute_force_isolation, exact_isolation_number_recursive, triangles
+from oracles import (brute_force_isolation, exact_isolation_number_recursive, girth,
+                     triangles)
 
 
 def test_prism_structure():

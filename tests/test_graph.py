@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 import sys
 import time
 import tracemalloc
@@ -7,15 +8,15 @@ import networkx as nx
 import pytest
 
 from isobound import (GenerationError, Graph, Graph6ParseError,
-                      emit_edge_list, emit_graph6, girth,
-                      parse_edge_list, parse_graph6,
+                      emit_edge_list, emit_graph6, girth_at_least, metacirculant_14,
+                      parse_edge_list, parse_graph6, prism_k4,
                       random_bipartite_min_degree_graph, random_min_degree_graph,
                       random_regular_graph)
 
 from isobound.graph import MAX_ORDER
 
 from graphs import complete_graph, cycle_graph, is_connected, path_graph
-from oracles import parse_graph6_bitwise, random_graph, triangles
+from oracles import girth, parse_graph6_bitwise, random_graph, triangles
 
 
 def test_from_edge_list_basic():
@@ -197,6 +198,52 @@ def test_profile_acyclic_and_triangles():
         assert (got != 3) == (len(triangles(g)) == 0)
         ref = nx.girth(nx.Graph([e for e in g.edges()]) if g.num_edges else nx.empty_graph(g.n))
         assert (got if got is not None else float("inf")) == ref
+
+
+def _petersen() -> Graph:
+    # outer 5-cycle, spokes, inner pentagram
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _random_forest(rng: random.Random, n: int) -> Graph:
+    # each vertex joins an earlier one or starts a tree, so some stay isolated
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.7])
+
+
+def _random_high_girth(rng: random.Random, n: int) -> Graph:
+    # random edges that close no triangle or C4, then maybe one that may
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for _ in range(2 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and all(adj[u].isdisjoint(adj[w]) for w in adj[v] | {v}):
+            adj[u].add(v)
+            adj[v].add(u)
+    extra = [tuple(rng.sample(range(n), 2))] if n > 1 and rng.random() < 0.5 else []
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u]] + extra)
+
+
+def test_girth_at_least_matches_the_bfs_girth():
+    # the set-based test against the one-BFS-per-root oracle, for every g
+    # it decides, on forests (no cycle), sparse and dense random graphs,
+    # graphs grown without a triangle or C4 but for one last random edge,
+    # and one named graph of girth 3, 4 and 5
+    named = [prism_k4().F, metacirculant_14().F, _petersen()]
+    assert [girth(G) for G in named] == [3, 4, 5]
+    rng = random.Random(11)
+    makers = (_random_forest, _random_high_girth,
+              lambda rng, n: random_graph(rng, n, rng.uniform(1, 4) / max(n, 1)),
+              lambda rng, n: random_graph(rng, n, rng.uniform(0.15, 0.6)))
+    graphs = named + [makers[i % 4](rng, rng.randrange(41)) for i in range(2400)]
+    seen = Counter()
+    for G in graphs:
+        ref = girth(G) or float("inf")
+        seen[min(ref, 6)] += 1
+        assert [girth_at_least(G, g) for g in (3, 4, 5)] == [ref >= g for g in (3, 4, 5)], G
+    # girth 3, 4, 5 and above each occur often enough to be tested
+    assert min(seen[g] for g in (3, 4, 5, 6)) >= 100, seen
+    with pytest.raises(ValueError):
+        girth_at_least(_petersen(), 6)
 
 
 def test_profile_disconnected():
