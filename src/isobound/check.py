@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -241,18 +241,10 @@ class TraceVerification:
     header_ok: bool
 
     def __bool__(self) -> bool:
-        return (self.xi_matches and self.desirable and self.isolating
-                and self.partition_ok and self.header_ok)
+        return all(astuple(self))
 
     def to_json_dict(self) -> dict:
-        return {
-            "xi_matches": self.xi_matches,
-            "desirable": self.desirable,
-            "isolating": self.isolating,
-            "partition_ok": self.partition_ok,
-            "header_ok": self.header_ok,
-            "verified": bool(self),
-        }
+        return {**asdict(self), "verified": bool(self)}
 
 
 def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerification:
@@ -264,6 +256,13 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     inside N[N[A]]. The weight change is summed over N[A], the vertices
     that stopped being White and their neighbors: no other vertex
     changes color or White degree.
+
+    Whatever the trace says, the updates keep two facts, so no test
+    below asks whether v is dominated. A White vertex is never
+    dominated: a newly dominated vertex lies in N[A] and stops being
+    White. A non-White vertex with a White neighbor is dominated: an
+    undominated vertex stops being White only once all its neighbors
+    are dominated, hence not White, and none turns White again.
 
     Drops are summed as integers over the replay's own L: a claimed
     xi = p/q matches iff drop*q == p*L, and A is desirable iff
@@ -294,7 +293,7 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
         for v in vs:
             if white[v]:
                 counts[0] += 1
-            elif dominated[v] and white_nbrs[v]:
+            elif white_nbrs[v]:
                 counts[klass[white_nbrs[v]]] += 1
         return counts
 
@@ -318,8 +317,7 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
             ball.update(nbrs(v))
         stopped = []
         for v in ball:
-            if white[v] and (dominated[v] or v in near
-                             or all(dominated[u] or u in near for u in nbrs(v))):
+            if white[v] and (v in near or all(dominated[u] or u in near for u in nbrs(v))):
                 stopped.append(v)
         touched = near.union(stopped)
         for v in stopped:

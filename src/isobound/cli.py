@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 # hashlib maps OpenSSL, about 3.5 MB resident, so prefer the lean
@@ -140,14 +141,7 @@ def _cmd_exact(args, report: dict) -> int:
         print(f"witness = {list(result.witness)}")
     print(f"explored = {result.explored}")
     report["input"] = {"graph": _fingerprint(G)}
-    report["results"] = {
-        "iota": result.iota,
-        "witness": None if result.witness is None else list(result.witness),
-        "explored": result.explored,
-        "seed_size": result.seed_size,
-        "incumbent_updates": result.incumbent_updates,
-        "size_cap": args.cap,
-    }
+    report["results"] = {**asdict(result), "size_cap": args.cap}
     return 0
 
 

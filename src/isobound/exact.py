@@ -99,7 +99,11 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     bounds nodes, not time or memory: prism chains spend it in about
     39 s on 80 vertices and 580 s on 800. Without a cap the incumbent
     seed runs first, unbudgeted: a lazy greedy re-scoring few vertices
-    per pick (0.2 s at n = 5,000, minimum degree 4; 7 s rescanning all).
+    per pick. It pays where the search ends at the root (explored = 1):
+    a 5,000-vertex perfect matching takes 0.03 s and 1,000 disjoint K5's
+    0.07 s, against about 2 s each when every pick rescans every vertex.
+    On a random graph the search dominates: at n = 2,000 it takes 10-15
+    minutes to use up NODE_BUDGET.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")

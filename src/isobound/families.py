@@ -10,7 +10,7 @@ certificate covers exactly those four situations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .exact import exact_isolation_number
 from .graph import Graph, check_order
@@ -62,15 +62,8 @@ class GadgetCertificate:
         return s * self.b
 
     def to_json_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "iota_f": self.iota_f,
-            "iota_f_minus_x": self.iota_f_minus_x,
-            "iota_f_minus_y": self.iota_f_minus_y,
-            "iota_f_minus_xy": self.iota_f_minus_xy,
-            "valid": self.valid,
-            "chain_lower_bound_per_copy": self.b if self.valid else None,
-        }
+        return {**asdict(self), "valid": self.valid,
+                "chain_lower_bound_per_copy": self.b if self.valid else None}
 
 
 def prism_k4() -> Gadget:

@@ -337,9 +337,9 @@ def random_min_degree_graph(n: int, delta: int, seed: int) -> Graph:
     stubs = [v for v in range(n) for _ in range(delta)]
     rng.shuffle(stubs)
     adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u != v and v not in adj[u]:
+    it = iter(stubs)
+    for u, v in zip(it, it):
+        if u != v:
             adj[u].add(v)
             adj[v].add(u)
     for v in range(n):

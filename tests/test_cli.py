@@ -356,19 +356,23 @@ def test_exact_cap_hit_prints_a_size_not_iota(tmp_path, capsys):
 
 def test_reports_hold_every_key_the_benchmark_reads(prism_file, chain_file, tmp_path):
     # bench/workloads.py checks each run through these "results" keys, so
-    # a report that drops one would fail the benchmark, not these tests
+    # a report that drops one would fail the benchmark, not these tests.
+    # A list is the whole key list, in order: those results are derived
+    # from a record's fields, so a new field must show up here
     runs = {
         "lp-weights": (["--delta", "4"], {"status", "optimal_omega", "witness",
                                           "tight_rows", "tight_row_tags"}),
         "check-weights": (["--delta", "4", "--weights", "{lp}"], {"feasible", "violations"}),
-        "exact": (["--in", chain_file, "--cap", "3"], {"iota", "witness", "size_cap"}),
+        "exact": (["--in", chain_file, "--cap", "3"],
+                  ["iota", "witness", "explored", "seed_size", "incumbent_updates", "size_cap"]),
         "greedy": (["--in", chain_file, "--delta", "4", "--weights", "{lp}"],
                    {"set", "size", "bound", "isolating", "precondition", "trace"}),
         "verify-bound": (["--in", chain_file, "--trace", "{greedy}", "--weights", "{lp}"],
-                         {"verified"}),
+                         ["xi_matches", "desirable", "isolating", "partition_ok", "header_ok",
+                          "verified", "size", "bound"]),
         "certify-edge": (["--in", prism_file, "--x", "0", "--y", "4", "--b", "2"],
-                         {"iota_f", "iota_f_minus_x", "iota_f_minus_y", "iota_f_minus_xy",
-                          "valid"}),
+                         ["b", "iota_f", "iota_f_minus_x", "iota_f_minus_y", "iota_f_minus_xy",
+                          "valid", "chain_lower_bound_per_copy"]),
     }
     results = {}
     for command, (args, keys) in runs.items():
@@ -377,7 +381,10 @@ def test_reports_hold_every_key_the_benchmark_reads(prism_file, chain_file, tmp_
                 for a in args]
         assert main([command, *args, "--out", str(out)]) == 0, command
         results[command] = json.loads(out.read_text())["results"]
-        assert keys <= results[command].keys(), command
+        if isinstance(keys, list):
+            assert list(results[command]) == keys, command
+        else:
+            assert keys <= results[command].keys(), command
     trace = results["greedy"]["trace"]
     assert {"n", "final_set", "initial_weight", "steps"} <= trace.keys()
     assert trace["steps"] and all({"rule", "set", "xi"} <= s.keys() for s in trace["steps"])

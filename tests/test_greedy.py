@@ -181,6 +181,11 @@ def test_trace_json_roundtrip():
     assert back == trace
     with pytest.raises(ValueError, match="missing"):
         GreedyTrace.from_json_dict({"steps": []})
+    with pytest.raises(ValueError, match="must be an object"):
+        GreedyTrace.from_json_dict([1, 2])
+    d["steps"][0]["rule"] = "R9"
+    with pytest.raises(ValueError, match="unknown rule 'R9'"):
+        GreedyTrace.from_json_dict(d)
 
 
 def test_verify_trace_accepts_own_output():

@@ -171,8 +171,11 @@ def test_row_evaluate_and_str():
 
 
 def test_weight_json_rejects_bad_rationals():
+    assert parse_rational("1/" + "7" * 998) == F(1, int("7" * 998))  # 1,000 characters
     with pytest.raises(ValueError, match="longer than 1000 characters"):
         parse_rational("1" * 1001)
+    with pytest.raises(ValueError, match="must be an object"):
+        WeightVector.from_json_dict([1, 2])
     for omega in ([1], "1/0"):
         d = dict(KNOWN_TF.to_json_dict(), omega=omega)
         with pytest.raises(ValueError, match="malformed weight vector JSON"):
