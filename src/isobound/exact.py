@@ -27,8 +27,9 @@ class ExactResult:
     minimum isolating set. With size_cap k, iota is None (the first set
     found need not be a minimum), and witness is some isolating set of
     size <= k, or None when none exists: a certified answer.
-    seed_size is the greedy incumbent's size (None under a cap), and
-    incumbent_updates counts the leaves that beat the incumbent.
+    seed_size is the greedy incumbent's size (None under a cap),
+    incumbent_updates counts the leaves that beat the incumbent, and
+    dominated the candidates that frames dropped as dominated, never tried.
     """
 
     iota: int | None
@@ -36,6 +37,7 @@ class ExactResult:
     explored: int
     seed_size: int | None = None
     incumbent_updates: int = 0
+    dominated: int = 0
 
 
 def _edge_masks(G: Graph) -> list[int]:
@@ -80,30 +82,50 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     are those of the search without this bound. Alive edges are kept as
     a mask, cut by covers[v] (the edges v covers), and as the list of
     their candidate sets, which the packing scans; within two of the
-    incumbent, the root included, the list is skipped. One below, a node
-    is a leaf or closed. Two below, a child survives only as a leaf, so
-    the node keeps just the unbanned candidates w of its lowest alive
-    edge with mask ⊆ covers[w], and packing 1. The packing scan would
-    decide alike: if such a w exists, every unbanned candidate set holds
-    it, so the greedy packing is 1 and cutting the pick to the candidates
-    common to all alive edges leaves exactly these w; if none does, the
-    packing is at least 2 or that cut is empty. So the children, their
-    order and bans, and every output are those of the full scan. No
-    alive edge ever runs out of unbanned candidates, so no node needs a
-    closure for that: the root bans nothing; a frame branches on an edge
-    with the fewest unbanned candidates, so every alive edge has at
-    least |todo| of them; and its child i bans only the i < |todo|
-    siblings tried before it. Random 4-regular graphs take 0.01-0.04 s
-    at n = 40 and 1.0-1.5 s at n = 56 (2-core machine, Python 3.11).
-    Raises SearchBudgetExceeded past NODE_BUDGET search nodes, which
-    bounds nodes, not time or memory: prism chains spend it in about
-    39 s on 80 vertices and 580 s on 800. Without a cap the incumbent
-    seed runs first, unbudgeted: a lazy greedy re-scoring few vertices
-    per pick. It pays where the search ends at the root (explored = 1):
-    a 5,000-vertex perfect matching takes 0.03 s and 1,000 disjoint K5's
-    0.07 s, against about 2 s each when every pick rescans every vertex.
-    On a random graph the search dominates: at n = 2,000 it takes 10-15
-    minutes to use up NODE_BUDGET.
+    incumbent, the root included, the list is skipped.
+
+    Three or more below, a frame that survives the packing drops
+    dominated candidates. It visits the candidates u of its edge by
+    alive cover covers[u] & mask, widest first and lowest index first
+    among equal covers, and keeps u only if no kept cover contains u's.
+    So u is dropped exactly when another candidate v covers every alive
+    edge u covers, and more of them or v < u: v comes first and is kept,
+    or dropped for a kept cover that holds v's and so u's. This loses no
+    answer. A set under the frame meets its edge. If it holds no kept
+    candidate, it holds a dropped u, and swapping u for a kept candidate
+    whose alive cover holds u's gives a set no larger that still covers
+    every alive edge. A set holding a kept candidate lies in the subtree
+    of its lowest one, and no ban excludes it: a child bans only the
+    kept candidates tried before it, and a dropped candidate, never
+    tried, is never banned. So ι and every decision answer are those of
+    the search without the rule; the witness may differ.
+
+    One below, a node is a leaf or closed. Two below, a child survives
+    only as a leaf, so the node keeps just the unbanned candidates w of
+    its lowest alive edge with mask ⊆ covers[w], and packing 1. The
+    packing scan would decide alike: if such a w exists, every unbanned
+    candidate set holds it, so the greedy packing is 1 and cutting the
+    pick to the candidates common to all alive edges leaves exactly
+    these w; if none does, the packing is at least 2 or that cut is
+    empty. So the children, their order and bans are those of the full
+    scan. No alive edge ever runs out of unbanned candidates, so no node
+    needs a closure for that: the root bans nothing; a frame branches on
+    an edge with the fewest unbanned candidates, pick, and keeps
+    |todo| ≤ |pick| of them (two below, each covers every alive edge),
+    so every alive edge has at least |todo| unbanned candidates; and its
+    child i bans only the i < |todo| siblings tried before it.
+
+    Random 4-regular graphs take 0.01-0.04 s at n = 40 and 0.6-1.0 s at
+    n = 56 (2-core machine, Python 3.11), and the prism chain on 48
+    vertices 11k nodes (0.06 s). Raises SearchBudgetExceeded past
+    NODE_BUDGET search nodes, which bounds nodes, not time or memory:
+    prism chains spend it in about 15 s on 80 vertices and 20 s on 800.
+    Without a cap the incumbent seed runs first, unbudgeted: a lazy
+    greedy re-scoring few vertices per pick. It pays where the search
+    ends at the root (explored = 1): a 5,000-vertex perfect matching
+    takes 0.03 s and 1,000 disjoint K5's 0.07 s, against about 2 s each
+    when every pick rescans every vertex. On a random graph the search
+    dominates: at n = 2,000 it takes 10-15 minutes to use up NODE_BUDGET.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
@@ -121,7 +143,7 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     best_size = size_cap + 1 if decision_mode else len(best_witness)
     seed_size = None if decision_mode else best_size
 
-    explored = updates = 0
+    explored = updates = dominated = 0
     chosen: list[int] = []
     # frame d = [alive edges, alive mask, untried candidates, banned,
     # packing] after d choices; within two of the incumbent no alive list
@@ -163,7 +185,26 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
                     used |= cand
                     packing += 1
             if len(chosen) + packing < best_size:
-                stack.append([alive, mask, pick, banned, packing])
+                # keep the candidates whose alive cover no kept one holds,
+                # widest first and lowest index among equal covers
+                ranked = []
+                while pick:
+                    low = pick & -pick
+                    pick ^= low
+                    v = low.bit_length() - 1
+                    cover = covers[v] & mask
+                    ranked.append((-cover.bit_count(), v, cover))
+                ranked.sort()
+                todo, kept = 0, []
+                for _, v, cover in ranked:
+                    for wider in kept:
+                        if cover & wider == cover:
+                            dominated += 1
+                            break
+                    else:
+                        kept.append(cover)
+                        todo |= 1 << v
+                stack.append([alive, mask, todo, banned, packing])
         # descend into the lowest untried candidate of the deepest live frame
         while stack:
             alive, mask, todo, banned, packing = frame = stack[-1]
@@ -182,9 +223,9 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
             break
 
     if best_witness is None:
-        return ExactResult(None, None, explored)
+        return ExactResult(None, None, explored, dominated=dominated)
     if not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
     iota = None if decision_mode else len(best_witness)
-    return ExactResult(iota, best_witness, explored, seed_size, updates)
+    return ExactResult(iota, best_witness, explored, seed_size, updates, dominated)
 

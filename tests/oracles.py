@@ -770,7 +770,9 @@ def exact_isolation_number_by_lists(G: Graph, size_cap: int | None = None) -> Ex
     per-vertex edge masks instead; this is the search it replaced, with
     the greedy packing bound at every node and, two below the incumbent,
     the filter that keeps only the candidates common to all alive edges.
-    It must agree with the package on all five ExactResult fields.
+    It branches on every unbanned candidate, with no dominance rule, so
+    the package must agree with it on iota, on each decision answer and
+    on seed_size, with an isolating witness and no more nodes.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")

@@ -86,7 +86,7 @@ def test_exact_report_counts_incumbent_updates(tmp_path, capsys):
     assert (results["seed_size"], results["incumbent_updates"]) == (8, 0)
     # stdout keeps its three lines; the new counts are in the report only
     assert capsys.readouterr().out.splitlines() == [
-        "iota = 8", f"witness = {results['witness']}", "explored = 10033"]
+        "iota = 8", f"witness = {results['witness']}", "explored = 494"]
 
 
 def test_greedy_below_precondition_still_isolates(tmp_path, capsys):
@@ -339,7 +339,7 @@ def test_exact_search_deeper_than_the_recursion_limit_answers(tmp_path, capsys):
 
 
 def test_exact_cap_hit_prints_a_size_not_iota(tmp_path, capsys):
-    # iota is 6, but the first set the search finds under cap 12 has 11
+    # iota is 6, but the first set the search finds under cap 12 has 8
     # vertices, which bounds iota from above only
     p, out = tmp_path / "reg.g6", tmp_path / "r.json"
     assert main(["gen", "--random", "regular", "--n", "32", "--param", "4", "--seed", "3",
@@ -349,8 +349,8 @@ def test_exact_cap_hit_prints_a_size_not_iota(tmp_path, capsys):
     assert main(["exact", "--in", str(p), "--cap", "12", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     results = json.loads(out.read_text())["results"]
-    assert lines[0] == "isolating set of size 11 <= 12"
-    assert lines[1] == f"witness = {results['witness']}" and len(results["witness"]) == 11
+    assert lines[0] == "isolating set of size 8 <= 12"
+    assert lines[1] == f"witness = {results['witness']}" and len(results["witness"]) == 8
     assert results["iota"] is None and results["size_cap"] == 12
 
 
@@ -364,7 +364,8 @@ def test_reports_hold_every_key_the_benchmark_reads(prism_file, chain_file, tmp_
                                           "tight_rows", "tight_row_tags"}),
         "check-weights": (["--delta", "4", "--weights", "{lp}"], {"feasible", "violations"}),
         "exact": (["--in", chain_file, "--cap", "3"],
-                  ["iota", "witness", "explored", "seed_size", "incumbent_updates", "size_cap"]),
+                  ["iota", "witness", "explored", "seed_size", "incumbent_updates", "dominated",
+                   "size_cap"]),
         "greedy": (["--in", chain_file, "--delta", "4", "--weights", "{lp}"],
                    {"set", "size", "bound", "isolating", "precondition", "trace"}),
         "verify-bound": (["--in", chain_file, "--trace", "{greedy}", "--weights", "{lp}"],

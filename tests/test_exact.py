@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isobound import (Graph, SearchBudgetExceeded, exact, chain,
-                      exact_isolation_number, is_isolating, prism_k4,
+from isobound import (Graph, GadgetCertificate, SearchBudgetExceeded, exact, chain,
+                      certify_special_edge, exact_isolation_number, is_isolating, prism_k4,
                       metacirculant_14, random_min_degree_graph, random_regular_graph)
 from isobound.exact import _edge_masks, _greedy_cover_seed
 from isobound.greedy import _r5_set
@@ -46,12 +46,12 @@ def test_size_cap_decision_mode():
 
 
 def test_capped_hit_reports_no_iota():
-    # iota is 6, but the first set found under cap 12 has 11 vertices:
+    # iota is 6, but the first set found under cap 12 has 8 vertices:
     # an upper bound only, so a capped result names no iota
     g = random_regular_graph(32, 4, 3)
     assert exact_isolation_number(g).iota == 6
     hit = exact_isolation_number(g, size_cap=12)
-    assert hit.iota is None and len(hit.witness) == 11 and is_isolating(g, hit.witness)
+    assert hit.iota is None and len(hit.witness) == 8 and is_isolating(g, hit.witness)
     assert exact_isolation_number(Graph(3, []), size_cap=2) == exact.ExactResult(None, (), 0)
 
 
@@ -82,14 +82,25 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
-# differential: the bitmask search against the recursive frozenset search
+# differential: the bitmask search against the recursive frozenset search.
+# Candidate dominance may swap a vertex of a set for one covering more, so
+# the searches agree on iota and on each decision answer, not on witnesses
+
+
+def _same_answer(g, got, want, cap):
+    assert got.iota == want.iota
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        size = len(got.witness)
+        assert is_isolating_direct(g, got.witness)
+        assert (size == got.iota) if cap is None else (size <= cap)
+    assert got.explored <= want.explored
 
 
 def _same_as_recursive(g, cap=None):
     got = exact_isolation_number(g, size_cap=cap)
     want = exact_isolation_number_recursive(g, size_cap=cap)
-    assert (got.iota, got.witness) == (want.iota, want.witness)
-    assert got.explored <= want.explored
+    _same_answer(g, got, want, cap)
     return got, want
 
 
@@ -106,9 +117,12 @@ def test_bitmask_search_matches_recursive_search_on_corpus():
     pairs = [_same_as_recursive(g, cap) for g, cap in _corpus()]
     assert [got.iota for got, _ in pairs[:3]] == [6, None, 6]
     # one level below the incumbent only vertices covering every alive
-    # edge become children; without that filter the three chain runs
-    # take 1,870, 1,870 and 4,056 nodes
-    assert [got.explored for got, _ in pairs[:3]] == [536, 536, 862]
+    # edge become children, and further up no vertex whose alive cover
+    # another candidate holds; without dominance the three chain runs take
+    # 536, 536 and 862 nodes, and without the filter too 1,870, 1,870
+    # and 4,056
+    assert [got.explored for got, _ in pairs[:3]] == [91, 91, 273]
+    assert [got.dominated for got, _ in pairs[:3]] == [101, 101, 234]
     # the packing bound prunes somewhere on the corpus
     assert sum(got.explored for got, _ in pairs) < sum(want.explored for _, want in pairs)
 
@@ -121,6 +135,29 @@ def test_bitmask_search_matches_recursive_search_one_below_and_at_iota():
         for cap in (iota - 1, iota):
             got, _ = _same_as_recursive(g, cap)
             assert (got.witness is None) == (cap < iota)
+
+
+def test_dominance_keeps_the_lowest_twin_and_the_wider_cover():
+    # three K2's: both ends of an edge cover just that edge, so each frame
+    # keeps the lower end; dropping both twins would lose every set
+    res = exact_isolation_number(Graph(6, [(0, 1), (2, 3), (4, 5)]), size_cap=3)
+    assert (res.witness, res.explored, res.dominated) == ((0, 2, 4), 4, 2)
+    # the path 3-0-2-6 and the path 1-5-4: the root branches on edge 03,
+    # whose candidates 0 and 2 cover the whole first path and 3 misses
+    # edge 26, so 2 (a later twin) and 3 (narrower) are dropped; keeping
+    # 3 in place of the wider 0 would lose the only 2-sets
+    g = Graph(7, [(0, 2), (0, 3), (1, 5), (2, 6), (4, 5)])
+    res = exact_isolation_number(g, size_cap=2)
+    assert (res.witness, res.explored, res.dominated) == ((0, 1), 3, 2)
+
+
+def test_gadget_certificates_match_recursive_search():
+    # the four exact solves behind certify-edge, each against the oracle
+    for gadget in (prism_k4(), metacirculant_14()):
+        x, y = gadget.special_edge
+        want = [exact_isolation_number_recursive(gadget.F.remove_vertices(drop)[0]).iota
+                for drop in ((), (x,), (y,), (x, y))]
+        assert certify_special_edge(gadget) == GadgetCertificate(gadget.b, *want)
 
 
 def _cover_seed(g):
@@ -164,7 +201,9 @@ def test_lazy_cover_seed_matches_rescan_at_n_2000():
 
 def _same_as_lists(g, cap=None):
     got = exact_isolation_number(g, size_cap=cap)
-    assert got == exact_isolation_number_by_lists(g, size_cap=cap)
+    want = exact_isolation_number_by_lists(g, size_cap=cap)
+    _same_answer(g, got, want, cap)
+    assert got.seed_size == want.seed_size
     return got
 
 
