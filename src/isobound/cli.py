@@ -150,12 +150,13 @@ def _cmd_lp_weights(args, report: dict) -> int:
     sol = solve_min_omega(cs)
     print(f"omega = {sol.witness.omega}")
     print(f"witness = {json.dumps(sol.witness.to_json_dict())}")
-    print(f"tight rows = {[cs.rows[i].tag for i in sol.tight_rows]}")
+    tags = [cs.rows[i].tag for i in sol.tight_rows]
+    print(f"tight rows = {tags}")
     certified = check_optimality(cs, sol)
     print(f"certified: {str(certified).lower()}")
     report["input"] = {"delta": args.delta, "variant": args.variant}
     report["results"] = sol.to_json_dict()
-    report["results"]["tight_row_tags"] = [cs.rows[i].tag for i in sol.tight_rows]
+    report["results"]["tight_row_tags"] = tags
     return 0 if certified else 1
 
 

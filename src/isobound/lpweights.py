@@ -6,11 +6,12 @@ the weights gives a small system per (delta, variant). Minimizing omega
 over the system yields the best size ratio the greedy can certify.
 
 Everything is exact rational: rows are built symbolically in delta, and
-the optimum is found by a Fraction simplex on the five-row dual, run
-lexicographically over (omega, beta1..beta4). The solver also returns
-dual multipliers, and check.check_optimality turns them into a proof of
-optimality by weak duality that does not trust the solver. The weight,
-row, system and solution types built and solved here are check.py's.
+the optimum is found by a fraction-free integer simplex on the five-row
+dual, run lexicographically over (omega, beta1..beta4). The solver also
+returns dual multipliers, and check.check_optimality turns them into a
+proof of optimality by weak duality that does not trust the solver. The
+weight, row, system and solution types built and solved here are
+check.py's.
 
 Min-terms in the worst-case analysis, c + k*min(a_1..a_m) >= r with
 k > 0, expand into the m rows c + k*a_j >= r; satisfaction of all m is
@@ -20,6 +21,7 @@ equivalent to the original inequality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .check import ConstraintSystem, LinearRow, LPSolution, WeightVector, check_feasible
 
@@ -129,10 +131,11 @@ def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
     y, s >= 0: five rows, one per weight, whose slack columns s are a
     feasible basis from the start since c(e) >= 0, so there is no phase
     1. The right-hand side is kept as its five e-coefficients; they start
-    as the identity and always equal B^-1, as do the s columns, so one
-    5x5 block serves as both. Its rows are independent, so the
-    lexicographic ratio test never ties, the objective rises at every
-    pivot and the method cannot cycle (Dantzig, Orden and Wolfe 1955).
+    as the identity and always equal D*B^-1 (D below), as do the s
+    columns, so one 5x5 block serves as both. Its rows are independent,
+    so the lexicographic ratio test never ties, the objective rises at
+    every pivot and the method cannot cycle (Dantzig, Orden and Wolfe
+    1955).
 
     The simplex multipliers of the dual tableau are the primal point x:
     the reduced cost of column y_i is b_i - a_i.x and that of s_k is
@@ -141,38 +144,55 @@ def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
     is feasible and optimal for c(e) at every small e > 0, so it is the
     lexicographically smallest optimal point, and it is the witness.
 
+    The tableau holds integers only (fraction-free pivoting: Edmonds
+    1967, Bareiss 1968). Column y_i is scaled by l_i, the lcm of row i's
+    denominators, which makes every entry an integer; the scale is
+    positive, so it changes no sign and no ratio-test argmin, and y_i is
+    l_i times the scaled variable. With D the last pivot (1 at the
+    start), every stored entry, reduced costs included, is D times the
+    true entry of the scaled tableau. A pivot on (r, c) keeps row r and
+    sets every other line to (t*p - f*u) // D with p = T[r][c], then
+    D = p. Each division is exact: by Sylvester's identity the new
+    entries are minors of the integer starting tableau (bordered by its
+    reduced-cost line). Every pivot is positive, so D > 0 and each sign
+    is the true sign.
+
     The dual is y at e = 0. All five coordinates of the witness are
     positive (see build_constraints; this rests on the probe check
     below), so by complementary slackness every s_k is nonbasic and
     zero: A^T y = c(e) exactly, so A^T y = e_omega at e = 0, y >= 0
     since every row of B^-1 is lexicographically positive, and
     b.y = c(0).x = omega*. So y certifies omega* by weak duality
-    (check_optimality).
+    (check_optimality). The final reduced cost of y_i is
+    l_i*(b_i - a_i.x)*D, so the tight rows are the y columns where it is
+    zero.
     """
     if not check_feasible(cs, FEASIBLE_PROBE)[0]:
         raise AssertionError("constraint system rejected the feasible probe")
     m = len(cs.rows)
-    # row k: column y_i holds row i's coefficient of weight k, then the
-    # 5x5 block that is both the s columns and the rhs e-coefficients
-    T = [[row.coeffs[k] for row in cs.rows] + [Fraction(j == k) for j in range(5)]
-         for k in range(5)]
-    reduced = [row.rhs for row in cs.rows] + [Fraction(0)] * 5  # ends in -x
+    scale = [lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs)) for row in cs.rows]
+    # row k: column y_i holds l_i times row i's coefficient of weight k,
+    # then the 5x5 block that is both the s columns and the rhs
+    # e-coefficients; row 5 holds the reduced costs, ending in -D*x
+    T = [[int(row.coeffs[k] * l) for row, l in zip(cs.rows, scale)]
+         + [int(j == k) for j in range(5)] for k in range(5)]
+    T.append([int(row.rhs * l) for row, l in zip(cs.rows, scale)] + [0] * 5)
+    reduced = T[5]
     basis = list(range(m, m + 5))
+    D = 1
     while (col := next((j for j, d in enumerate(reduced) if d > 0), None)) is not None:
         # the probe is feasible, so the dual is bounded and some row qualifies
         r = min((r for r in range(5) if T[r][col] > 0),
-                key=lambda r: [t / T[r][col] for t in T[r][m:]])
-        p = T[r][col]
-        T[r] = prow = [t / p for t in T[r]]
-        for line in (*T[:r], *T[r + 1:], reduced):
+                key=lambda r: [Fraction(t, T[r][col]) for t in T[r][m:]])
+        prow, p = T[r], T[r][col]
+        for line in (*T[:r], *T[r + 1:]):
             f = line[col]
-            if f:
-                line[:] = [t - f * u for t, u in zip(line, prow)]
+            line[:] = [(t * p - f * u) // D for t, u in zip(line, prow)]
+        D = p
         basis[r] = col
-    witness = WeightVector(*(-d for d in reduced[m:]))
+    witness = WeightVector(*(Fraction(-d, D) for d in reduced[m:]))
     dual = [Fraction(0)] * m
     for line, b in zip(T, basis):
         if b < m:
-            dual[b] = line[m]
-    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
-    return LPSolution(witness, tight, tuple(dual))
+            dual[b] = Fraction(scale[b] * line[m], D)
+    return LPSolution(witness, tuple(i for i in range(m) if reduced[i] == 0), tuple(dual))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: subset enumeration, direct edge
 scans, explicit triangle checks, every 5-row basis of the weight LP, the
-primal two-phase simplex with artificial columns and Bland's rule, a
+primal two-phase simplex with artificial columns and Bland's rule, the
+dual simplex on a Fraction tableau that renormalizes every entry, a
 graph6 codec that handles one bit at a time, the residual coloring and
 its weight computed from scratch, a greedy and a trace replay that
 recompute the whole residual state after every step, the greedy's R5
@@ -169,6 +170,65 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
     witness = WeightVector(*chosen)
     tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(chosen) == 0)
     return LPSolution(witness, tight, ())
+
+
+def solve_min_omega_fraction(cs: ConstraintSystem) -> LPSolution:
+    """Lexicographic minimum of (omega, beta1..beta4) by exact simplex.
+
+    The primal is min c.x over A x >= b, x >= 0 (the chain rows already
+    imply x >= 0), with the lexicographic objective written as
+    c(e) = e_omega + e*e_beta1 + ... + e^4*e_beta4 for an infinitesimal
+    e > 0. The simplex runs on its dual, max b.y over A^T y + s = c(e),
+    y, s >= 0: five rows, one per weight, whose slack columns s are a
+    feasible basis from the start since c(e) >= 0, so there is no phase
+    1. The right-hand side is kept as its five e-coefficients; they start
+    as the identity and always equal B^-1, as do the s columns, so one
+    5x5 block serves as both. Its rows are independent, so the
+    lexicographic ratio test never ties, the objective rises at every
+    pivot and the method cannot cycle (Dantzig, Orden and Wolfe 1955).
+
+    The simplex multipliers of the dual tableau are the primal point x:
+    the reduced cost of column y_i is b_i - a_i.x and that of s_k is
+    -x_k. The first column with a positive reduced cost, a row that x
+    violates or a negative coordinate of x, enters. When none is left, x
+    is feasible and optimal for c(e) at every small e > 0, so it is the
+    lexicographically smallest optimal point, and it is the witness.
+
+    The dual is y at e = 0. All five coordinates of the witness are
+    positive (see build_constraints; this rests on the probe check
+    below), so by complementary slackness every s_k is nonbasic and
+    zero: A^T y = c(e) exactly, so A^T y = e_omega at e = 0, y >= 0
+    since every row of B^-1 is lexicographically positive, and
+    b.y = c(0).x = omega*. So y certifies omega* by weak duality
+    (check_optimality).
+    """
+    if not check_feasible(cs, FEASIBLE_PROBE)[0]:
+        raise AssertionError("constraint system rejected the feasible probe")
+    m = len(cs.rows)
+    # row k: column y_i holds row i's coefficient of weight k, then the
+    # 5x5 block that is both the s columns and the rhs e-coefficients
+    T = [[row.coeffs[k] for row in cs.rows] + [Fraction(j == k) for j in range(5)]
+         for k in range(5)]
+    reduced = [row.rhs for row in cs.rows] + [Fraction(0)] * 5  # ends in -x
+    basis = list(range(m, m + 5))
+    while (col := next((j for j, d in enumerate(reduced) if d > 0), None)) is not None:
+        # the probe is feasible, so the dual is bounded and some row qualifies
+        r = min((r for r in range(5) if T[r][col] > 0),
+                key=lambda r: [t / T[r][col] for t in T[r][m:]])
+        p = T[r][col]
+        T[r] = prow = [t / p for t in T[r]]
+        for line in (*T[:r], *T[r + 1:], reduced):
+            f = line[col]
+            if f:
+                line[:] = [t - f * u for t, u in zip(line, prow)]
+        basis[r] = col
+    witness = WeightVector(*(-d for d in reduced[m:]))
+    dual = [Fraction(0)] * m
+    for line, b in zip(T, basis):
+        if b < m:
+            dual[b] = line[m]
+    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
+    return LPSolution(witness, tight, tuple(dual))
 
 
 def _pivot(T: list[list[Fraction]], basis: list[int], D: list[list[Fraction]],

@@ -11,7 +11,8 @@ from isobound import (ConstraintSystem, LinearRow, WeightVector,
 from isobound.check import parse_rational
 from isobound.lpweights import FEASIBLE_PROBE, VARIANTS
 
-from oracles import solve_min_omega_by_enumeration, solve_min_omega_two_phase
+from oracles import (solve_min_omega_by_enumeration, solve_min_omega_fraction,
+                     solve_min_omega_two_phase)
 
 KNOWN_DELTA4 = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 KNOWN_TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
@@ -152,15 +153,19 @@ def test_general_feasible_implies_relaxed_variants():
 
 
 def test_tight_rows_have_zero_slack():
-    cs = build_constraints(4, "general")
-    sol = solve_min_omega(cs)
-    assert len(sol.tight_rows) >= 5
-    pt = sol.witness.as_tuple()
-    for i in sol.tight_rows:
-        assert cs.rows[i].slack(pt) == 0
-    for i in range(len(cs.rows)):
-        if i not in sol.tight_rows:
-            assert cs.rows[i].slack(pt) > 0
+    # the solver reads tight rows off its reduced costs; this recomputes
+    # every row's slack in Fraction
+    for delta in range(3, 61):
+        for variant in VARIANTS:
+            cs = build_constraints(delta, variant)
+            sol = solve_min_omega(cs)
+            assert len(sol.tight_rows) >= 5, (delta, variant)
+            pt = sol.witness.as_tuple()
+            for i, row in enumerate(cs.rows):
+                if i in sol.tight_rows:
+                    assert row.slack(pt) == 0, (delta, variant, i)
+                else:
+                    assert row.slack(pt) > 0, (delta, variant, i)
 
 
 def test_row_evaluate_and_str():
@@ -202,10 +207,11 @@ def test_simplex_matches_basis_enumeration(key):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_dual_simplex_matches_two_phase(variant):
-    for delta in range(3, 61):
+    # the largest delta carry the largest integers in the tableau
+    for delta in (*range(3, 61), 100, 200, 299):
         cs = build_constraints(delta, variant)
         sol = solve_min_omega(cs)
-        assert sol == solve_min_omega_two_phase(cs), delta
+        assert sol == solve_min_omega_fraction(cs) == solve_min_omega_two_phase(cs), delta
         assert check_optimality(cs, sol), delta
 
 
@@ -224,7 +230,10 @@ def test_dual_simplex_matches_two_phase_on_degenerate_systems(delta, variant, da
         rhs = sum((c * x for c, x in zip(coeffs, probe)), -below)
         extra.append(LinearRow(tuple(map(F, coeffs)), rhs, "random"))
     cs = ConstraintSystem(delta, variant, cs.rows + tuple(extra))
+    # the two-phase dual may differ on a degenerate optimum; the Fraction
+    # dual simplex pivots like the integer one, so its dual must match
     fast, slow = solve_min_omega(cs), solve_min_omega_two_phase(cs)
+    assert fast == solve_min_omega_fraction(cs)
     assert (fast.witness, fast.tight_rows) == (slow.witness, slow.tight_rows)
     assert check_optimality(cs, fast) and check_optimality(cs, slow)
 
