@@ -349,11 +349,24 @@ class RowViolation(NamedTuple):
 
 
 def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[RowViolation, ...]]:
-    """Exact evaluation of every row; violations come back with slack."""
+    """Exact evaluation of every row; violations come back with slack.
+
+    The point times L, the lcm of its denominators, and row i times l_i,
+    the lcm of its own, are integers, and their dot product (the rhs
+    against -L) is l_i*L times the slack: its sign is the slack's sign,
+    and over l_i*L it is the exact slack a violated row reports.
+    """
     point = wv.as_tuple()
-    slacks = ((i, row, row.slack(point)) for i, row in enumerate(cs.rows))
-    bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
-    return (not bad, bad)
+    L = math.lcm(*(x.denominator for x in point))
+    X = [x.numerator * (L // x.denominator) for x in point] + [-L]
+    bad = []
+    for i, row in enumerate(cs.rows):
+        terms = (*row.coeffs, row.rhs)
+        l = math.lcm(*(c.denominator for c in terms))
+        s = sum(c.numerator * (l // c.denominator) * x for c, x in zip(terms, X))
+        if s < 0:
+            bad.append(RowViolation(i, row, Fraction(s, l * L)))
+    return (not bad, tuple(bad))
 
 
 def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
@@ -362,14 +375,15 @@ def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
     For y >= 0 with A^T y = e_omega, every feasible point x has
     omega = y.(A x) >= y.b. So b.y = omega* proves that no feasible
     point has a smaller omega, and a feasible witness at omega* shows
-    that it is attained. Nothing here trusts the solver.
+    that it is attained. Nothing here trusts the solver. Rows with
+    y_i = 0 add nothing to A^T y or b.y, so both sum the support only.
     """
     y = sol.dual
     if len(y) != len(cs.rows) or any(v < 0 for v in y):
         return False
-    combo = [sum((v * row.coeffs[k] for v, row in zip(y, cs.rows)), Fraction(0))
-             for k in range(5)]
-    bound = sum((v * row.rhs for v, row in zip(y, cs.rows)), Fraction(0))
+    support = [(v, row) for v, row in zip(y, cs.rows) if v]
+    combo = [sum(v * row.coeffs[k] for v, row in support) for k in range(5)]
+    bound = sum(v * row.rhs for v, row in support)
     return (combo == [1, 0, 0, 0, 0]
             and bound == sol.witness.omega
             and check_feasible(cs, sol.witness)[0])

@@ -174,16 +174,20 @@ def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
     # row k: column y_i holds l_i times row i's coefficient of weight k,
     # then the 5x5 block that is both the s columns and the rhs
     # e-coefficients; row 5 holds the reduced costs, ending in -D*x
-    T = [[int(row.coeffs[k] * l) for row, l in zip(cs.rows, scale)]
-         + [int(j == k) for j in range(5)] for k in range(5)]
-    T.append([int(row.rhs * l) for row, l in zip(cs.rows, scale)] + [0] * 5)
+    cols = [[c.numerator * (l // c.denominator) for c in (*row.coeffs, row.rhs)]
+            for row, l in zip(cs.rows, scale)]
+    T = [[col[k] for col in cols] + [int(j == k) for j in range(5)] for k in range(6)]
     reduced = T[5]
     basis = list(range(m, m + 5))
     D = 1
     while (col := next((j for j, d in enumerate(reduced) if d > 0), None)) is not None:
-        # the probe is feasible, so the dual is bounded and some row qualifies
-        r = min((r for r in range(5) if T[r][col] > 0),
-                key=lambda r: [Fraction(t, T[r][col]) for t in T[r][m:]])
+        # the probe is feasible, so the dual is bounded and some row qualifies;
+        # ratios compare by cross-multiplying, as T[q][col], T[r][col] > 0
+        r = None
+        for q in range(5):
+            if T[q][col] > 0 and (r is None or [t * T[r][col] for t in T[q][m:]]
+                                  < [t * T[q][col] for t in T[r][m:]]):
+                r = q
         prow, p = T[r], T[r][col]
         for line in (*T[:r], *T[r + 1:]):
             f = line[col]

@@ -1,16 +1,17 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: subset enumeration, direct edge
-scans, explicit triangle checks, every 5-row basis of the weight LP, the
-primal two-phase simplex with artificial columns and Bland's rule, the
-dual simplex on a Fraction tableau that renormalizes every entry, a
-graph6 codec that handles one bit at a time, the residual coloring and
-its weight computed from scratch, a greedy and a trace replay that
-recompute the whole residual state after every step, the greedy's R5
-set from a relabeled copy of its component, and the exact solver as a
-recursion over frozensets without a packing bound and as the bitmask
-search that builds every node's alive-edge list, and the girth by one
-BFS per root. Slow but trustworthy.
+scans, explicit triangle checks, row slacks summed in Fraction, every
+5-row basis of the weight LP, the primal two-phase simplex with
+artificial columns and Bland's rule, the dual simplex on a Fraction
+tableau that renormalizes every entry, a graph6 codec that handles one
+bit at a time, the residual coloring and its weight computed from
+scratch, a greedy and a trace replay that recompute the whole residual
+state after every step, the greedy's R5 set from a relabeled copy of
+its component, and the exact solver as a recursion over frozensets
+without a packing bound and as the bitmask search that builds every
+node's alive-edge list, and the girth by one BFS per root. Slow but
+trustworthy.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from math import inf, lcm
 from typing import Iterable
 
 from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
-                      GreedyRule, GreedyStep, GreedyTrace, LPSolution,
-                      SearchBudgetExceeded, TraceVerification, WeightVector,
-                      check_feasible, exact, is_isolating)
+                      GreedyRule, GreedyStep, GreedyTrace, LPSolution, RowViolation,
+                      SearchBudgetExceeded, TraceVerification, WeightVector, exact,
+                      is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
 from isobound.lpweights import FEASIBLE_PROBE
 
@@ -97,6 +98,16 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def check_feasible_fraction(cs: ConstraintSystem, wv: WeightVector
+                            ) -> tuple[bool, tuple[RowViolation, ...]]:
+    """Every row's slack summed in Fraction: the slow path that check.py's
+    integer check_feasible replaces."""
+    point = wv.as_tuple()
+    slacks = ((i, row, row.slack(point)) for i, row in enumerate(cs.rows))
+    bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
+    return (not bad, bad)
+
+
 def _integer_rows(cs: ConstraintSystem) -> list[tuple[tuple[int, ...], int]]:
     out = []
     for row in cs.rows:
@@ -144,7 +155,7 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
     # small equal betas satisfies every row
     probe = WeightVector(Fraction(100), Fraction(1, 100), Fraction(1, 100),
                          Fraction(1, 100), Fraction(1, 100))
-    if not check_feasible(cs, probe)[0]:
+    if not check_feasible_fraction(cs, probe)[0]:
         raise AssertionError("constraint system rejected the large-omega probe")
 
     irows = _integer_rows(cs)
@@ -202,7 +213,7 @@ def solve_min_omega_fraction(cs: ConstraintSystem) -> LPSolution:
     b.y = c(0).x = omega*. So y certifies omega* by weak duality
     (check_optimality).
     """
-    if not check_feasible(cs, FEASIBLE_PROBE)[0]:
+    if not check_feasible_fraction(cs, FEASIBLE_PROBE)[0]:
         raise AssertionError("constraint system rejected the feasible probe")
     m = len(cs.rows)
     # row k: column y_i holds row i's coefficient of weight k, then the
@@ -295,7 +306,7 @@ def solve_min_omega_two_phase(cs: ConstraintSystem) -> LPSolution:
     basic, their reduced costs e_omega - A^T y vanish, and y certifies
     omega* by weak duality.
     """
-    if not check_feasible(cs, FEASIBLE_PROBE)[0]:
+    if not check_feasible_fraction(cs, FEASIBLE_PROBE)[0]:
         raise AssertionError("constraint system rejected the feasible probe")
     m = len(cs.rows)
     n_real = 5 + m  # x columns, then surplus columns; artificials follow

@@ -5,14 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isobound import (ConstraintSystem, LinearRow, WeightVector,
+from isobound import (ConstraintSystem, LinearRow, RowViolation, WeightVector,
                       build_constraints, check_feasible, check_optimality,
                       solve_min_omega)
 from isobound.check import parse_rational
 from isobound.lpweights import FEASIBLE_PROBE, VARIANTS
 
-from oracles import (solve_min_omega_by_enumeration, solve_min_omega_fraction,
-                     solve_min_omega_two_phase)
+from oracles import (check_feasible_fraction, solve_min_omega_by_enumeration,
+                     solve_min_omega_fraction, solve_min_omega_two_phase)
 
 KNOWN_DELTA4 = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 KNOWN_TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
@@ -247,6 +247,58 @@ def test_feasible_probe_satisfies_every_system():
                 (delta, variant)
 
 
+def test_solve_rejects_system_the_probe_violates():
+    cs = build_constraints(4, "general")
+    half = LinearRow((F(1), F(0), F(0), F(0), F(0)), F(1, 2), "omega-ge-half")
+    with pytest.raises(AssertionError, match="^constraint system rejected the feasible probe$"):
+        solve_min_omega(replace(cs, rows=cs.rows + (half,)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_check_feasible_matches_fraction_oracle(variant):
+    for delta in (*range(3, 61), 100, 200, 299):
+        cs = build_constraints(delta, variant)
+        wv = solve_min_omega(cs).witness
+        shaved = [WeightVector(*(x - F(1, 10**6) * (j == k) for j, x in enumerate(wv.as_tuple())))
+                  for k in range(5)]
+        for point in (FEASIBLE_PROBE, wv, KNOWN_DELTA4, KNOWN_TF, *shaved):
+            assert check_feasible(cs, point) == check_feasible_fraction(cs, point), (delta, point)
+
+
+RATIONALS = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.tuples(*[RATIONALS] * 5), st.data())
+def test_check_feasible_matches_fraction_oracle_on_random_rows(point, data):
+    # a row's rhs is drawn, or set so that its slack at the point is a
+    # drawn value: zero, or as small as 1/10**6 of either sign
+    rows = []
+    for i, coeffs in enumerate(data.draw(st.lists(st.tuples(*[RATIONALS] * 5), max_size=8))):
+        if data.draw(st.booleans()):
+            rhs = data.draw(RATIONALS)
+        else:
+            offset = data.draw(st.sampled_from([F(0), F(1, 10**6), F(-1, 10**6)]) | RATIONALS)
+            rhs = sum((c * x for c, x in zip(coeffs, point)), -offset)
+        rows.append(LinearRow(coeffs, rhs, f"random-{i}"))
+    cs = ConstraintSystem(4, "general", tuple(rows))
+    wv = WeightVector(*point)
+    assert check_feasible(cs, wv) == check_feasible_fraction(cs, wv)
+
+
+def test_check_feasible_exact_at_coprime_denominators():
+    p, q = 999983, 1000003
+    row = LinearRow((F(1, p), F(-1, q), F(0), F(0), F(0)), F(0), "coprime")
+    cs = ConstraintSystem(4, "general", (row,))
+    assert check_feasible(cs, WeightVector(F(1, q), F(1, p), 0, 0, 0)) == (True, ())
+    # q*x - p*k = 1, so the point below has slack -1/(7pq), the least
+    # nonzero slack of a point with denominator 7
+    x = pow(q, -1, p)
+    k = (q * x - 1) // p
+    miss = WeightVector(F(p - x, 7), F(q - k, 7), 0, 0, 0)
+    assert check_feasible(cs, miss) == (False, (RowViolation(0, row, F(-1, 7 * p * q)),))
+
+
 def test_check_optimality_accepts_and_rejects():
     sols = {key: solve_min_omega(build_constraints(*key)) for key in GOLDEN}
     for key, sol in sols.items():
@@ -257,6 +309,8 @@ def test_check_optimality_accepts_and_rejects():
         assert not check_optimality(cs, replace(sol, dual=negated)), key
         dropped = sol.dual[:i] + (F(0),) + sol.dual[i + 1:]
         assert not check_optimality(cs, replace(sol, dual=dropped)), key
+        # an all-zero dual has an empty support, so A^T y = 0
+        assert not check_optimality(cs, replace(sol, dual=(F(0),) * len(sol.dual))), key
         # the shifted witness stays feasible, so only b.y = omega* fails
         up = sol.witness.omega + F(1, 10**6)
         shifted = replace(sol, witness=replace(sol.witness, omega=up))
