@@ -98,9 +98,6 @@ class LinearRow:
     rhs: Fraction
     tag: str
 
-    def slack(self, point: tuple[Fraction, ...]) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, point)), -self.rhs)
-
     def __str__(self):
         terms = []
         for c, name in zip(self.coeffs, WEIGHT_NAMES):
@@ -253,16 +250,21 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     The replay keeps its own dominated set N[D], White set and White
     degrees. A vertex is White iff it lies outside N[D] and has a
     neighbor outside N[D], so adding A can change White status only
-    inside N[N[A]]. The weight change is summed over N[A], the vertices
-    that stopped being White and their neighbors: no other vertex
-    changes color or White degree.
+    inside N[N[A]]: there a White vertex stops once it or each of its
+    neighbors is dominated.
 
-    Whatever the trace says, the updates keep two facts, so no test
-    below asks whether v is dominated. A White vertex is never
-    dominated: a newly dominated vertex lies in N[A] and stops being
-    White. A non-White vertex with a White neighbor is dominated: an
-    undominated vertex stops being White only once all its neighbors
+    Whatever the trace says, the updates keep two facts. A White vertex
+    is never dominated: a newly dominated vertex lies in N[A] and stops
+    being White. A non-White vertex with a White neighbor is dominated:
+    an undominated vertex stops being White only once all its neighbors
     are dominated, hence not White, and none turns White again.
+
+    By the second fact a vertex's weight depends only on its White flag
+    and its White degree d: omega if White, else beta_min(d,4) for
+    d >= 1 and 0 for d = 0. Both move only on the stopped vertices and
+    their neighbors, so the drop is summed over those alone. A vertex of
+    N[A] that was White has stopped; one that was not stays non-White,
+    and its White degree moves only if a neighbor stops.
 
     Drops are summed as integers over the replay's own L: a claimed
     xi = p/q matches iff drop*q == p*L, and A is desirable iff
@@ -282,20 +284,14 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     # White degree is its degree
     white = bytearray(1 if G.degree(v) else 0 for v in range(n))
     white_nbrs = [G.degree(v) for v in range(n)]
-    # weight by class, as integers over L, the lcm of the denominators: 0
-    # for White, i for Blue with min(i, 4) White neighbors
+    # weights as integers over L, the lcm of the denominators; a
+    # non-White vertex of White degree d weighs blue[d]
     L = math.lcm(*(x.denominator for x in wv.as_tuple()))
-    class_weight = [int(x * L) for x in wv.as_tuple()]
-    klass = [min(d, 4) for d in range(max(white_nbrs, default=0) + 1)]
+    omega, *beta = (int(x * L) for x in wv.as_tuple())
+    blue = [0] + [beta[min(d, 4) - 1] for d in range(1, max(white_nbrs, default=0) + 1)]
 
-    def census(vs) -> list[int]:
-        counts = [0] * 5
-        for v in vs:
-            if white[v]:
-                counts[0] += 1
-            elif white_nbrs[v]:
-                counts[klass[white_nbrs[v]]] += 1
-        return counts
+    def weight(vs) -> int:
+        return sum(omega if white[v] else blue[white_nbrs[v]] for v in vs)
 
     D: set[int] = set()
     xi_matches = True
@@ -314,23 +310,19 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
             near.update(nbrs(a))
         ball = set(near)
         for v in near:
+            dominated[v] = 1
             ball.update(nbrs(v))
-        stopped = []
-        for v in ball:
-            if white[v] and (v in near or all(dominated[u] or u in near for u in nbrs(v))):
-                stopped.append(v)
-        touched = near.union(stopped)
+        stopped = [v for v in ball
+                   if white[v] and (dominated[v] or all(dominated[u] for u in nbrs(v)))]
+        touched = set(stopped)
         for v in stopped:
             touched.update(nbrs(v))
-        before = census(touched)
-        for v in near:
-            dominated[v] = 1
+        before = weight(touched)
         for v in stopped:
             white[v] = 0
             for u in nbrs(v):
                 white_nbrs[u] -= 1
-        after = census(touched)
-        replayed = sum(w * (b - a) for w, b, a in zip(class_weight, before, after) if b != a)
+        replayed = before - weight(touched)
         if replayed * step.xi.denominator != step.xi.numerator * L:
             xi_matches = False
         if replayed < len(A) * L:

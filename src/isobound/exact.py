@@ -85,20 +85,19 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     incumbent, the root included, the list is skipped.
 
     Three or more below, a frame that survives the packing drops
-    dominated candidates. It visits the candidates u of its edge by
-    alive cover covers[u] & mask, widest first and lowest index first
-    among equal covers, and keeps u only if no kept cover contains u's.
-    So u is dropped exactly when another candidate v covers every alive
-    edge u covers, and more of them or v < u: v comes first and is kept,
-    or dropped for a kept cover that holds v's and so u's. This loses no
-    answer. A set under the frame meets its edge. If it holds no kept
-    candidate, it holds a dropped u, and swapping u for a kept candidate
-    whose alive cover holds u's gives a set no larger that still covers
-    every alive edge. A set holding a kept candidate lies in the subtree
-    of its lowest one, and no ban excludes it: a child bans only the
-    kept candidates tried before it, and a dropped candidate, never
-    tried, is never banned. So ι and every decision answer are those of
-    the search without the rule; the witness may differ.
+    dominated candidates: it drops a candidate u of its edge when the
+    alive cover covers[v] & mask of another candidate v holds u's and is
+    larger, or is equal and v < u. That relation is a strict order, so
+    the dominators of a dropped u, followed upward, end at a kept
+    candidate whose alive cover holds u's. This loses no answer. A set
+    under the frame meets its edge. If it holds no kept candidate, it
+    holds a dropped u, and swapping u for a kept candidate whose alive
+    cover holds u's gives a set no larger that still covers every alive
+    edge. A set holding a kept candidate lies in the subtree of its
+    lowest one, and no ban excludes it: a child bans only the kept
+    candidates tried before it, and a dropped candidate, never tried, is
+    never banned. So ι and every decision answer are those of the search
+    without the rule; the witness may differ.
 
     One below, a node is a leaf or closed. Two below, a child survives
     only as a leaf, so the node keeps just the unbanned candidates w of
@@ -185,25 +184,21 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
                     used |= cand
                     packing += 1
             if len(chosen) + packing < best_size:
-                # keep the candidates whose alive cover no kept one holds,
-                # widest first and lowest index among equal covers
-                ranked = []
+                # drop a candidate whose alive cover another one holds and
+                # exceeds, or equals with a lower index
+                cands = []
                 while pick:
                     low = pick & -pick
                     pick ^= low
-                    v = low.bit_length() - 1
-                    cover = covers[v] & mask
-                    ranked.append((-cover.bit_count(), v, cover))
-                ranked.sort()
-                todo, kept = 0, []
-                for _, v, cover in ranked:
-                    for wider in kept:
-                        if cover & wider == cover:
+                    cands.append((low, covers[low.bit_length() - 1] & mask))
+                todo = 0
+                for low, cover in cands:
+                    for other, wider in cands:
+                        if cover & wider == cover and (wider != cover or other < low):
                             dominated += 1
                             break
                     else:
-                        kept.append(cover)
-                        todo |= 1 << v
+                        todo |= low
                 stack.append([alive, mask, todo, banned, packing])
         # descend into the lowest untried candidate of the deepest live frame
         while stack:

@@ -25,7 +25,7 @@ from math import inf, lcm
 from typing import Iterable
 
 from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
-                      GreedyRule, GreedyStep, GreedyTrace, LPSolution, RowViolation,
+                      GreedyRule, GreedyStep, GreedyTrace, LinearRow, LPSolution, RowViolation,
                       SearchBudgetExceeded, TraceVerification, WeightVector, exact,
                       is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
@@ -98,12 +98,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def row_slack(row: LinearRow, point: tuple[Fraction, ...]) -> Fraction:
+    """sum(coeffs * point) - rhs in Fraction."""
+    return sum((c * x for c, x in zip(row.coeffs, point)), -row.rhs)
+
+
 def check_feasible_fraction(cs: ConstraintSystem, wv: WeightVector
                             ) -> tuple[bool, tuple[RowViolation, ...]]:
     """Every row's slack summed in Fraction: the slow path that check.py's
     integer check_feasible replaces."""
     point = wv.as_tuple()
-    slacks = ((i, row, row.slack(point)) for i, row in enumerate(cs.rows))
+    slacks = ((i, row, row_slack(row, point)) for i, row in enumerate(cs.rows))
     bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
     return (not bad, bad)
 
@@ -179,7 +184,7 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
         raise AssertionError("no basis gives a feasible vertex")
     chosen = min(optimal_points, key=lambda p: (p[1] <= 0, p))
     witness = WeightVector(*chosen)
-    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(chosen) == 0)
+    tight = tuple(i for i, row in enumerate(cs.rows) if row_slack(row, chosen) == 0)
     return LPSolution(witness, tight, ())
 
 
@@ -238,7 +243,7 @@ def solve_min_omega_fraction(cs: ConstraintSystem) -> LPSolution:
     for line, b in zip(T, basis):
         if b < m:
             dual[b] = line[m]
-    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
+    tight = tuple(i for i, row in enumerate(cs.rows) if row_slack(row, witness.as_tuple()) == 0)
     return LPSolution(witness, tight, tuple(dual))
 
 
@@ -338,7 +343,7 @@ def solve_min_omega_two_phase(cs: ConstraintSystem) -> LPSolution:
         if b < 5:
             point[b] = row[-1]
     witness = WeightVector(*point)
-    tight = tuple(i for i, row in enumerate(cs.rows) if row.slack(witness.as_tuple()) == 0)
+    tight = tuple(i for i, row in enumerate(cs.rows) if row_slack(row, witness.as_tuple()) == 0)
     return LPSolution(witness, tight, tuple(D[0][5:n_real]))
 
 

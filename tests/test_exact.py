@@ -55,6 +55,12 @@ def test_capped_hit_reports_no_iota():
     assert exact_isolation_number(Graph(3, []), size_cap=2) == exact.ExactResult(None, (), 0)
 
 
+def test_non_isolating_witness_raises(monkeypatch):
+    monkeypatch.setattr(exact, "is_isolating", lambda G, S: False)
+    with pytest.raises(AssertionError, match="search returned a non-isolating witness"):
+        exact_isolation_number(complete_graph(4))
+
+
 def test_budget_error_is_distinct_from_none(monkeypatch):
     g = random_graph(random.Random(5), 14, 0.35)
     monkeypatch.setattr(exact, "NODE_BUDGET", 1)

@@ -321,10 +321,9 @@ def test_edge_list_and_graph6_input_checks():
 
 
 def test_generation_error_is_raisable():
-    # degree n-1 on odd-ish tight settings must still work or raise the
-    # declared error type, never hang
-    try:
-        g = random_regular_graph(6, 5, 2)
-        assert all(g.degree(v) == 5 for v in range(6))
-    except GenerationError:
-        pass
+    # degree n-1 asks the random pairing for the complete graph: seed 2
+    # finds K6, while K10 is so rare a pairing that the retry budget runs out
+    g = random_regular_graph(6, 5, 2)
+    assert all(g.degree(v) == 5 for v in range(6))
+    with pytest.raises(GenerationError, match="no simple 9-regular pairing on 10 vertices"):
+        random_regular_graph(10, 9, 0)

@@ -13,9 +13,9 @@ from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constr
                       prism_k4, random_bipartite_min_degree_graph,
                       random_min_degree_graph, solve_min_omega, verify_trace)
 
-from isobound.greedy import _GreedyEngine
+from isobound.greedy import _GreedyEngine, _r7_set
 
-from graphs import cycle_graph, path_graph
+from graphs import complete_graph, cycle_graph, path_graph
 from oracles import (compute_residual, degree_row, engine_fields,
                      greedy_isolating_set_from_scratch, random_graph, select_desirable,
                      total_weight, verify_trace_from_scratch)
@@ -137,6 +137,38 @@ def test_greedy_prism_chain():
     assert is_isolating(g, S)
     assert len(S) <= math.floor(F(13, 41) * 16)
     assert len(S) >= exact_isolation_number(g).iota
+
+
+@pytest.mark.parametrize("n, rule, A, message", [
+    (5, GreedyRule.R3, {0}, "R3 fired with degrees past the R1/R2 stage"),
+    (4, GreedyRule.R5, {0}, "R5 fired with degrees past the R3/R4 stage"),
+    (4, GreedyRule.R1, set(), "R1 made no progress"),
+])
+def test_greedy_stage_checks_raise(monkeypatch, n, rule, A, message):
+    # K5 is 4-regular and K4 3-regular, so a forced R3 or R5 pick comes
+    # before its stage; an empty pick changes nothing
+    monkeypatch.setattr(_GreedyEngine, "select", lambda self: (rule, frozenset(A)))
+    with pytest.raises(AssertionError, match=message):
+        greedy_isolating_set(complete_graph(n), WV)
+
+
+def test_greedy_endstate_check_raises(monkeypatch):
+    add = _GreedyEngine.add
+
+    def add_leaving_a_blue(self, A):
+        out = add(self, A)
+        if not any(self.white_hist):
+            self.blue_hist[1] = 1
+        return out
+
+    monkeypatch.setattr(_GreedyEngine, "add", add_leaving_a_blue)
+    with pytest.raises(AssertionError, match="non-white endstate must weigh nothing"):
+        greedy_isolating_set(complete_graph(4), WV)
+
+
+def test_r7_set_rejects_a_path():
+    with pytest.raises(AssertionError, match="endgame component is not a 5-cycle"):
+        _r7_set(path_graph(3), (0, 1, 2))
 
 
 def test_greedy_terminates_on_arbitrary_graphs():

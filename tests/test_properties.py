@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from isobound import (Graph, Graph6ParseError, GreedyStep, GreedyTrace, WeightVector,
-                      emit_edge_list, emit_graph6, greedy_isolating_set, parse_edge_list,
-                      parse_graph6, random_bipartite_min_degree_graph,
+from isobound import (Graph, Graph6ParseError, GreedyRule, GreedyStep, GreedyTrace,
+                      WeightVector, emit_edge_list, emit_graph6, greedy_isolating_set,
+                      parse_edge_list, parse_graph6, random_bipartite_min_degree_graph,
                       random_min_degree_graph, verify_trace)
 
 from isobound.greedy import _GreedyEngine
@@ -209,6 +209,27 @@ def test_replay_sees_nudges_finer_than_the_weights(where, G, wv, data):
     got = verify_trace(G, forged, wv)
     assert got == verify_trace_from_scratch(G, forged, wv)
     assert got.xi_matches == (where != "xi") and got.header_ok == (where == "xi")
+
+
+@PROPERTY
+@given(sparse_graphs(), weight_vectors(), st.data())
+def test_replay_prices_arbitrary_steps(G, wv, data):
+    # disjoint sets of 1-3 vertices in any order rather than the greedy's
+    # picks, so that steps also fall inside dominated regions; each xi is
+    # the drop of the from-scratch residual weight
+    order = data.draw(st.permutations(range(G.n)))
+    sizes = data.draw(st.lists(st.integers(1, 3), max_size=G.n))
+    steps, D = [], []
+    for k in sizes:
+        A = tuple(sorted(order[len(D):len(D) + k]))
+        if not A:
+            break
+        steps.append(GreedyStep(GreedyRule.R1, A, xi(G, D, A, wv)))
+        D.extend(A)
+    trace = GreedyTrace(G.n, tuple(steps), tuple(sorted(D)), wv.omega * G.n)
+    got = verify_trace(G, trace, wv)
+    assert got.xi_matches
+    assert got == verify_trace_from_scratch(G, trace, wv)
 
 
 _UNITS = [WeightVector(*(F(int(j == k)) for j in range(5))) for k in range(5)]
