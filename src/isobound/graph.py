@@ -129,6 +129,8 @@ MAX_ORDER = 258047
 # only byte with no bit set, as "!"
 _G6_BYTES = bytes(range(63, 127))
 _G6_MARKS = bytes.maketrans(_G6_BYTES[1:], b"!" * 63)
+# the set-bit offsets of each 6-bit value x, high bit (offset 0) first
+_G6_BITS = tuple(tuple(b for b in range(6) if x & 32 >> b) for x in range(64))
 
 
 def _encode_size(n: int) -> str:
@@ -168,11 +170,12 @@ def parse_graph6(text: str) -> Graph:
 
     The validity check is one translate that deletes every valid byte.
     A second translate marks each body byte other than "?" (no bits
-    set), and bytes.find skips from mark to mark, so Python only visits
-    bytes that hold an edge; math.isqrt recovers the column v from bit
-    k = v(v-1)/2 + u. All per-pair work runs in C. A Graph6ParseError
-    offset counts from the start of `text` as given, so stripped
-    whitespace and the header count too.
+    set), bytes.find skips from mark to mark, and _G6_BITS lists a marked
+    byte's set bits, so Python only visits bits that hold an edge;
+    math.isqrt recovers the column v from bit k = v(v-1)/2 + u. All
+    per-pair work runs in C. A Graph6ParseError offset counts from the
+    start of `text` as given, so stripped whitespace and the header
+    count too.
     """
     s = text.strip()
     lead = len(text) - len(text.lstrip())
@@ -214,12 +217,10 @@ def parse_graph6(text: str) -> Graph:
     edges = []
     p = marks.find(b"!")
     while p >= 0:
-        x = body[p] - 63
-        for b in range(6):
-            if x & 32 >> b:
-                k = 6 * p + b
-                v = (1 + isqrt(8 * k + 1)) // 2
-                edges.append((k - v * (v - 1) // 2, v))
+        for b in _G6_BITS[body[p] - 63]:
+            k = 6 * p + b
+            v = (1 + isqrt(8 * k + 1)) // 2
+            edges.append((k - v * (v - 1) // 2, v))
         p = marks.find(b"!", p + 1)
     return Graph(n, edges)
 

@@ -1,11 +1,12 @@
 """Replay a greedy report's trace with the trusted base alone.
 
-    python -I -S tests/replay_alone.py SRC GRAPH REPORT
+    python -I -S -B tests/replay_alone.py SRC GRAPH REPORT
 
 SRC is the isobound source directory. -I drops PYTHONPATH and the
 script's directory from the path, -S site-packages, so the package is
 not importable (the script stops if it is); graph.py and check.py are
-loaded from SRC by path instead. GRAPH's format is decided by
+loaded from SRC by path instead. -I also ignores PYTHONDONTWRITEBYTECODE,
+so -B keeps SRC free of bytecode. GRAPH's format is decided by
 graph.is_edge_list, the rule the CLI applies. REPORT's trace is
 replayed twice: as written, and with its first xi raised by 1/1000003.
 Both outcomes are printed as one JSON list, and the exit code is 0 only

@@ -54,6 +54,9 @@ def test_lp_weights_uncertified_exits_1(monkeypatch, capsys):
     def no_dual(cs):
         return replace(solve(cs), dual=())
 
+    # warm the lp-weights parser first: the patch must still take effect
+    assert main(["lp-weights", "--delta", "4"]) == 0
+    capsys.readouterr()
     monkeypatch.setattr(cli, "solve_min_omega", no_dual)
     assert main(["lp-weights", "--delta", "4"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "certified: false"
@@ -637,6 +640,14 @@ def _run_full_parser(argv):
     return args.func(args)
 
 
+@pytest.fixture
+def cold_parsers():
+    # main's parsers are built on first use and kept; start and end empty
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
 @pytest.mark.parametrize("argv", [
     ["-h"], [], ["foo"], ["--version"],
     *([name, "-h"] for name in COMMAND_NAMES),
@@ -646,12 +657,55 @@ def _run_full_parser(argv):
     ["lp-weights", "--delta", "4", "--bogus"], ["exact", "--in", "x", "--format", "graph6"],
     ["greedy", "--in", "x", "--delta", "4", "extra"], ["gen", "--format", "x"],
 ], ids=" ".join)
-def test_one_command_parser_answers_as_the_full_parser(argv, capsys):
+def test_one_command_parser_answers_as_the_full_parser(argv, cold_parsers, capsys):
     # main builds only argv[0]'s subparser; exit code, stdout and stderr
-    # (help, usage and every error message) must read as the full one's
-    got = _outcome(main, argv, capsys)
-    assert got == _outcome(_run_full_parser, argv, capsys)
-    assert got[0] in (0, 2)
+    # (help, usage and every error message) must read as the full one's,
+    # from the parser's first call (cold) and from its second (warm)
+    want = _outcome(_run_full_parser, argv, capsys)
+    assert _outcome(main, argv, capsys) == want
+    assert _outcome(main, argv, capsys) == want
+    assert want[0] in (0, 2)
+
+
+@pytest.mark.parametrize("calls", [
+    (["lp-weights", "--delta", "four"], ["lp-weights", "--delta", "4"]),
+    (["gen", "--random", "regular", "--n", "x"],
+     ["gen", "--random", "regular", "--n", "10", "--param", "4", "--seed", "1"]),
+    (["check-weights", "--delta", "4"], ["check-weights", "-h"]),
+], ids=lambda calls: calls[0][0])
+def test_warm_parser_answers_an_error_then_a_success(calls, cold_parsers, capsys):
+    # a usage error leaves nothing behind in the kept parser
+    codes = []
+    for argv in calls:
+        want = _outcome(_run_full_parser, argv, capsys)
+        assert _outcome(main, argv, capsys) == want
+        codes.append(want[0])
+    assert codes == [2, 0]
+
+
+def test_kept_parser_carries_no_report_path(chain_file, tmp_path, capsys):
+    run = tmp_path / "r.json"
+    argv = ["greedy", "--in", chain_file, "--delta", "4"]
+    assert main([*argv, "--out", str(run)]) == 0
+    run.unlink()
+    assert main(argv) == 0
+    assert list(tmp_path.glob("*.json")) == [] and "isolating: true" in capsys.readouterr().out
+
+
+def test_each_subparser_is_built_once_per_process(monkeypatch, cold_parsers, capsys):
+    built = []
+    cmd, add_args, help = cli.COMMANDS["lp-weights"]
+
+    def counted(p):
+        built.append(p.prog)
+        add_args(p)
+
+    monkeypatch.setitem(cli.COMMANDS, "lp-weights", (cmd, counted, help))
+    for _ in range(3):
+        code, out, _ = _outcome(main, ["lp-weights", "--delta", "4"], capsys)
+        assert code == 0 and out.endswith("certified: true\n")
+        assert _outcome(main, ["check-weights", "-h"], capsys)[0] == 0
+    assert built == ["isobound lp-weights"]
 
 
 def test_full_parser_names_the_command_by_its_dest(capsys):
@@ -666,7 +720,7 @@ def test_command_table_lists_every_subcommand():
     assert list(sub.choices) == list(cli.COMMANDS) == COMMAND_NAMES
 
 
-def test_one_command_builds_no_other_subparser(chain_file, monkeypatch, capsys):
+def test_one_command_builds_no_other_subparser(chain_file, monkeypatch, cold_parsers, capsys):
     def refuse(p):
         raise AssertionError(f"built the parser of {p.prog}")
 
