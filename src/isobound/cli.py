@@ -8,9 +8,9 @@ Exit codes: 0 success / verified, 1 domain failure or unverified, 2
 usage errors (argparse). A call builds the parser of its own subcommand
 only (all seven when argv names none): building all seven took about
 1.8 ms, half the CLI's own time on a small graph. A process builds each
-such parser once and reuses it, so in-process callers (tests, the
-benchmark, a batch loop) skip the 0.2-0.3 ms build on later calls; a
-one-shot `isobound` process builds one parser, as before.
+such parser once and reuses it: only code that calls `main` many times
+in one process (the tests, bench/run.py) skips the 0.2-0.3 ms build on
+later calls; a one-shot `isobound` process builds one parser, as before.
 """
 
 from __future__ import annotations
@@ -333,7 +333,9 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# one parser per value of `only`, built by the first call that needs it
+# one parser per value of `only`, built by the first call that needs it.
+# The parser holds each command function as it stood then; after a change
+# to COMMANDS, a _cmd_* function or _run_reported, call _parser.cache_clear()
 _parser = functools.cache(build_parser)
 
 

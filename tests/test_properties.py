@@ -59,6 +59,14 @@ def test_graph6_matches_bitwise_oracle(G):
     assert parse_graph6(s) == parse_graph6_bitwise(s) == G
 
 
+def test_graph6_matches_bitwise_oracle_on_every_byte():
+    # n = 4 has six pairs, one body byte: the 64 graphs give it every value
+    for x in range(64):
+        s = chr(63 + 4) + chr(63 + x)
+        G = parse_graph6(s)
+        assert G == parse_graph6_bitwise(s) and emit_graph6(G) == s
+
+
 def _parse_outcome(parse, s):
     try:
         return parse(s)
