@@ -8,8 +8,8 @@ solves small instances exactly, and builds the matching lower-bound
 families.
 """
 
-from .check import (ConstraintSystem, GreedyRule, GreedyStep, GreedyTrace, LinearRow,
-                    LPSolution, RowViolation, TraceVerification, WeightVector, check_feasible,
+from .check import (GreedyRule, GreedyStep, GreedyTrace, LinearRow, LPSolution,
+                    RowViolation, TraceVerification, WeightVector, check_feasible,
                     check_optimality, is_isolating, verify_trace)
 from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
 from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
@@ -23,7 +23,6 @@ from .lpweights import build_constraints, solve_min_omega
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintSystem",
     "ExactResult",
     "Gadget",
     "ORACLE_ORDER_LIMIT",

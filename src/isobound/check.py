@@ -107,13 +107,6 @@ class LinearRow:
 
 
 @dataclass(frozen=True)
-class ConstraintSystem:
-    delta: int
-    variant: str
-    rows: tuple[LinearRow, ...]
-
-
-@dataclass(frozen=True)
 class LPSolution:
     witness: WeightVector  # an optimal point; witness.omega is the optimum
     tight_rows: tuple[int, ...]
@@ -340,7 +333,8 @@ class RowViolation(NamedTuple):
     slack: Fraction
 
 
-def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[RowViolation, ...]]:
+def check_feasible(rows: tuple[LinearRow, ...], wv: WeightVector
+                   ) -> tuple[bool, tuple[RowViolation, ...]]:
     """Exact evaluation of every row; violations come back with slack.
 
     The point times L, the lcm of its denominators, and row i times l_i,
@@ -352,7 +346,7 @@ def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[
     L = math.lcm(*(x.denominator for x in point))
     X = [x.numerator * (L // x.denominator) for x in point] + [-L]
     bad = []
-    for i, row in enumerate(cs.rows):
+    for i, row in enumerate(rows):
         terms = (*row.coeffs, row.rhs)
         l = math.lcm(*(c.denominator for c in terms))
         s = sum(c.numerator * (l // c.denominator) * x for c, x in zip(terms, X))
@@ -361,7 +355,7 @@ def check_feasible(cs: ConstraintSystem, wv: WeightVector) -> tuple[bool, tuple[
     return (not bad, tuple(bad))
 
 
-def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
+def check_optimality(rows: tuple[LinearRow, ...], sol: LPSolution) -> bool:
     """Exact weak-duality proof that sol.witness.omega is the minimum.
 
     For y >= 0 with A^T y = e_omega, every feasible point x has
@@ -371,11 +365,11 @@ def check_optimality(cs: ConstraintSystem, sol: LPSolution) -> bool:
     y_i = 0 add nothing to A^T y or b.y, so both sum the support only.
     """
     y = sol.dual
-    if len(y) != len(cs.rows) or any(v < 0 for v in y):
+    if len(y) != len(rows) or any(v < 0 for v in y):
         return False
-    support = [(v, row) for v, row in zip(y, cs.rows) if v]
+    support = [(v, row) for v, row in zip(y, rows) if v]
     combo = [sum(v * row.coeffs[k] for v, row in support) for k in range(5)]
     bound = sum(v * row.rhs for v, row in support)
     return (combo == [1, 0, 0, 0, 0]
             and bound == sol.witness.omega
-            and check_feasible(cs, sol.witness)[0])
+            and check_feasible(rows, sol.witness)[0])

@@ -149,13 +149,13 @@ def _cmd_exact(args, report: dict) -> int:
 
 
 def _cmd_lp_weights(args, report: dict) -> int:
-    cs = build_constraints(args.delta, args.variant)
-    sol = solve_min_omega(cs)
+    rows = build_constraints(args.delta, args.variant)
+    sol = solve_min_omega(rows)
     print(f"omega = {sol.witness.omega}")
     print(f"witness = {json.dumps(sol.witness.to_json_dict())}")
-    tags = [cs.rows[i].tag for i in sol.tight_rows]
+    tags = [rows[i].tag for i in sol.tight_rows]
     print(f"tight rows = {tags}")
-    certified = check_optimality(cs, sol)
+    certified = check_optimality(rows, sol)
     print(f"certified: {str(certified).lower()}")
     report["input"] = {"delta": args.delta, "variant": args.variant}
     report["results"] = sol.to_json_dict()
@@ -164,9 +164,9 @@ def _cmd_lp_weights(args, report: dict) -> int:
 
 
 def _cmd_check_weights(args, report: dict) -> int:
-    cs = build_constraints(args.delta, args.variant)
+    rows = build_constraints(args.delta, args.variant)
     wv = _load_weights(args.weights)
-    ok, violations = check_feasible(cs, wv)
+    ok, violations = check_feasible(rows, wv)
     print(f"feasible: {str(ok).lower()}")
     for v in violations:
         print(f"violated row {v.index} [{v.row.tag}]: {v.row} (slack {v.slack})")
@@ -213,10 +213,10 @@ def _cmd_verify_bound(args, report: dict) -> int:
     return 0 if outcome else 1
 
 
-def _run_reported(cmd, args) -> int:
+def _run_reported(cmd, args, argv: list[str]) -> int:
     """Run a report command, then stamp its report and write it to --out."""
     t0 = time.perf_counter()
-    report = {"command": args.command, "argv": args.argv, "version": __version__}
+    report = {"command": args.command, "argv": argv, "version": __version__}
     code = cmd(args, report)
     report["timing_seconds"] = time.perf_counter() - t0
     if args.out:
@@ -322,20 +322,18 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     listed = {"metavar": "{" + ",".join(COMMANDS) + "}"} if only else {}
     sub = parser.add_subparsers(dest="command", required=True, **listed)
-    for name, (cmd, add_args, help) in COMMANDS.items():
+    for name, (_, add_args, help) in COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help)
-            if cmd is not _cmd_gen:  # gen's --out is the graph, not a report
+            if name != "gen":  # gen's --out is the graph, not a report
                 p.add_argument("--out", help="write a JSON run report here")
-                cmd = functools.partial(_run_reported, cmd)
-            p.set_defaults(func=cmd)
             add_args(p)
     return parser
 
 
 # one parser per value of `only`, built by the first call that needs it.
-# The parser holds each command function as it stood then; after a change
-# to COMMANDS, a _cmd_* function or _run_reported, call _parser.cache_clear()
+# The parser holds the flags of each argument adder as it stood then; after
+# a change to an adder in COMMANDS, call _parser.cache_clear()
 _parser = functools.cache(build_parser)
 
 
@@ -344,9 +342,9 @@ def main(argv=None) -> int:
     # no command first (no arguments, -h, --version, a typo): list them all
     only = argv[0] if argv and argv[0] in COMMANDS else None
     args = _parser(only).parse_args(argv)
-    args.argv = argv
+    cmd = COMMANDS[args.command][0]
     try:
-        return args.func(args)
+        return cmd(args) if args.command == "gen" else _run_reported(cmd, args, argv)
     # RecursionError: JSON nested past the interpreter's depth limit
     except (ValueError, GenerationError, SearchBudgetExceeded, OSError,
             RecursionError) as e:

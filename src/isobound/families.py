@@ -123,7 +123,8 @@ def certify_special_edge(gadget: Gadget) -> GadgetCertificate:
             f"gadget order {gadget.F.n} exceeds the exact-oracle limit {ORACLE_ORDER_LIMIT}")
     x, y = gadget.special_edge
     values = []
-    for drop in ((), (x,), (y,), (x, y)):
-        H, _ = gadget.F.remove_vertices(drop)
+    for drop in (set(), {x}, {y}, {x, y}):
+        # a vertex with no edge covers none, so iota(H) is iota(F minus drop)
+        H = Graph(gadget.F.n, [e for e in gadget.F.edges() if drop.isdisjoint(e)])
         values.append(exact_isolation_number(H).iota)
     return GadgetCertificate(gadget.b, *values)

@@ -70,22 +70,10 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self._adj) // 2
 
-    def remove_vertices(self, vs: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Graph minus the given vertices, with the new-to-old index map."""
-        drop = set(vs)
-        keep = tuple(v for v in range(self.n) if v not in drop)
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [(index[u], index[v]) for u in keep for v in self._adj[u]
-                 if u < v and v in index]
-        return Graph(len(keep), edges), keep
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -292,18 +280,13 @@ def random_regular_graph(n: int, r: int, seed: int) -> Graph:
     for _ in range(_RETRY_BUDGET):
         rng.shuffle(stubs)
         edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
+        pairs = iter(stubs)
+        for u, v in zip(pairs, pairs):
             e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
+            if u == v or e in edges:
                 break
             edges.add(e)
-        if ok:
+        else:
             return Graph(n, edges)
     raise GenerationError(
         f"no simple {r}-regular pairing on {n} vertices after {_RETRY_BUDGET} draws"

@@ -10,8 +10,7 @@ the optimum is found by a fraction-free integer simplex on the five-row
 dual, run lexicographically over (omega, beta1..beta4). The solver also
 returns dual multipliers, and check.check_optimality turns them into a
 proof of optimality by weak duality that does not trust the solver. The
-weight, row, system and solution types built and solved here are
-check.py's.
+weight, row and solution types built and solved here are check.py's.
 
 Min-terms in the worst-case analysis, c + k*min(a_1..a_m) >= r with
 k > 0, expand into the m rows c + k*a_j >= r; satisfaction of all m is
@@ -23,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .check import ConstraintSystem, LinearRow, LPSolution, WeightVector, check_feasible
+from .check import LinearRow, LPSolution, WeightVector, check_feasible
 
 # the shortest cycle each variant's graphs may have; only the R7 rows
 # below differ by variant
@@ -35,7 +34,7 @@ def _row(c0, c1, c2, c3, c4, rhs, tag) -> LinearRow:
     return LinearRow(tuple(Fraction(x) for x in (c0, c1, c2, c3, c4)), Fraction(rhs), tag)
 
 
-def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
+def build_constraints(delta: int, variant: str = "general") -> tuple[LinearRow, ...]:
     """All rows for the given minimum degree and structural variant.
 
     The shared core covers rules R1-R6; the R7 endgame rows differ by
@@ -112,7 +111,7 @@ def build_constraints(delta: int, variant: str = "general") -> ConstraintSystem:
         _row(0, -1, 2, -1, 0, 0, "step-eps3-le-eps2"),
         _row(0, 2, -1, 0, 0, 0, "step-eps2-le-beta1"),
     ]
-    return ConstraintSystem(d, variant, tuple(rows))
+    return tuple(rows)
 
 
 # Feasible for every delta >= 3 and every variant (a test checks it
@@ -121,7 +120,7 @@ FEASIBLE_PROBE = WeightVector(Fraction(9, 20), Fraction(1, 10), Fraction(1, 10),
                               Fraction(1, 10), Fraction(1, 10))
 
 
-def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
+def solve_min_omega(rows: tuple[LinearRow, ...]) -> LPSolution:
     """Lexicographic minimum of (omega, beta1..beta4) by exact simplex.
 
     The primal is min c.x over A x >= b, x >= 0 (the chain rows already
@@ -167,15 +166,15 @@ def solve_min_omega(cs: ConstraintSystem) -> LPSolution:
     l_i*(b_i - a_i.x)*D, so the tight rows are the y columns where it is
     zero.
     """
-    if not check_feasible(cs, FEASIBLE_PROBE)[0]:
+    if not check_feasible(rows, FEASIBLE_PROBE)[0]:
         raise AssertionError("constraint system rejected the feasible probe")
-    m = len(cs.rows)
-    scale = [lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs)) for row in cs.rows]
+    m = len(rows)
+    scale = [lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs)) for row in rows]
     # row k: column y_i holds l_i times row i's coefficient of weight k,
     # then the 5x5 block that is both the s columns and the rhs
     # e-coefficients; row 5 holds the reduced costs, ending in -D*x
     cols = [[c.numerator * (l // c.denominator) for c in (*row.coeffs, row.rhs)]
-            for row, l in zip(cs.rows, scale)]
+            for row, l in zip(rows, scale)]
     T = [[col[k] for col in cols] + [int(j == k) for j in range(5)] for k in range(6)]
     reduced = T[5]
     basis = list(range(m, m + 5))

@@ -24,10 +24,9 @@ from itertools import combinations
 from math import inf, lcm
 from typing import Iterable
 
-from isobound import (ConstraintSystem, ExactResult, Graph, Graph6ParseError,
-                      GreedyRule, GreedyStep, GreedyTrace, LinearRow, LPSolution, RowViolation,
-                      SearchBudgetExceeded, TraceVerification, WeightVector, exact,
-                      is_isolating)
+from isobound import (ExactResult, Graph, Graph6ParseError, GreedyRule, GreedyStep,
+                      GreedyTrace, LinearRow, LPSolution, RowViolation, SearchBudgetExceeded,
+                      TraceVerification, WeightVector, exact, is_isolating)
 from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
 from isobound.lpweights import FEASIBLE_PROBE
 
@@ -37,6 +36,16 @@ def closed_neighborhood(G: Graph, S) -> set[int]:
     for v in S:
         out.update(G.neighbors(v))
     return out
+
+
+def remove_vertices(G: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """G minus the given vertices, relabelled 0..k-1, with the new-to-old
+    index map. The package isolates vertices instead of deleting them."""
+    drop = set(vs)
+    keep = tuple(v for v in range(G.n) if v not in drop)
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
+    return Graph(len(keep), edges), keep
 
 
 def is_isolating_direct(G: Graph, S) -> bool:
@@ -103,19 +112,19 @@ def row_slack(row: LinearRow, point: tuple[Fraction, ...]) -> Fraction:
     return sum((c * x for c, x in zip(row.coeffs, point)), -row.rhs)
 
 
-def check_feasible_fraction(cs: ConstraintSystem, wv: WeightVector
+def check_feasible_fraction(rows: tuple[LinearRow, ...], wv: WeightVector
                             ) -> tuple[bool, tuple[RowViolation, ...]]:
     """Every row's slack summed in Fraction: the slow path that check.py's
     integer check_feasible replaces."""
     point = wv.as_tuple()
-    slacks = ((i, row, row_slack(row, point)) for i, row in enumerate(cs.rows))
+    slacks = ((i, row, row_slack(row, point)) for i, row in enumerate(rows))
     bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
     return (not bad, bad)
 
 
-def _integer_rows(cs: ConstraintSystem) -> list[tuple[tuple[int, ...], int]]:
+def _integer_rows(rows: tuple[LinearRow, ...]) -> list[tuple[tuple[int, ...], int]]:
     out = []
-    for row in cs.rows:
+    for row in rows:
         scale = lcm(*(c.denominator for c in row.coeffs), row.rhs.denominator)
         coeffs = tuple(int(c * scale) for c in row.coeffs)
         out.append((coeffs, int(row.rhs * scale)))
@@ -147,7 +156,7 @@ def _solve_basis(rows: list[tuple[tuple[int, ...], int]], idx: tuple[int, ...]):
     return tuple(x)
 
 
-def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
+def solve_min_omega_by_enumeration(rows: tuple[LinearRow, ...]) -> LPSolution:
     """Minimize omega by exhaustive basic-point enumeration.
 
     A feasible region with no line attains its finite optimum at a
@@ -160,10 +169,10 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
     # small equal betas satisfies every row
     probe = WeightVector(Fraction(100), Fraction(1, 100), Fraction(1, 100),
                          Fraction(1, 100), Fraction(1, 100))
-    if not check_feasible_fraction(cs, probe)[0]:
+    if not check_feasible_fraction(rows, probe)[0]:
         raise AssertionError("constraint system rejected the large-omega probe")
 
-    irows = _integer_rows(cs)
+    irows = _integer_rows(rows)
     n_rows = len(irows)
     best_omega: Fraction | None = None
     optimal_points: set[tuple[Fraction, ...]] = set()
@@ -184,11 +193,11 @@ def solve_min_omega_by_enumeration(cs: ConstraintSystem) -> LPSolution:
         raise AssertionError("no basis gives a feasible vertex")
     chosen = min(optimal_points, key=lambda p: (p[1] <= 0, p))
     witness = WeightVector(*chosen)
-    tight = tuple(i for i, row in enumerate(cs.rows) if row_slack(row, chosen) == 0)
+    tight = tuple(i for i, row in enumerate(rows) if row_slack(row, chosen) == 0)
     return LPSolution(witness, tight, ())
 
 
-def solve_min_omega_fraction(cs: ConstraintSystem) -> LPSolution:
+def solve_min_omega_fraction(rows: tuple[LinearRow, ...]) -> LPSolution:
     """Lexicographic minimum of (omega, beta1..beta4) by exact simplex.
 
     The primal is min c.x over A x >= b, x >= 0 (the chain rows already
@@ -218,14 +227,14 @@ def solve_min_omega_fraction(cs: ConstraintSystem) -> LPSolution:
     b.y = c(0).x = omega*. So y certifies omega* by weak duality
     (check_optimality).
     """
-    if not check_feasible_fraction(cs, FEASIBLE_PROBE)[0]:
+    if not check_feasible_fraction(rows, FEASIBLE_PROBE)[0]:
         raise AssertionError("constraint system rejected the feasible probe")
-    m = len(cs.rows)
+    m = len(rows)
     # row k: column y_i holds row i's coefficient of weight k, then the
     # 5x5 block that is both the s columns and the rhs e-coefficients
-    T = [[row.coeffs[k] for row in cs.rows] + [Fraction(j == k) for j in range(5)]
+    T = [[row.coeffs[k] for row in rows] + [Fraction(j == k) for j in range(5)]
          for k in range(5)]
-    reduced = [row.rhs for row in cs.rows] + [Fraction(0)] * 5  # ends in -x
+    reduced = [row.rhs for row in rows] + [Fraction(0)] * 5  # ends in -x
     basis = list(range(m, m + 5))
     while (col := next((j for j, d in enumerate(reduced) if d > 0), None)) is not None:
         # the probe is feasible, so the dual is bounded and some row qualifies
@@ -243,7 +252,7 @@ def solve_min_omega_fraction(cs: ConstraintSystem) -> LPSolution:
     for line, b in zip(T, basis):
         if b < m:
             dual[b] = line[m]
-    tight = tuple(i for i, row in enumerate(cs.rows) if row_slack(row, witness.as_tuple()) == 0)
+    tight = tuple(i for i, row in enumerate(rows) if row_slack(row, witness.as_tuple()) == 0)
     return LPSolution(witness, tight, tuple(dual))
 
 
@@ -293,7 +302,7 @@ def _minimize(T: list[list[Fraction]], basis: list[int],
         _pivot(T, basis, D, min(ratios)[2], col)
 
 
-def solve_min_omega_two_phase(cs: ConstraintSystem) -> LPSolution:
+def solve_min_omega_two_phase(rows: tuple[LinearRow, ...]) -> LPSolution:
     """Lexicographic minimum of (omega, beta1..beta4) by exact simplex.
 
     The simplex works in standard form, x >= 0; the chain rows already
@@ -311,13 +320,13 @@ def solve_min_omega_two_phase(cs: ConstraintSystem) -> LPSolution:
     basic, their reduced costs e_omega - A^T y vanish, and y certifies
     omega* by weak duality.
     """
-    if not check_feasible_fraction(cs, FEASIBLE_PROBE)[0]:
+    if not check_feasible_fraction(rows, FEASIBLE_PROBE)[0]:
         raise AssertionError("constraint system rejected the feasible probe")
-    m = len(cs.rows)
+    m = len(rows)
     n_real = 5 + m  # x columns, then surplus columns; artificials follow
     T: list[list[Fraction]] = []
     basis: list[int] = []
-    for i, row in enumerate(cs.rows):
+    for i, row in enumerate(rows):
         line = [*row.coeffs, *(Fraction(-(j == i)) for j in range(m)),
                 *(Fraction(j == i and row.rhs > 0) for j in range(m)), row.rhs]
         if row.rhs > 0:
@@ -343,7 +352,7 @@ def solve_min_omega_two_phase(cs: ConstraintSystem) -> LPSolution:
         if b < 5:
             point[b] = row[-1]
     witness = WeightVector(*point)
-    tight = tuple(i for i, row in enumerate(cs.rows) if row_slack(row, witness.as_tuple()) == 0)
+    tight = tuple(i for i, row in enumerate(rows) if row_slack(row, witness.as_tuple()) == 0)
     return LPSolution(witness, tight, tuple(D[0][5:n_real]))
 
 
@@ -639,7 +648,7 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
     # white components are now paths and cycles (max white degree <= 2);
     # each one as its own graph, with the new-to-old index map
     comps = state.white_components()
-    subs = [G.remove_vertices(set(range(G.n)).difference(comp)) for comp in comps]
+    subs = [remove_vertices(G, set(range(G.n)).difference(comp)) for comp in comps]
     for sub, back in subs:
         if sub.n != 2 and not _is_cycle5(sub):
             return GreedyRule.R5, frozenset(back[i] for i in path_cycle_min_isolating(sub))

@@ -51,8 +51,8 @@ def test_lp_weights_golden(tmp_path, capsys):
 def test_lp_weights_uncertified_exits_1(monkeypatch, capsys):
     solve = cli.solve_min_omega
 
-    def no_dual(cs):
-        return replace(solve(cs), dual=())
+    def no_dual(rows):
+        return replace(solve(rows), dual=())
 
     # warm the lp-weights parser first: the patch must still take effect
     assert main(["lp-weights", "--delta", "4"]) == 0
@@ -636,8 +636,8 @@ def _outcome(run, argv, capsys):
 
 def _run_full_parser(argv):
     args = cli.build_parser().parse_args(argv)
-    args.argv = argv
-    return args.func(args)
+    cmd = cli.COMMANDS[args.command][0]
+    return cmd(args) if args.command == "gen" else cli._run_reported(cmd, args, argv)
 
 
 @pytest.fixture
@@ -706,6 +706,20 @@ def test_each_subparser_is_built_once_per_process(monkeypatch, cold_parsers, cap
         assert code == 0 and out.endswith("certified: true\n")
         assert _outcome(main, ["check-weights", "-h"], capsys)[0] == 0
     assert built == ["isobound lp-weights"]
+
+
+def test_warm_parser_runs_the_command_in_the_table_now(monkeypatch, cold_parsers, capsys):
+    # the kept parser holds flags only; main looks the command up per call
+    argv = ["lp-weights", "--delta", "4"]
+    assert _outcome(main, argv, capsys)[0] == 0
+    _, add_args, help = cli.COMMANDS["lp-weights"]
+
+    def swapped(args, report):
+        print(f"swapped: delta {args.delta}")
+        return 1
+
+    monkeypatch.setitem(cli.COMMANDS, "lp-weights", (swapped, add_args, help))
+    assert _outcome(main, argv, capsys) == (1, "swapped: delta 4\n", "")
 
 
 def test_full_parser_names_the_command_by_its_dest(capsys):

@@ -46,21 +46,6 @@ def test_neighbors_sorted_and_symmetric():
             assert u in g.neighbors(v)
 
 
-def test_induced_subgraph_mapping():
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-    sub, back = g.remove_vertices([0, 3, 5])
-    assert back == (1, 2, 4)
-    assert set(sub.edges()) == {(0, 1), (0, 2)}  # 1-2 and 1-4 in parent labels
-    # lifting indices through the map reaches the original vertices
-    assert [back[i] for i in range(sub.n)] == [1, 2, 4]
-
-
-def test_remove_vertices():
-    g = complete_graph(4)
-    h, back = g.remove_vertices([0])
-    assert h.n == 3 and h.num_edges == 3 and back == (1, 2, 3)
-
-
 def test_parsed_graph_holds_each_neighborhood_once():
     # a sorted tuple per vertex holds about 3.9 MB here; a frozenset
     # beside each tuple brought it to about 8.3 MB

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isobound import (ConstraintSystem, LinearRow, RowViolation, WeightVector,
+from isobound import (LinearRow, RowViolation, WeightVector,
                       build_constraints, check_feasible, check_optimality,
                       solve_min_omega)
 from isobound.check import parse_rational
@@ -27,9 +27,9 @@ GOLDEN = {
 }
 
 
-def tag_prefix_census(cs: ConstraintSystem) -> dict[str, int]:
+def tag_prefix_census(rows: tuple[LinearRow, ...]) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for row in cs.rows:
+    for row in rows:
         prefix = row.tag.split("-")[0]
         counts[prefix] = counts.get(prefix, 0) + 1
     return counts
@@ -37,28 +37,28 @@ def tag_prefix_census(cs: ConstraintSystem) -> dict[str, int]:
 
 @pytest.mark.parametrize("delta", [3, 4, 5, 7])
 def test_row_counts(delta):
-    assert len(build_constraints(delta, "general").rows) == 22
-    assert len(build_constraints(delta, "triangle-free").rows) == 20
-    assert len(build_constraints(delta, "girth5").rows) == 19
+    assert len(build_constraints(delta, "general")) == 22
+    assert len(build_constraints(delta, "triangle-free")) == 20
+    assert len(build_constraints(delta, "girth5")) == 19
 
 
 def test_row_census_delta4_general():
-    cs = build_constraints(4, "general")
-    assert tag_prefix_census(cs) == {
+    rows = build_constraints(4, "general")
+    assert tag_prefix_census(rows) == {
         "r1": 2, "r2": 1, "r3": 1, "r4": 1, "r5": 1, "r6": 3, "r7": 5,
         "chain": 5, "step": 3,
     }
-    tags = [r.tag for r in cs.rows]
+    tags = [r.tag for r in rows]
     assert tags[10] == "r7-k2-min-beta2"
     assert tags[13] == "r7-c5-min-beta3"
     assert tags.index("r1-white-degree-ge5") == 0
 
 
 def test_rows_scale_with_delta():
-    cs5 = build_constraints(5, "general")
-    r3 = next(r for r in cs5.rows if r.tag == "r3-white-degree-3")
+    rows5 = build_constraints(5, "general")
+    r3 = next(r for r in rows5 if r.tag == "r3-white-degree-3")
     assert r3.coeffs == tuple(F(x) for x in (4, 0, -3, -8, 8))
-    r5 = next(r for r in cs5.rows if r.tag == "r5-component-per-vertex")
+    r5 = next(r for r in rows5 if r.tag == "r5-component-per-vertex")
     assert r5.coeffs == tuple(F(x) for x in (1, 0, -3, 3, 0))
     assert r5.rhs == F(1, 3)
 
@@ -100,8 +100,8 @@ def test_known_vectors_feasible():
 
 
 def test_tf_vector_in_general_system_fails_two_rows():
-    cs = build_constraints(4, "general")
-    ok, bad = check_feasible(cs, KNOWN_TF)
+    rows = build_constraints(4, "general")
+    ok, bad = check_feasible(rows, KNOWN_TF)
     assert not ok
     assert [v.index for v in bad] == [10, 13]
     by_tag = {v.row.tag: v.slack for v in bad}
@@ -113,12 +113,12 @@ def test_tf_vector_in_general_system_fails_two_rows():
 
 def test_omega_cannot_be_undercut():
     for (delta, variant), omega in GOLDEN.items():
-        cs = build_constraints(delta, variant)
-        wv = solve_min_omega(cs).witness
+        rows = build_constraints(delta, variant)
+        wv = solve_min_omega(rows).witness
         for shave in (F(1, 10**6), F(1, 100)):
             worse = WeightVector(wv.omega - shave, wv.beta1, wv.beta2,
                                  wv.beta3, wv.beta4)
-            ok, bad = check_feasible(cs, worse)
+            ok, bad = check_feasible(rows, worse)
             assert not ok and len(bad) >= 1, (delta, variant, shave)
 
 
@@ -127,8 +127,7 @@ def test_min_term_expansion_matches_direct_minimum():
     # the c5 triple to 5w + 5(d-2)*min(b1, b2/2, b3/3) >= 2
     rng = random.Random(99)
     for delta in (4, 5):
-        cs = build_constraints(delta, "general")
-        rows = {r.tag: r for r in cs.rows}
+        rows = {r.tag: r for r in build_constraints(delta, "general")}
         for _ in range(200):
             p = tuple(F(rng.randrange(0, 40), rng.randrange(1, 60)) for _ in range(5))
             w, b1, b2, b3, _ = p
@@ -157,11 +156,11 @@ def test_tight_rows_have_zero_slack():
     # every row's slack in Fraction
     for delta in range(3, 61):
         for variant in VARIANTS:
-            cs = build_constraints(delta, variant)
-            sol = solve_min_omega(cs)
+            rows = build_constraints(delta, variant)
+            sol = solve_min_omega(rows)
             assert len(sol.tight_rows) >= 5, (delta, variant)
             pt = sol.witness.as_tuple()
-            for i, row in enumerate(cs.rows):
+            for i, row in enumerate(rows):
                 if i in sol.tight_rows:
                     assert row_slack(row, pt) == 0, (delta, variant, i)
                 else:
@@ -188,8 +187,8 @@ def test_weight_json_rejects_bad_rationals():
 
 
 def test_solution_and_system_json():
-    cs = build_constraints(4, "general")
-    sol = solve_min_omega(cs)
+    rows = build_constraints(4, "general")
+    sol = solve_min_omega(rows)
     d = sol.to_json_dict()
     assert d["status"] == "optimal"
     assert d["optimal_omega"] == "13/41"
@@ -200,8 +199,8 @@ def test_solution_and_system_json():
 
 @pytest.mark.parametrize("key", sorted(GOLDEN, key=str))
 def test_simplex_matches_basis_enumeration(key):
-    cs = build_constraints(*key)
-    fast, slow = solve_min_omega(cs), solve_min_omega_by_enumeration(cs)
+    rows = build_constraints(*key)
+    fast, slow = solve_min_omega(rows), solve_min_omega_by_enumeration(rows)
     assert (fast.witness, fast.tight_rows) == (slow.witness, slow.tight_rows)
 
 
@@ -209,10 +208,10 @@ def test_simplex_matches_basis_enumeration(key):
 def test_dual_simplex_matches_two_phase(variant):
     # the largest delta carry the largest integers in the tableau
     for delta in (*range(3, 61), 100, 200, 299):
-        cs = build_constraints(delta, variant)
-        sol = solve_min_omega(cs)
-        assert sol == solve_min_omega_fraction(cs) == solve_min_omega_two_phase(cs), delta
-        assert check_optimality(cs, sol), delta
+        rows = build_constraints(delta, variant)
+        sol = solve_min_omega(rows)
+        assert sol == solve_min_omega_fraction(rows) == solve_min_omega_two_phase(rows), delta
+        assert check_optimality(rows, sol), delta
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -221,21 +220,21 @@ def test_dual_simplex_matches_two_phase_on_degenerate_systems(delta, variant, da
     # extra rows the probe satisfies keep the optimum below 1/2, so the
     # witness stays positive and both duals must certify; duplicates and
     # rows through the probe make the system degenerate
-    cs = build_constraints(delta, variant)
-    n = len(cs.rows)
-    extra = [cs.rows[i] for i in data.draw(st.lists(st.integers(0, n - 1), max_size=6))]
+    rows = build_constraints(delta, variant)
+    n = len(rows)
+    extra = [rows[i] for i in data.draw(st.lists(st.integers(0, n - 1), max_size=6))]
     probe = FEASIBLE_PROBE.as_tuple()
     for coeffs in data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 5), max_size=6)):
         below = data.draw(st.sampled_from([F(0), F(1, 20), F(1, 10), F(1)]))
         rhs = sum((c * x for c, x in zip(coeffs, probe)), -below)
         extra.append(LinearRow(tuple(map(F, coeffs)), rhs, "random"))
-    cs = ConstraintSystem(delta, variant, cs.rows + tuple(extra))
+    rows += tuple(extra)
     # the two-phase dual may differ on a degenerate optimum; the Fraction
     # dual simplex pivots like the integer one, so its dual must match
-    fast, slow = solve_min_omega(cs), solve_min_omega_two_phase(cs)
-    assert fast == solve_min_omega_fraction(cs)
+    fast, slow = solve_min_omega(rows), solve_min_omega_two_phase(rows)
+    assert fast == solve_min_omega_fraction(rows)
     assert (fast.witness, fast.tight_rows) == (slow.witness, slow.tight_rows)
-    assert check_optimality(cs, fast) and check_optimality(cs, slow)
+    assert check_optimality(rows, fast) and check_optimality(rows, slow)
 
 
 def test_feasible_probe_satisfies_every_system():
@@ -248,21 +247,22 @@ def test_feasible_probe_satisfies_every_system():
 
 
 def test_solve_rejects_system_the_probe_violates():
-    cs = build_constraints(4, "general")
+    rows = build_constraints(4, "general")
     half = LinearRow((F(1), F(0), F(0), F(0), F(0)), F(1, 2), "omega-ge-half")
     with pytest.raises(AssertionError, match="^constraint system rejected the feasible probe$"):
-        solve_min_omega(replace(cs, rows=cs.rows + (half,)))
+        solve_min_omega(rows + (half,))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_check_feasible_matches_fraction_oracle(variant):
     for delta in (*range(3, 61), 100, 200, 299):
-        cs = build_constraints(delta, variant)
-        wv = solve_min_omega(cs).witness
+        rows = build_constraints(delta, variant)
+        wv = solve_min_omega(rows).witness
         shaved = [WeightVector(*(x - F(1, 10**6) * (j == k) for j, x in enumerate(wv.as_tuple())))
                   for k in range(5)]
         for point in (FEASIBLE_PROBE, wv, KNOWN_DELTA4, KNOWN_TF, *shaved):
-            assert check_feasible(cs, point) == check_feasible_fraction(cs, point), (delta, point)
+            want = check_feasible_fraction(rows, point)
+            assert check_feasible(rows, point) == want, (delta, point)
 
 
 RATIONALS = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
@@ -281,56 +281,55 @@ def test_check_feasible_matches_fraction_oracle_on_random_rows(point, data):
             offset = data.draw(st.sampled_from([F(0), F(1, 10**6), F(-1, 10**6)]) | RATIONALS)
             rhs = sum((c * x for c, x in zip(coeffs, point)), -offset)
         rows.append(LinearRow(coeffs, rhs, f"random-{i}"))
-    cs = ConstraintSystem(4, "general", tuple(rows))
-    wv = WeightVector(*point)
-    assert check_feasible(cs, wv) == check_feasible_fraction(cs, wv)
+    rows, wv = tuple(rows), WeightVector(*point)
+    assert check_feasible(rows, wv) == check_feasible_fraction(rows, wv)
 
 
 def test_check_feasible_exact_at_coprime_denominators():
     p, q = 999983, 1000003
     row = LinearRow((F(1, p), F(-1, q), F(0), F(0), F(0)), F(0), "coprime")
-    cs = ConstraintSystem(4, "general", (row,))
-    assert check_feasible(cs, WeightVector(F(1, q), F(1, p), 0, 0, 0)) == (True, ())
+    rows = (row,)
+    assert check_feasible(rows, WeightVector(F(1, q), F(1, p), 0, 0, 0)) == (True, ())
     # q*x - p*k = 1, so the point below has slack -1/(7pq), the least
     # nonzero slack of a point with denominator 7
     x = pow(q, -1, p)
     k = (q * x - 1) // p
     miss = WeightVector(F(p - x, 7), F(q - k, 7), 0, 0, 0)
-    assert check_feasible(cs, miss) == (False, (RowViolation(0, row, F(-1, 7 * p * q)),))
+    assert check_feasible(rows, miss) == (False, (RowViolation(0, row, F(-1, 7 * p * q)),))
 
 
 def test_check_optimality_accepts_and_rejects():
     sols = {key: solve_min_omega(build_constraints(*key)) for key in GOLDEN}
     for key, sol in sols.items():
-        cs = build_constraints(*key)
-        assert check_optimality(cs, sol), key
+        rows = build_constraints(*key)
+        assert check_optimality(rows, sol), key
         i = next(i for i, y in enumerate(sol.dual) if y)
         negated = sol.dual[:i] + (-sol.dual[i],) + sol.dual[i + 1:]
-        assert not check_optimality(cs, replace(sol, dual=negated)), key
+        assert not check_optimality(rows, replace(sol, dual=negated)), key
         dropped = sol.dual[:i] + (F(0),) + sol.dual[i + 1:]
-        assert not check_optimality(cs, replace(sol, dual=dropped)), key
+        assert not check_optimality(rows, replace(sol, dual=dropped)), key
         # an all-zero dual has an empty support, so A^T y = 0
-        assert not check_optimality(cs, replace(sol, dual=(F(0),) * len(sol.dual))), key
+        assert not check_optimality(rows, replace(sol, dual=(F(0),) * len(sol.dual))), key
         # the shifted witness stays feasible, so only b.y = omega* fails
         up = sol.witness.omega + F(1, 10**6)
         shifted = replace(sol, witness=replace(sol.witness, omega=up))
-        assert check_feasible(cs, shifted.witness)[0]
-        assert not check_optimality(cs, shifted), key
+        assert check_feasible(rows, shifted.witness)[0]
+        assert not check_optimality(rows, shifted), key
         for other, theirs in sols.items():
             if other != key:
-                assert not check_optimality(cs, replace(sol, dual=theirs.dual)), (key, other)
+                assert not check_optimality(rows, replace(sol, dual=theirs.dual)), (key, other)
         # step-eps2-le-beta1 is chain-beta1-nonneg minus chain-beta2-ge-beta1,
         # so this y still has A^T y = e_omega and b.y = omega*, but y < 0
-        tags = [row.tag for row in cs.rows]
+        tags = [row.tag for row in rows]
         moved = list(sol.dual)
         moved[tags.index("chain-beta1-nonneg")] += 1
         moved[tags.index("chain-beta2-ge-beta1")] -= 1
         moved[tags.index("step-eps2-le-beta1")] -= 1
         assert min(moved) < 0
-        assert not check_optimality(cs, replace(sol, dual=tuple(moved))), key
+        assert not check_optimality(rows, replace(sol, dual=tuple(moved))), key
         # a rhs-0 row keeps y >= 0 and b.y = omega* but breaks A^T y = e_omega
         extra = list(sol.dual)
         extra[tags.index("chain-beta1-nonneg")] += 1
-        assert not check_optimality(cs, replace(sol, dual=tuple(extra))), key
+        assert not check_optimality(rows, replace(sol, dual=tuple(extra))), key
         infeasible = replace(sol, witness=replace(sol.witness, beta1=F(0)))
-        assert not check_optimality(cs, infeasible), key
+        assert not check_optimality(rows, infeasible), key

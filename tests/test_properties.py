@@ -7,16 +7,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from isobound import (Graph, Graph6ParseError, GreedyRule, GreedyStep, GreedyTrace,
-                      WeightVector, emit_edge_list, emit_graph6, greedy_isolating_set,
-                      parse_edge_list, parse_graph6, random_bipartite_min_degree_graph,
-                      random_min_degree_graph, verify_trace)
+                      WeightVector, emit_edge_list, emit_graph6, exact_isolation_number,
+                      greedy_isolating_set, parse_edge_list, parse_graph6,
+                      random_bipartite_min_degree_graph, random_min_degree_graph, verify_trace)
 
 from isobound.greedy import _GreedyEngine
 
 from oracles import (compute_residual, emit_graph6_bitwise, engine_fields,
-                     greedy_isolating_set_from_scratch, is_isolating_direct,
-                     parse_graph6_bitwise, random_graph, select_desirable,
-                     verify_trace_from_scratch, xi)
+                     exact_isolation_number_recursive, greedy_isolating_set_from_scratch,
+                     is_isolating_direct, parse_graph6_bitwise, random_graph,
+                     remove_vertices, select_desirable, verify_trace_from_scratch, xi)
 
 # fixed examples and no example database keep the suite's time and
 # outcome the same on every run
@@ -143,6 +143,18 @@ def test_greedy_certifies_min_degree_4(n, seed):
     S, trace = greedy_isolating_set(G, WV)
     assert verify_trace(G, trace, WV)
     assert len(S) <= math.floor(WV.omega * G.n)
+
+
+@PROPERTY
+@given(graphs_of_density(st.integers(0, 12)), st.data())
+def test_isolated_vertices_leave_iota_of_their_deletion(G, data):
+    # certify_special_edge strips the dropped vertices of their edges
+    # instead of deleting them: a vertex with no edge covers none
+    flags = data.draw(st.lists(st.booleans(), min_size=G.n, max_size=G.n))
+    drop = {v for v, dropped in enumerate(flags) if dropped}
+    H = Graph(G.n, [e for e in G.edges() if drop.isdisjoint(e)])
+    want = exact_isolation_number_recursive(remove_vertices(G, drop)[0]).iota
+    assert exact_isolation_number(H).iota == want
 
 
 @st.composite

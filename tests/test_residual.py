@@ -15,11 +15,11 @@ WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 
 
 def test_weight_vector_chain():
-    cs = build_constraints(4)
-    assert check_feasible(cs, WV) == (True, ())
+    rows = build_constraints(4)
+    assert check_feasible(rows, WV) == (True, ())
 
     def violated(wv):
-        return {v.row.tag for v in check_feasible(cs, wv)[1]}
+        return {v.row.tag for v in check_feasible(rows, wv)[1]}
 
     # omega below beta4
     assert "chain-omega-ge-beta4" in violated(

@@ -26,8 +26,7 @@ CHECKERS = {"verify_trace", "TraceVerification", "check_feasible", "check_optima
             "RowViolation", "is_isolating"}
 # the certificate types the checkers read, with their JSON readers
 CERTIFICATES = {"WEIGHT_NAMES", "_MAX_RATIONAL_CHARS", "parse_rational", "WeightVector",
-                "LinearRow", "ConstraintSystem", "LPSolution", "GreedyRule", "GreedyStep",
-                "_index", "GreedyTrace"}
+                "LinearRow", "LPSolution", "GreedyRule", "GreedyStep", "_index", "GreedyTrace"}
 
 
 def _defined(tree: ast.AST) -> set[str]:
