@@ -12,8 +12,8 @@ from .check import (GreedyRule, GreedyStep, GreedyTrace, LinearRow, LPSolution,
                     RowViolation, TraceVerification, WeightVector, check_feasible,
                     check_optimality, is_isolating, verify_trace)
 from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
-from .families import (Gadget, GadgetCertificate, ORACLE_ORDER_LIMIT,
-                       certify_special_edge, chain, metacirculant_14, prism_k4)
+from .families import (Gadget, GadgetCertificate, certify_special_edge, chain,
+                       metacirculant_14, prism_k4)
 from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list, emit_graph6,
                     girth_at_least, parse_edge_list, parse_graph6,
                     random_bipartite_min_degree_graph, random_min_degree_graph, random_regular_graph)
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ExactResult",
     "Gadget",
-    "ORACLE_ORDER_LIMIT",
     "GadgetCertificate",
     "GenerationError",
     "Graph",

@@ -141,16 +141,12 @@ class GreedyStep:
     vertices: tuple[int, ...]
     xi: Fraction
 
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
     def to_json_dict(self) -> dict:
         return {
             "rule": self.rule.name,
             "set": list(self.vertices),
             "xi": str(self.xi),
-            "size": self.size,
+            "size": len(self.vertices),
         }
 
 

@@ -104,7 +104,7 @@ def _cmd_greedy(args, report: dict) -> int:
     # per fired rule: its steps and the least slack xi - |A| among them
     rules = {}
     for step in trace.steps:
-        slack = step.xi - step.size
+        slack = step.xi - len(step.vertices)
         count, least = rules.get(step.rule.name, (0, slack))
         rules[step.rule.name] = (count + 1, min(least, slack))
     rules = dict(sorted(rules.items()))

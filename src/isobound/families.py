@@ -55,15 +55,8 @@ class GadgetCertificate:
         return min(self.iota_f, self.iota_f_minus_x,
                    self.iota_f_minus_y, self.iota_f_minus_xy) >= self.b
 
-    def chain_lower_bound(self, s: int) -> int:
-        """iota of any s-copy chain is at least s*b, given validity."""
-        if not self.valid:
-            raise ValueError("certificate is not valid; no chain bound follows")
-        return s * self.b
-
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "valid": self.valid,
-                "chain_lower_bound_per_copy": self.b if self.valid else None}
+        return {**asdict(self), "valid": self.valid}
 
 
 def prism_k4() -> Gadget:

@@ -267,16 +267,20 @@ def check_order(n: int) -> None:
 def random_regular_graph(n: int, r: int, seed: int) -> Graph:
     """Simple r-regular graph via the pairing model with whole-draw rejection.
 
-    Deterministic per seed. Raises ValueError when n*r is odd or r is
-    outside [0, n), GenerationError when the retry budget runs out.
+    When 2r > n - 1 it is the complement of the (n - 1 - r)-regular graph
+    drawn with the same seed, since a whole pairing of dense stubs is
+    almost never simple. Deterministic per seed. Raises ValueError when
+    n*r is odd or r is outside [0, n), GenerationError when the retry
+    budget runs out, as it does once both r and n - 1 - r reach about 7.
     """
     check_order(n)
     if not 0 <= r < n:
         raise ValueError(f"degree {r} must be >= 0 and below the {n} vertices")
     if (n * r) % 2:
         raise ValueError(f"n*r must be even, got n={n}, r={r}")
+    k = min(r, n - 1 - r)
     rng = Random(seed)
-    stubs = [v for v in range(n) for _ in range(r)]
+    stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(_RETRY_BUDGET):
         rng.shuffle(stubs)
         edges: set[tuple[int, int]] = set()
@@ -287,6 +291,8 @@ def random_regular_graph(n: int, r: int, seed: int) -> Graph:
                 break
             edges.add(e)
         else:
+            if k < r:
+                edges = {(u, v) for u in range(n) for v in range(u + 1, n)} - edges
             return Graph(n, edges)
     raise GenerationError(
         f"no simple {r}-regular pairing on {n} vertices after {_RETRY_BUDGET} draws"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from isobound import (chain, cli, emit_edge_list, emit_graph6, prism_k4,
+from isobound import (chain, cli, emit_edge_list, emit_graph6, exact, prism_k4,
                       random_bipartite_min_degree_graph, random_min_degree_graph)
 from isobound.cli import main
 
@@ -376,7 +376,7 @@ def test_reports_hold_every_key_the_benchmark_reads(prism_file, chain_file, tmp_
                           "verified", "size", "bound"]),
         "certify-edge": (["--in", prism_file, "--x", "0", "--y", "4", "--b", "2"],
                          ["b", "iota_f", "iota_f_minus_x", "iota_f_minus_y", "iota_f_minus_xy",
-                          "valid", "chain_lower_bound_per_copy"]),
+                          "valid"]),
     }
     results = {}
     for command, (args, keys) in runs.items():
@@ -571,6 +571,23 @@ def test_bad_graph6_is_domain_error(tmp_path, capsys, text, message):
     p.write_text(text)
     assert main(["exact", "--in", str(p)]) == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+CHAIN_BUDGET = "exceeded 1 branch nodes on n=16, m=32"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["exact", "--in", "{chain}"], CHAIN_BUDGET),
+    # each of the prism's four variants solves at its first node, so the
+    # chain is the gadget here
+    (["certify-edge", "--in", "{chain}", "--x", "0", "--y", "1", "--b", "4"], CHAIN_BUDGET),
+    (["gen", "--random", "regular", "--n", "20", "--param", "9", "--seed", "0"],
+     "no simple 9-regular pairing on 20 vertices after 5000 draws"),
+], ids=["exact", "certify-edge", "gen"])
+def test_spent_budget_is_one_line_error(argv, message, chain_file, monkeypatch, capsys):
+    monkeypatch.setattr(exact, "NODE_BUDGET", 1)
+    assert main([a.format(chain=chain_file) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_weights_report_without_vector(tmp_path, capsys):

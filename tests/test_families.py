@@ -1,10 +1,11 @@
 import pytest
 
-from isobound import (Gadget, GadgetCertificate, Graph, ORACLE_ORDER_LIMIT,
+from isobound import (Gadget, GadgetCertificate, Graph,
                       chain, certify_special_edge,
                       exact_isolation_number,
                       metacirculant_14, prism_k4)
 
+from isobound.families import ORACLE_ORDER_LIMIT
 from isobound.graph import MAX_ORDER
 
 from graphs import complete_graph, is_connected
@@ -36,7 +37,7 @@ def test_prism_certificate():
     assert (cert.iota_f, cert.iota_f_minus_x, cert.iota_f_minus_y,
             cert.iota_f_minus_xy) == (2, 2, 2, 2)
     assert cert.valid
-    assert cert.chain_lower_bound(5) == 10
+    assert 5 * cert.b == 10
     assert certify_special_edge(prism_k4()) == cert
 
 
@@ -45,7 +46,7 @@ def test_metacirculant_certificate():
     assert (cert.iota_f, cert.iota_f_minus_x, cert.iota_f_minus_y,
             cert.iota_f_minus_xy) == (3, 3, 3, 3)
     assert cert.valid
-    assert cert.chain_lower_bound(2) == 6
+    assert 2 * cert.b == 6
 
 
 def test_prism_values_match_brute_force():
@@ -61,8 +62,6 @@ def test_k4_edge_is_not_a_b2_gadget():
     cert = certify_special_edge(Gadget(k4, (0, 1), b=2))
     assert cert.iota_f == 1
     assert not cert.valid
-    with pytest.raises(ValueError, match="not valid"):
-        cert.chain_lower_bound(3)
 
 
 def test_gadget_validation():
@@ -125,14 +124,14 @@ def test_chain_prism_two_copies_exact():
     g = chain(prism_k4(), 2)
     cert = certify_special_edge(prism_k4())
     res = exact_isolation_number(g)
-    assert res.iota == cert.chain_lower_bound(2) == 4
+    assert res.iota == 2 * cert.b == 4
     assert res.iota * 4 == g.n  # the n/4 extremal family
 
 
 def test_chain_lower_bound_via_size_cap():
     g = chain(prism_k4(), 2)
     cert = certify_special_edge(prism_k4())
-    below = exact_isolation_number(g, size_cap=cert.chain_lower_bound(2) - 1)
+    below = exact_isolation_number(g, size_cap=2 * cert.b - 1)
     assert below.iota is None and below.witness is None
 
 
@@ -141,6 +140,6 @@ def test_certificate_json():
     d = cert.to_json_dict()
     assert d["valid"] is True
     assert d["b"] == 2 and d["iota_f"] == 2
-    assert d["chain_lower_bound_per_copy"] == 2
+    assert "chain_lower_bound_per_copy" not in d
     invalid = GadgetCertificate(3, 2, 3, 3, 3)
-    assert invalid.to_json_dict()["chain_lower_bound_per_copy"] is None
+    assert invalid.to_json_dict()["valid"] is False

@@ -306,9 +306,20 @@ def test_edge_list_and_graph6_input_checks():
 
 
 def test_generation_error_is_raisable():
-    # degree n-1 asks the random pairing for the complete graph: seed 2
-    # finds K6, while K10 is so rare a pairing that the retry budget runs out
+    # K6 is the complement of the empty graph; on 20 vertices neither 9
+    # nor n-1-9 = 10 is sparse enough for a whole pairing to be simple
     g = random_regular_graph(6, 5, 2)
     assert all(g.degree(v) == 5 for v in range(6))
-    with pytest.raises(GenerationError, match="no simple 9-regular pairing on 10 vertices"):
-        random_regular_graph(10, 9, 0)
+    with pytest.raises(GenerationError, match="no simple 9-regular pairing on 20 vertices"):
+        random_regular_graph(20, 9, 0)
+
+
+def test_dense_regular_requests_complement_a_sparse_pairing():
+    # a whole pairing of these stubs is almost never simple; the
+    # complement of the (n-1-r)-regular graph drawn with the same seed is
+    for n, r in ((7, 6), (8, 6), (10, 8), (10, 9), (12, 8), (16, 12), (30, 24)):
+        for seed in range(5):
+            g = random_regular_graph(n, r, seed)
+            assert all(g.degree(v) == r for v in range(n)), (n, r, seed)
+            sparse = random_regular_graph(n, n - 1 - r, seed)
+            assert not any(sparse.has_edge(u, v) for u, v in g.edges())

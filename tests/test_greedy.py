@@ -192,7 +192,7 @@ def test_greedy_certificates_on_min_degree_4():
         S, trace = greedy_isolating_set(g, wv)
         assert is_isolating(g, S)
         for step in trace.steps:
-            assert step.xi >= step.size, (seed, step)
+            assert step.xi >= len(step.vertices), (seed, step)
         assert len(S) <= math.floor(wv.omega * g.n)
 
 
@@ -269,7 +269,7 @@ def test_verify_trace_rejects_unknown_vertices():
 def test_verify_trace_rejects_a_repeated_vertex():
     g = random_min_degree_graph(40, 4, 5)
     _, trace = greedy_isolating_set(g, WV)
-    i, step = next((i, s) for i, s in enumerate(trace.steps) if s.size == 1)
+    i, step = next((i, s) for i, s in enumerate(trace.steps) if len(s.vertices) == 1)
     doubled = step.__class__(step.rule, step.vertices * 2, step.xi)
     forged = GreedyTrace(trace.n, trace.steps[:i] + (doubled,) + trace.steps[i + 1:],
                          trace.D, trace.initial_weight)
