@@ -5,12 +5,7 @@ solving, weight optimization and checking, instance generation, gadget
 certification, and independent trace verification. Human-readable
 summaries go to stdout; a JSON run report goes to --out when given.
 Exit codes: 0 success / verified, 1 domain failure or unverified, 2
-usage errors (argparse). A call builds the parser of its own subcommand
-only (all seven when argv names none): building all seven took about
-1.8 ms, half the CLI's own time on a small graph. A process builds each
-such parser once and reuses it: only code that calls `main` many times
-in one process (the tests, bench/run.py) skips the 0.2-0.3 ms build on
-later calls; a one-shot `isobound` process builds one parser, as before.
+usage errors (argparse).
 """
 
 from __future__ import annotations
@@ -94,11 +89,8 @@ def _cmd_greedy(args, report: dict) -> int:
     S, trace = greedy_isolating_set(G, wv)
     phases.lap("run_s")
     bound = math.floor(wv.omega * G.n)
-    # the short-cycle test runs only when the degree condition holds and
-    # the variant asks for a girth above 3, which every simple graph has
-    min_girth = MIN_GIRTH[args.variant]
     precondition = (min(map(G.degree, range(G.n)), default=0) >= args.delta
-                    and (min_girth <= 3 or girth_at_least(G, min_girth)))
+                    and girth_at_least(G, MIN_GIRTH[args.variant]))
     isolating = is_isolating(G, S)
     phases.lap("check_s")
     # per fired rule: its steps and the least slack xi - |A| among them

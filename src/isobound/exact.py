@@ -134,8 +134,6 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     closed = [sum(1 << u for u in (v, *G.neighbors(v))) for v in range(n)]
     edges = [closed[a] | closed[b] for a, b in G.edges()]
     decision_mode = size_cap is not None
-    if not edges:
-        return ExactResult(None, (), 0) if decision_mode else ExactResult(0, (), 0, 0)
     covers = _edge_masks(G)
 
     best_witness = None if decision_mode else tuple(sorted(_greedy_cover_seed(covers, len(edges))))

@@ -1,6 +1,13 @@
-"""Small graph constructors and predicates that only the tests use."""
+"""Small graphs, predicates and the paper's weight vectors, for the tests only."""
 
-from isobound import Graph, emit_edge_list, emit_graph6
+from fractions import Fraction as F
+
+from isobound import Graph, WeightVector, emit_edge_list, emit_graph6
+
+# the paper's two delta = 4 weight vectors: the general optimum 13/41 and
+# the triangle-free 3/10
+WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
+TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
 
 
 def is_connected(G: Graph) -> bool:

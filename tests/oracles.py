@@ -788,8 +788,6 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None) -> E
     closed = [frozenset({v, *G.neighbors(v)}) for v in range(n)]
     edges = list(G.edges())
     decision_mode = size_cap is not None
-    if not edges:
-        return ExactResult(None if decision_mode else 0, (), 0)
 
     if decision_mode:
         best_size = size_cap + 1
@@ -866,8 +864,6 @@ def exact_isolation_number_by_lists(G: Graph, size_cap: int | None = None) -> Ex
     closed = [sum(1 << u for u in (v, *G.neighbors(v))) for v in range(n)]
     edges = [closed[a] | closed[b] for a, b in G.edges()]
     decision_mode = size_cap is not None
-    if not edges:
-        return ExactResult(None, (), 0) if decision_mode else ExactResult(0, (), 0, 0)
 
     best_witness = None if decision_mode else tuple(sorted(greedy_cover_seed_by_rescan(G)))
     best_size = size_cap + 1 if decision_mode else len(best_witness)

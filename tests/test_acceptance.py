@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from isobound import (WeightVector, build_constraints, chain,
+from isobound import (build_constraints, chain,
                       certify_special_edge, check_feasible,
                       exact_isolation_number,
                       greedy_isolating_set, is_isolating,
@@ -20,7 +20,7 @@ from isobound import (WeightVector, build_constraints, chain,
                       solve_min_omega)
 from isobound.greedy import _r5_set
 
-from graphs import cycle_graph, is_connected, path_graph
+from graphs import TF, WV, cycle_graph, is_connected, path_graph
 from oracles import (Color, brute_force_isolation, compute_residual, girth,
                      is_isolating_direct, random_graph)
 
@@ -31,9 +31,6 @@ GOLDEN = (
     (5, "triangle-free", F(9, 31)),
     (3, "girth5", F(11, 34)),
 )
-
-KNOWN_DELTA4 = WeightVector(F(26, 82), F(5, 82), F(10, 82), F(12, 82), F(14, 82))
-KNOWN_TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
 
 
 def _connected_min_degree(n: int, delta: int, base_seed: int):
@@ -63,8 +60,8 @@ def test_acceptance_1_lp_golden_values():
 
 
 def test_acceptance_2_known_vectors_feasible():
-    ok_gen, bad_gen = check_feasible(build_constraints(4, "general"), KNOWN_DELTA4)
-    ok_tf, bad_tf = check_feasible(build_constraints(4, "triangle-free"), KNOWN_TF)
+    ok_gen, bad_gen = check_feasible(build_constraints(4, "general"), WV)
+    ok_tf, bad_tf = check_feasible(build_constraints(4, "triangle-free"), TF)
     assert ok_gen and bad_gen == ()
     assert ok_tf and bad_tf == ()
     print("acceptance 2 (known-good weight vectors feasible, exact): PASS")

@@ -11,10 +11,7 @@ from isobound import (chain, cli, emit_edge_list, emit_graph6, exact, prism_k4,
                       random_bipartite_min_degree_graph, random_min_degree_graph)
 from isobound.cli import main
 
-from graphs import INPUT_FORMS, complete_graph, path_graph
-
-TF_VECTOR = {"omega": "3/10", "beta1": "1/15", "beta2": "1/10",
-             "beta3": "1/8", "beta4": "3/20"}
+from graphs import INPUT_FORMS, TF, complete_graph, path_graph
 
 
 @pytest.fixture
@@ -137,8 +134,8 @@ def test_greedy_report_counts_rules_and_least_slack(tmp_path, capsys):
     assert f"steps: {line}" in capsys.readouterr().out
 
 
-def test_greedy_runs_girth_only_for_a_girth_variant(chain_file, monkeypatch, capsys):
-    # every simple graph has girth >= 3, so the general variant needs no pass
+def test_greedy_asks_girth_at_least_for_the_variant_girth(chain_file, monkeypatch, capsys):
+    # the general variant asks for girth 3, which girth_at_least grants at once
     calls = []
 
     def counted_girth_at_least(G, g):
@@ -148,13 +145,13 @@ def test_greedy_runs_girth_only_for_a_girth_variant(chain_file, monkeypatch, cap
     monkeypatch.setattr(cli, "girth_at_least", counted_girth_at_least)
     assert main(["greedy", "--in", chain_file, "--delta", "4"]) == 0
     assert "precondition (min degree >= 4, general): true" in capsys.readouterr().out
-    assert calls == []
+    assert calls == [(16, 3)]
     main(["greedy", "--in", chain_file, "--delta", "4", "--variant", "triangle-free"])
     assert "triangle-free): true" in capsys.readouterr().out
-    assert calls == [(16, 4)]
+    assert calls == [(16, 3), (16, 4)]
     main(["greedy", "--in", chain_file, "--delta", "4", "--variant", "girth5"])
     assert "girth5): true" in capsys.readouterr().out
-    assert calls == [(16, 4), (16, 5)]
+    assert calls == [(16, 3), (16, 4), (16, 5)]
 
 
 def test_verify_bound_states_the_bound_it_proves(chain_file, tmp_path, capsys):
@@ -265,9 +262,9 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
     (["check-weights", "--delta", "4", "--weights", "{bad}"], [1]),
     (["check-weights", "--delta", "4", "--weights", "{bad}"], 5),
     (["check-weights", "--delta", "4", "--weights", "{bad}"],
-     dict(TF_VECTOR, omega=float("inf"))),
+     dict(TF.to_json_dict(), omega=float("inf"))),
     (["check-weights", "--delta", "4", "--weights", "{bad}"],
-     dict(TF_VECTOR, omega="1e5000")),
+     dict(TF.to_json_dict(), omega="1e5000")),
     (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
      {"n": 16, "initial_weight": "1", "final_set": [0],
       "steps": [{"rule": "R1", "set": [0], "xi": "1e5000"}]}),
@@ -287,13 +284,16 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
      {"omega": True, "beta1": "0", "beta2": "0", "beta3": "0", "beta4": "0"}),
     # a JSON float is a binary fraction: omega 0.3171 was checked, and
     # echoed in the report, as 5712365767356737/18014398509481984
-    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega=0.3171)),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"],
+     dict(TF.to_json_dict(), omega=0.3171)),
     (["verify-bound", "--trace", "{bad}", "--weights", "{weights}"],
      {"n": 16, "initial_weight": "1", "final_set": [0],
       "steps": [{"rule": "R1", "set": [0], "xi": 0.5}]}),
-    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega=[1])),
-    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega="1/0")),
-    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF_VECTOR, omega="1" * 1001)),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"], dict(TF.to_json_dict(), omega=[1])),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"],
+     dict(TF.to_json_dict(), omega="1/0")),
+    (["check-weights", "--delta", "4", "--weights", "{bad}"],
+     dict(TF.to_json_dict(), omega="1" * 1001)),
 ], ids=["steps-not-list", "trace-is-array", "xi-divides-by-zero", "unknown-rule",
         "weights-is-array", "weights-is-number", "weight-is-infinite",
         "weight-has-exponent", "xi-has-exponent", "trace-n-is-float",
@@ -303,7 +303,7 @@ def test_report_fingerprints_the_input(chain_file, tmp_path):
 def test_malformed_json_is_one_line_error(argv, payload, chain_file, tmp_path, capsys):
     bad, weights = tmp_path / "bad.json", tmp_path / "w.json"
     bad.write_text(json.dumps(payload))
-    weights.write_text(json.dumps(TF_VECTOR))
+    weights.write_text(json.dumps(TF.to_json_dict()))
     argv = [a.format(bad=bad, weights=weights) for a in argv]
     if argv[0] == "verify-bound":
         argv += ["--in", chain_file]
@@ -321,7 +321,7 @@ def test_deeply_nested_json_is_one_line_error(argv, chain_file, tmp_path, capsys
     # json.dumps cannot build this payload: it recurses as deep as the parser
     deep, weights = tmp_path / "deep.json", tmp_path / "w.json"
     deep.write_text("[" * 100000 + "]" * 100000)
-    weights.write_text(json.dumps(TF_VECTOR))
+    weights.write_text(json.dumps(TF.to_json_dict()))
     argv = [a.format(deep=deep, weights=weights) for a in argv]
     if argv[0] != "check-weights":
         argv += ["--in", chain_file]
@@ -396,7 +396,7 @@ def test_reports_hold_every_key_the_benchmark_reads(prism_file, chain_file, tmp_
 
 def test_check_weights_feasible_and_not(tmp_path, capsys):
     wfile = tmp_path / "tf.json"
-    wfile.write_text(json.dumps(TF_VECTOR))
+    wfile.write_text(json.dumps(TF.to_json_dict()))
     assert main(["check-weights", "--delta", "4", "--variant", "triangle-free",
                  "--weights", str(wfile)]) == 0
     assert "feasible: true" in capsys.readouterr().out
@@ -464,7 +464,7 @@ def test_gen_bipartite_feeds_the_triangle_free_bound(tmp_path, capsys):
     assert main(["gen", "--random", "bipartite-min-degree", "--n", "60", "--param", "4",
                  "--seed", "5", "--format", "edgelist", "--out", str(graph)]) == 0
     assert graph.read_text() == emit_edge_list(random_bipartite_min_degree_graph(60, 4, 5))
-    weights.write_text(json.dumps(TF_VECTOR))
+    weights.write_text(json.dumps(TF.to_json_dict()))
     assert main(["greedy", "--in", str(graph), "--delta", "4", "--variant", "triangle-free",
                  "--weights", str(weights), "--out", str(run)]) == 0
     assert "precondition (min degree >= 4, triangle-free): true" in capsys.readouterr().out
@@ -609,7 +609,7 @@ def test_report_without_the_field_names_it(flag, what, results, chain_file, tmp_
                                            capsys):
     # --weights and --trace read a bare value or one field of a run report
     weights, report = tmp_path / "w.json", tmp_path / "report.json"
-    weights.write_text(json.dumps(TF_VECTOR))
+    weights.write_text(json.dumps(TF.to_json_dict()))
     if results == "lp-weights":
         assert main(["lp-weights", "--delta", "4", "--out", str(report)]) == 0
         capsys.readouterr()

@@ -52,7 +52,11 @@ def test_capped_hit_reports_no_iota():
     assert exact_isolation_number(g).iota == 6
     hit = exact_isolation_number(g, size_cap=12)
     assert hit.iota is None and len(hit.witness) == 8 and is_isolating(g, hit.witness)
-    assert exact_isolation_number(Graph(3, []), size_cap=2) == exact.ExactResult(None, (), 0)
+    # with no edge the root is a leaf: the capped search counts it as a hit
+    edgeless = Graph(3, [])
+    assert (exact_isolation_number(edgeless, size_cap=2)
+            == exact.ExactResult(None, (), 1, None, 1, 0))
+    assert exact_isolation_number(edgeless) == exact.ExactResult(0, (), 1, 0, 0, 0)
 
 
 def test_non_isolating_witness_raises(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constraints,
+from isobound import (Graph, GreedyRule, GreedyTrace, build_constraints,
                       chain, exact_isolation_number,
                       greedy_isolating_set, is_isolating,
                       prism_k4, random_bipartite_min_degree_graph,
@@ -15,12 +15,10 @@ from isobound import (Graph, GreedyRule, GreedyTrace, WeightVector, build_constr
 
 from isobound.greedy import _GreedyEngine, _r7_set
 
-from graphs import complete_graph, cycle_graph, path_graph
+from graphs import WV, complete_graph, cycle_graph, path_graph
 from oracles import (compute_residual, degree_row, engine_fields,
                      greedy_isolating_set_from_scratch, random_graph, select_desirable,
                      total_weight, verify_trace_from_scratch)
-
-WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 
 
 def star_plus(center_degree: int) -> "Graph":

@@ -11,11 +11,9 @@ from isobound import (LinearRow, RowViolation, WeightVector,
 from isobound.check import parse_rational
 from isobound.lpweights import FEASIBLE_PROBE, VARIANTS
 
+from graphs import TF, WV
 from oracles import (check_feasible_fraction, row_slack, solve_min_omega_by_enumeration,
                      solve_min_omega_fraction, solve_min_omega_two_phase)
-
-KNOWN_DELTA4 = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
-KNOWN_TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
 
 GOLDEN = {
     (4, "general"): F(13, 41),
@@ -83,7 +81,7 @@ def test_golden_optima(key, expected):
 
 def test_delta4_witness_is_known_vector():
     sol = solve_min_omega(build_constraints(4, "general"))
-    assert sol.witness == KNOWN_DELTA4
+    assert sol.witness == WV
 
 
 def test_delta3_general_exceeds_one_third():
@@ -93,15 +91,15 @@ def test_delta3_general_exceeds_one_third():
 
 
 def test_known_vectors_feasible():
-    ok, bad = check_feasible(build_constraints(4, "general"), KNOWN_DELTA4)
+    ok, bad = check_feasible(build_constraints(4, "general"), WV)
     assert ok and bad == ()
-    ok, bad = check_feasible(build_constraints(4, "triangle-free"), KNOWN_TF)
+    ok, bad = check_feasible(build_constraints(4, "triangle-free"), TF)
     assert ok and bad == ()
 
 
 def test_tf_vector_in_general_system_fails_two_rows():
     rows = build_constraints(4, "general")
-    ok, bad = check_feasible(rows, KNOWN_TF)
+    ok, bad = check_feasible(rows, TF)
     assert not ok
     assert [v.index for v in bad] == [10, 13]
     by_tag = {v.row.tag: v.slack for v in bad}
@@ -181,7 +179,7 @@ def test_weight_json_rejects_bad_rationals():
     with pytest.raises(ValueError, match="must be an object"):
         WeightVector.from_json_dict([1, 2])
     for omega in ([1], "1/0"):
-        d = dict(KNOWN_TF.to_json_dict(), omega=omega)
+        d = dict(TF.to_json_dict(), omega=omega)
         with pytest.raises(ValueError, match="malformed weight vector JSON"):
             WeightVector.from_json_dict(d)
 
@@ -260,7 +258,7 @@ def test_check_feasible_matches_fraction_oracle(variant):
         wv = solve_min_omega(rows).witness
         shaved = [WeightVector(*(x - F(1, 10**6) * (j == k) for j, x in enumerate(wv.as_tuple())))
                   for k in range(5)]
-        for point in (FEASIBLE_PROBE, wv, KNOWN_DELTA4, KNOWN_TF, *shaved):
+        for point in (FEASIBLE_PROBE, wv, WV, TF, *shaved):
             want = check_feasible_fraction(rows, point)
             assert check_feasible(rows, point) == want, (delta, point)
 

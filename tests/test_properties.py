@@ -13,6 +13,7 @@ from isobound import (Graph, Graph6ParseError, GreedyRule, GreedyStep, GreedyTra
 
 from isobound.greedy import _GreedyEngine
 
+from graphs import TF, WV
 from oracles import (compute_residual, emit_graph6_bitwise, engine_fields,
                      exact_isolation_number_recursive, greedy_isolating_set_from_scratch,
                      is_isolating_direct, parse_graph6_bitwise, random_graph,
@@ -21,11 +22,6 @@ from oracles import (compute_residual, emit_graph6_bitwise, engine_fields,
 # fixed examples and no example database keep the suite's time and
 # outcome the same on every run
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
-
-# the delta=4 optimum
-WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
-# the triangle-free delta=4 vector 3/10
-TF = WeightVector(F(3, 10), F(1, 15), F(1, 10), F(1, 8), F(3, 20))
 
 
 @st.composite

@@ -6,12 +6,9 @@ import pytest
 from isobound import (Graph, WeightVector, build_constraints, check_feasible,
                       is_isolating)
 
-from graphs import cycle_graph, path_graph
+from graphs import WV, cycle_graph, path_graph
 from oracles import (Color, closed_neighborhood, compute_residual, is_isolating_direct,
                      random_graph, total_weight, xi)
-
-# the delta=4 optimum; fixed here so weight arithmetic is concrete
-WV = WeightVector(F(13, 41), F(5, 82), F(5, 41), F(6, 41), F(7, 41))
 
 
 def test_weight_vector_chain():
