@@ -202,7 +202,7 @@ def is_isolating(G: Graph, S: Iterable[int]) -> bool:
         if not 0 <= v < G.n:
             raise ValueError(f"vertex {v} is outside [0, {G.n})")
         dominated[v] = 1
-        for u in G.neighbors(v):
+        for u in G.adj[v]:
             dominated[u] = 1
     return all(dominated[u] or dominated[v] for u, v in G.edges())
 
@@ -267,12 +267,12 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     still isolates.
     """
     n = G.n
-    nbrs = G.neighbors
+    adj = G.adj
     dominated = bytearray(n)
     # at the start every vertex with a neighbor is White, so a vertex's
     # White degree is its degree
-    white = bytearray(1 if G.degree(v) else 0 for v in range(n))
-    white_nbrs = [G.degree(v) for v in range(n)]
+    white = bytearray(map(bool, adj))
+    white_nbrs = list(map(len, adj))
     # weights as integers over L, the lcm of the denominators; a
     # non-White vertex of White degree d weighs blue[d]
     L = math.lcm(*(x.denominator for x in wv.as_tuple()))
@@ -296,20 +296,20 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
         D.update(A)
         near = set(A)
         for a in A:
-            near.update(nbrs(a))
+            near.update(adj[a])
         ball = set(near)
         for v in near:
             dominated[v] = 1
-            ball.update(nbrs(v))
+            ball.update(adj[v])
         stopped = [v for v in ball
-                   if white[v] and (dominated[v] or all(dominated[u] for u in nbrs(v)))]
+                   if white[v] and (dominated[v] or all(dominated[u] for u in adj[v]))]
         touched = set(stopped)
         for v in stopped:
-            touched.update(nbrs(v))
+            touched.update(adj[v])
         before = weight(touched)
         for v in stopped:
             white[v] = 0
-            for u in nbrs(v):
+            for u in adj[v]:
                 white_nbrs[u] -= 1
         replayed = before - weight(touched)
         if replayed * step.xi.denominator != step.xi.numerator * L:

@@ -89,7 +89,7 @@ def _cmd_greedy(args, report: dict) -> int:
     S, trace = greedy_isolating_set(G, wv)
     phases.lap("run_s")
     bound = math.floor(wv.omega * G.n)
-    precondition = (min(map(G.degree, range(G.n)), default=0) >= args.delta
+    precondition = (min(map(len, G.adj), default=0) >= args.delta
                     and girth_at_least(G, MIN_GIRTH[args.variant]))
     isolating = is_isolating(G, S)
     phases.lap("check_s")

@@ -44,7 +44,7 @@ def _edge_masks(G: Graph) -> list[int]:
     # covers[v] has bit i when v covers edge i, i.e. edge i meets N[v]
     covers = [0] * G.n
     for i, (a, b) in enumerate(G.edges()):
-        for v in {a, b, *G.neighbors(a), *G.neighbors(b)}:
+        for v in {a, b, *G.adj[a], *G.adj[b]}:
             covers[v] |= 1 << i
     return covers
 
@@ -131,7 +131,7 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
     budget = NODE_BUDGET
     n = G.n
     # bitmasks: bit c of edge ab's candidates N[a] ∪ N[b] says c covers ab
-    closed = [sum(1 << u for u in (v, *G.neighbors(v))) for v in range(n)]
+    closed = [sum(1 << u for u in (v, *G.adj[v])) for v in range(n)]
     edges = [closed[a] | closed[b] for a, b in G.edges()]
     decision_mode = size_cap is not None
     covers = _edge_masks(G)
@@ -215,9 +215,7 @@ def exact_isolation_number(G: Graph, size_cap: int | None = None) -> ExactResult
         else:
             break
 
-    if best_witness is None:
-        return ExactResult(None, None, explored, dominated=dominated)
-    if not is_isolating(G, best_witness):
+    if best_witness is not None and not is_isolating(G, best_witness):
         raise AssertionError("search returned a non-isolating witness")
     iota = None if decision_mode else len(best_witness)
     return ExactResult(iota, best_witness, explored, seed_size, updates, dominated)

@@ -26,9 +26,9 @@ class Gadget:
 
     def __post_init__(self):
         x, y = self.special_edge
-        if not (0 <= x < self.F.n and 0 <= y < self.F.n and self.F.has_edge(x, y)):
+        if not (0 <= x < self.F.n and 0 <= y < self.F.n and y in self.F.adj[x]):
             raise ValueError(f"special edge ({x}, {y}) is not an edge of F")
-        degs = {self.F.degree(v) for v in range(self.F.n)}
+        degs = set(map(len, self.F.adj))
         if len(degs) != 1:
             raise ValueError("gadget graph must be regular")
         if self.b < 1:

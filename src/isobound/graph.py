@@ -29,11 +29,11 @@ class GenerationError(RuntimeError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency is stored once, per vertex as a sorted tuple. No
-    self-loops; duplicate edges collapse.
+    adj[v] is the tuple of v's neighbors in increasing order, so
+    len(adj[v]) is v's degree. No self-loops; duplicate edges collapse.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -47,33 +47,23 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
-        self._adj = tuple(tuple(sorted(s)) for s in sets)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in increasing order."""
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        self.adj = tuple(tuple(sorted(s)) for s in sets)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
         for u in range(self.n):
-            for v in self._adj[u]:
+            for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return sum(len(a) for a in self.adj) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -89,7 +79,7 @@ def girth_at_least(G: Graph, g: int) -> bool:
     """
     if g > 5:
         raise ValueError(f"girth_at_least decides g <= 5, got {g}")
-    adj = G._adj
+    adj = G.adj
     if g > 3:
         nbr_sets = list(map(set, adj))
         for u, v in G.edges():
@@ -144,7 +134,7 @@ def emit_graph6(G: Graph) -> str:
     body = bytearray(b"?") * ((n * (n - 1) // 2 + 5) // 6)
     for v in range(1, n):
         base = v * (v - 1) // 2
-        for u in G.neighbors(v):
+        for u in G.adj[v]:
             if u >= v:
                 break
             k = base + u

@@ -70,14 +70,14 @@ def _r5_set(G: Graph, comp: tuple[int, ...]) -> frozenset[int]:
     3|A| <= k), so they are rejected.
     """
     inside = set(comp)
-    deg = [sum(u in inside for u in G.neighbors(v)) for v in comp]
+    deg = [sum(u in inside for u in G.adj[v]) for v in comp]
     if max(deg) > 2:
         raise AssertionError("R5 component is not a path or cycle")
     ends = [v for v, d in zip(comp, deg) if d < 2]
     start = prev = cur = min(ends or comp)
     order = [start]
     while True:
-        nxt = [u for u in G.neighbors(cur) if u in inside and u != prev]
+        nxt = [u for u in G.adj[cur] if u in inside and u != prev]
         if not nxt or nxt[0] == start:
             break
         prev, cur = cur, nxt[0]
@@ -96,15 +96,15 @@ def _r6_set(G: Graph, x: int, picked, wdeg) -> frozenset[int]:
     A = {x}
     for comp in picked:
         if _is_c5(comp, wdeg):
-            y = min(u for u in G.neighbors(x) if u in comp)
-            A.add(min(v for v in comp if v != y and not G.has_edge(y, v)))
+            y = min(u for u in G.adj[x] if u in comp)
+            A.add(min(v for v in comp if v != y and v not in G.adj[y]))
     return frozenset(A)
 
 
 def _r7_set(G: Graph, comp: tuple[int, ...]) -> frozenset[int]:
     if len(comp) == 2:
         return frozenset((comp[0],))
-    inner = [u for u in G.neighbors(comp[0]) if u in comp]
+    inner = [u for u in G.adj[comp[0]] if u in comp]
     if len(inner) != 2:
         raise AssertionError("endgame component is not a 5-cycle")
     return frozenset(inner)
@@ -162,9 +162,8 @@ class _GreedyEngine:
     """
 
     def __init__(self, G: Graph, wv: WeightVector):
-        n = G.n
         self.G = G
-        self.adj = adj = [G.neighbors(v) for v in range(n)]
+        self.adj = adj = G.adj
         # at the start every vertex with a neighbor is White: wdeg is the degree
         self.wdeg = [len(a) for a in adj]
         self.white = bytearray(1 if d else 0 for d in self.wdeg)

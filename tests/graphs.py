@@ -18,7 +18,7 @@ def is_connected(G: Graph) -> bool:
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in G.neighbors(u):
+        for v in G.adj[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

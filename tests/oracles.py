@@ -34,7 +34,7 @@ from isobound.lpweights import FEASIBLE_PROBE
 def closed_neighborhood(G: Graph, S) -> set[int]:
     out = set(S)
     for v in S:
-        out.update(G.neighbors(v))
+        out.update(G.adj[v])
     return out
 
 
@@ -67,8 +67,8 @@ def brute_force_isolation(G: Graph) -> tuple[int, tuple[int, ...]]:
 def triangles(G: Graph) -> list[tuple[int, int, int]]:
     out = []
     for u, v in G.edges():
-        for w in G.neighbors(u):
-            if w > v and G.has_edge(v, w):
+        for w in G.adj[u]:
+            if w > v and w in G.adj[v]:
                 out.append((u, v, w))
     return out
 
@@ -81,7 +81,7 @@ def girth(G: Graph) -> int | None:
     closure is exact for unweighted graphs. u closes only edges to vertices
     no nearer the root: one to a nearer w is u's tree edge or w closed it.
     """
-    n, neighbors = G.n, G.neighbors
+    n, adj = G.n, G.adj
     best = n + 1  # longer than any cycle
     dist = [-1] * n  # shared by all roots: each BFS resets what it set
     for root in range(n):
@@ -91,7 +91,7 @@ def girth(G: Graph) -> int | None:
             du = dist[u]
             if 2 * du >= best:
                 break
-            for v in neighbors(u):
+            for v in adj[u]:
                 if dist[v] < 0:
                     dist[v] = du + 1
                     queue.append(v)
@@ -363,7 +363,7 @@ def emit_graph6_bitwise(G: Graph) -> str:
     nbits = 0
     for j in range(1, G.n):
         for i in range(j):
-            acc = (acc << 1) | (1 if G.has_edge(i, j) else 0)
+            acc = (acc << 1) | (1 if j in G.adj[i] else 0)
             nbits += 1
             if nbits == 6:
                 out.append(chr(acc + 63))
@@ -476,7 +476,7 @@ class ResidualState:
             stack = [start]
             while stack:
                 u = stack.pop()
-                for w in self.graph.neighbors(u):
+                for w in self.graph.adj[u]:
                     if color[w] is Color.WHITE and w not in seen:
                         seen.add(w)
                         comp.append(w)
@@ -492,7 +492,7 @@ def _dominated(G: Graph, S: Iterable[int]) -> set[int]:
         if not 0 <= v < G.n:
             raise ValueError(f"vertex {v} is outside [0, {G.n})")
         out.add(v)
-        out.update(G.neighbors(v))
+        out.update(G.adj[v])
     return out
 
 
@@ -512,10 +512,10 @@ def compute_residual(G: Graph, D: Iterable[int]) -> ResidualState:
     for v in range(G.n):
         if v in dominated:
             continue
-        hit = dominated.intersection(G.neighbors(v))
-        if len(hit) < G.degree(v):
+        hit = dominated.intersection(G.adj[v])
+        if len(hit) < len(G.adj[v]):
             whites.append(v)
-            wdeg[v] = G.degree(v) - len(hit)
+            wdeg[v] = len(G.adj[v]) - len(hit)
             for u in hit:
                 wdeg[u] += 1
     color = [Color.RED] * G.n
@@ -572,7 +572,7 @@ def _walk_order(F: Graph, start: int) -> list[int]:
     prev = -1
     cur = start
     while True:
-        nxt = [u for u in F.neighbors(cur) if u != prev]
+        nxt = [u for u in F.adj[cur] if u != prev]
         if not nxt or min(nxt) == start:
             return order
         prev, cur = cur, min(nxt)
@@ -594,9 +594,9 @@ def path_cycle_min_isolating(F: Graph) -> tuple[int, ...]:
     n = F.n
     if n == 0:
         return ()
-    if any(F.degree(v) > 2 for v in range(n)):
+    if any(len(F.adj[v]) > 2 for v in range(n)):
         raise ValueError("input must be a single simple path or cycle")
-    ends = [v for v in range(n) if F.degree(v) < 2]
+    ends = [v for v in range(n) if len(F.adj[v]) < 2]
     order = _walk_order(F, min(ends, default=0))
     if len(order) != n:
         raise ValueError("input must be a single simple path or cycle")
@@ -623,7 +623,7 @@ def degree_row(state: ResidualState, v: int) -> int:
 
 
 def _is_cycle5(F: Graph) -> bool:
-    return F.n == 5 and all(F.degree(v) == 2 for v in range(5))
+    return F.n == 5 and all(len(F.adj[v]) == 2 for v in range(5))
 
 
 def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
@@ -655,19 +655,19 @@ def select_desirable(state: ResidualState) -> tuple[GreedyRule, frozenset[int]]:
 
     comp_id = {v: idx for idx, comp in enumerate(comps) for v in comp}
     for x in state.blues:
-        touched = sorted({comp_id[u] for u in G.neighbors(x) if u in comp_id})
+        touched = sorted({comp_id[u] for u in G.adj[x] if u in comp_id})
         if len(touched) >= 2:
             A = {x}
             for sub, back in (subs[i] for i in touched[:2]):
                 if _is_cycle5(sub):
-                    y = min(u for u in G.neighbors(x) if u in back)
+                    y = min(u for u in G.adj[x] if u in back)
                     cycle = _walk_order(sub, back.index(y))
                     A.add(back[min(cycle[2], cycle[3])])
             return GreedyRule.R6, frozenset(A)
     # the lowest component: a K2 gives its lower endpoint, a C5 the two
     # neighbors of its lowest vertex
     sub, back = subs[0]
-    return GreedyRule.R7, frozenset(back[i] for i in (sub.neighbors(0) if sub.n == 5 else (0,)))
+    return GreedyRule.R7, frozenset(back[i] for i in (sub.adj[0] if sub.n == 5 else (0,)))
 
 
 def greedy_isolating_set_from_scratch(G: Graph, wv: WeightVector):
@@ -757,7 +757,7 @@ def greedy_cover_seed_by_rescan(G: Graph) -> list[int]:
     # O(|S|·n·m/64) word operations, about 0.6 s at n = 2,000
     hits = [0] * G.n
     for i, (a, b) in enumerate(G.edges()):
-        for v in {a, b, *G.neighbors(a), *G.neighbors(b)}:
+        for v in {a, b, *G.adj[a], *G.adj[b]}:
             hits[v] |= 1 << i
     alive = (1 << G.num_edges) - 1
     S: list[int] = []
@@ -785,7 +785,7 @@ def exact_isolation_number_recursive(G: Graph, size_cap: int | None = None) -> E
     # a set display sizes each frozenset's hash table to its elements;
     # built straight from a tuple the table is twice as large, and the
     # unions in search walk the whole table
-    closed = [frozenset({v, *G.neighbors(v)}) for v in range(n)]
+    closed = [frozenset({v, *G.adj[v]}) for v in range(n)]
     edges = list(G.edges())
     decision_mode = size_cap is not None
 
@@ -861,7 +861,7 @@ def exact_isolation_number_by_lists(G: Graph, size_cap: int | None = None) -> Ex
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
     budget = exact.NODE_BUDGET
     n = G.n
-    closed = [sum(1 << u for u in (v, *G.neighbors(v))) for v in range(n)]
+    closed = [sum(1 << u for u in (v, *G.adj[v])) for v in range(n)]
     edges = [closed[a] | closed[b] for a, b in G.edges()]
     decision_mode = size_cap is not None
 

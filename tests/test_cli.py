@@ -1,13 +1,17 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from isobound import (chain, cli, emit_edge_list, emit_graph6, exact, prism_k4,
+from isobound import (__version__, chain, cli, emit_edge_list, emit_graph6, exact, prism_k4,
                       random_bipartite_min_degree_graph, random_min_degree_graph)
 from isobound.cli import main
 
@@ -636,6 +640,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_module_entry_point_runs_main():
+    src = Path(cli.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-m", "isobound.cli", "--version"],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == __version__
 
 
 COMMAND_NAMES = ["greedy", "exact", "lp-weights", "check-weights", "gen", "certify-edge",

@@ -187,7 +187,7 @@ def test_optimal_seed_is_never_updated():
 
 def test_cover_seed_matches_scan_seed_on_corpus():
     for g, _ in _corpus():
-        closed = [frozenset({v, *g.neighbors(v)}) for v in range(g.n)]
+        closed = [frozenset({v, *g.adj[v]}) for v in range(g.n)]
         assert _cover_seed(g) == greedy_cover_seed_by_scan(g, closed)
 
 
@@ -196,7 +196,7 @@ def test_lazy_cover_seed_matches_rescan_at_n_2000():
     # the frozenset scan oracle is cubic (about 5 s at n = 600), so it
     # checks the rescan at n = 200 and the rescan checks n = 2,000
     small = random_min_degree_graph(200, 4, 1)
-    closed = [frozenset({v, *small.neighbors(v)}) for v in range(small.n)]
+    closed = [frozenset({v, *small.adj[v]}) for v in range(small.n)]
     assert greedy_cover_seed_by_rescan(small) == greedy_cover_seed_by_scan(small, closed)
     g = random_min_degree_graph(2000, 4, 1)
     seed = _cover_seed(g)

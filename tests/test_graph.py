@@ -23,10 +23,16 @@ def test_from_edge_list_basic():
     k2 = Graph(2, [(0, 1)])
     assert k2.n == 2 and k2.num_edges == 1
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert all(c5.degree(v) == 2 for v in range(5))
+    assert all(len(c5.adj[v]) == 2 for v in range(5))
     # duplicates collapse, including reversed duplicates
     g = Graph(3, [(0, 1), (1, 0)])
-    assert g.num_edges == 1 and g.has_edge(0, 1)
+    assert g.num_edges == 1 and 1 in g.adj[0]
+
+
+def test_graph_equals_only_graphs_and_reprs_its_size():
+    g = Graph(3, [(0, 1)])
+    assert g == Graph(3, [(1, 0)]) and g != (3, g.adj)
+    assert repr(g) == "Graph(n=3, m=1)"
 
 
 def test_from_edge_list_rejects_bad_input():
@@ -40,10 +46,10 @@ def test_from_edge_list_rejects_bad_input():
 
 def test_neighbors_sorted_and_symmetric():
     g = Graph(5, [(3, 1), (3, 0), (3, 4), (0, 1)])
-    assert g.neighbors(3) == (0, 1, 4)
+    assert g.adj[3] == (0, 1, 4)
     for u in range(5):
-        for v in g.neighbors(u):
-            assert u in g.neighbors(v)
+        for v in g.adj[u]:
+            assert u in g.adj[v]
 
 
 def test_parsed_graph_holds_each_neighborhood_once():
@@ -165,7 +171,7 @@ def test_edge_list_roundtrip():
 
 def test_profile_c5():
     g = cycle_graph(5)
-    assert {g.degree(v) for v in range(g.n)} == {2}
+    assert {len(g.adj[v]) for v in range(g.n)} == {2}
     assert girth(g) == 5 and is_connected(g)
 
 
@@ -246,7 +252,7 @@ def test_random_min_degree_deterministic_and_valid():
     assert a == b
     for seed in range(100):
         g = random_min_degree_graph(30, 4, seed)
-        assert min(g.degree(v) for v in range(g.n)) >= 4
+        assert min(len(g.adj[v]) for v in range(g.n)) >= 4
 
 
 def test_random_min_degree_forced_k5():
@@ -270,14 +276,14 @@ def test_random_regular():
         random_regular_graph(10, -4, 1)
     for seed in range(100):
         g = random_regular_graph(14, 4, seed)
-        assert all(g.degree(v) == 4 for v in range(14))
+        assert all(len(g.adj[v]) == 4 for v in range(14))
     assert random_regular_graph(20, 5, 3) == random_regular_graph(20, 5, 3)
 
 
 def test_random_bipartite_min_degree():
     for seed in range(100):
         g = random_bipartite_min_degree_graph(21, 4, seed)
-        assert min(g.degree(v) for v in range(g.n)) >= 4
+        assert min(len(g.adj[v]) for v in range(g.n)) >= 4
         assert not triangles(g)
     with pytest.raises(ValueError):
         random_bipartite_min_degree_graph(7, 4, 0)
@@ -292,7 +298,7 @@ def test_dense_min_degree_requests_build_complete_graphs():
     # 201 of the first request, although the complete graph meets both
     for n in (500, 700):
         g = random_min_degree_graph(n, n - 1, 0)
-        assert all(g.degree(v) == n - 1 for v in range(n))
+        assert all(len(g.adj[v]) == n - 1 for v in range(n))
 
 
 def test_edge_list_and_graph6_input_checks():
@@ -309,7 +315,7 @@ def test_generation_error_is_raisable():
     # K6 is the complement of the empty graph; on 20 vertices neither 9
     # nor n-1-9 = 10 is sparse enough for a whole pairing to be simple
     g = random_regular_graph(6, 5, 2)
-    assert all(g.degree(v) == 5 for v in range(6))
+    assert all(len(g.adj[v]) == 5 for v in range(6))
     with pytest.raises(GenerationError, match="no simple 9-regular pairing on 20 vertices"):
         random_regular_graph(20, 9, 0)
 
@@ -320,6 +326,6 @@ def test_dense_regular_requests_complement_a_sparse_pairing():
     for n, r in ((7, 6), (8, 6), (10, 8), (10, 9), (12, 8), (16, 12), (30, 24)):
         for seed in range(5):
             g = random_regular_graph(n, r, seed)
-            assert all(g.degree(v) == r for v in range(n)), (n, r, seed)
+            assert all(len(g.adj[v]) == r for v in range(n)), (n, r, seed)
             sparse = random_regular_graph(n, n - 1 - r, seed)
-            assert not any(sparse.has_edge(u, v) for u, v in g.edges())
+            assert not any(v in sparse.adj[u] for u, v in g.edges())

@@ -289,7 +289,7 @@ def _r6_touch_counts(G, trace):
         if step.rule is GreedyRule.R6:
             x = next(v for v in step.vertices if v in state.blues)
             comps = state.white_components()
-            counts.append(sum(1 for c in comps if set(c) & set(G.neighbors(x))))
+            counts.append(sum(1 for c in comps if set(c) & set(G.adj[x])))
         D |= set(step.vertices)
     return counts
 

@@ -105,11 +105,11 @@ def test_invariants_on_random_pairs():
         nd = closed_neighborhood(g, D)
         for v in range(g.n):
             c = st.color[v]
-            white_def = v not in nd and any(u not in nd for u in g.neighbors(v))
-            blue_def = v in nd and any(st.color[u] is Color.WHITE for u in g.neighbors(v))
+            white_def = v not in nd and any(u not in nd for u in g.adj[v])
+            blue_def = v in nd and any(st.color[u] is Color.WHITE for u in g.adj[v])
             assert (c is Color.WHITE) == white_def
             assert (c is Color.BLUE) == blue_def
-            assert st.white_degree[v] == sum(st.color[u] is Color.WHITE for u in g.neighbors(v))
+            assert st.white_degree[v] == sum(st.color[u] is Color.WHITE for u in g.adj[v])
             if v in D:
                 assert c is Color.RED
             if c is Color.RED:
