@@ -44,6 +44,10 @@ def parse_rational(value) -> Fraction:
             raise ValueError(f"rational string longer than {_MAX_RATIONAL_CHARS} characters")
         if "e" in value or "E" in value:
             raise ValueError(f"rational {value!r} uses an exponent")
+        # ASCII "p/q", as every writer emits it, skips Fraction's string parser
+        p, slash, q = value.partition("/")
+        if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+            return Fraction(int(p), int(q))
     return Fraction(value)
 
 
@@ -204,7 +208,9 @@ def is_isolating(G: Graph, S: Iterable[int]) -> bool:
         dominated[v] = 1
         for u in G.adj[v]:
             dominated[u] = 1
-    return all(dominated[u] or dominated[v] for u, v in G.edges())
+    # an edge survives iff an undominated vertex has an undominated neighbor
+    dom = dominated.__getitem__
+    return all(dominated[v] or all(map(dom, nbrs)) for v, nbrs in enumerate(G.adj))
 
 
 @dataclass(frozen=True)
@@ -269,6 +275,7 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
     n = G.n
     adj = G.adj
     dominated = bytearray(n)
+    dom = dominated.__getitem__
     # at the start every vertex with a neighbor is White, so a vertex's
     # White degree is its degree
     white = bytearray(map(bool, adj))
@@ -302,7 +309,7 @@ def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerific
             dominated[v] = 1
             ball.update(adj[v])
         stopped = [v for v in ball
-                   if white[v] and (dominated[v] or all(dominated[u] for u in adj[v]))]
+                   if white[v] and (dominated[v] or all(map(dom, adj[v])))]
         touched = set(stopped)
         for v in stopped:
             touched.update(adj[v])

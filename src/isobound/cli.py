@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 # hashlib maps OpenSSL, about 3.5 MB resident, so prefer the lean
@@ -93,12 +94,16 @@ def _cmd_greedy(args, report: dict) -> int:
                     and girth_at_least(G, MIN_GIRTH[args.variant]))
     isolating = is_isolating(G, S)
     phases.lap("check_s")
-    # per fired rule: its steps and the least slack xi - |A| among them
+    # per fired rule: its steps and the least slack xi - |A| among them,
+    # as p/q in integers (q > 0), the earlier one kept on ties as min does
     rules = {}
     for step in trace.steps:
-        slack = step.xi - len(step.vertices)
-        count, least = rules.get(step.rule.name, (0, slack))
-        rules[step.rule.name] = (count + 1, min(least, slack))
+        q = step.xi.denominator
+        p = step.xi.numerator - len(step.vertices) * q
+        count, least = rules.get(step.rule.name, (0, (p, q)))
+        if p * least[1] < least[0] * q:
+            least = (p, q)
+        rules[step.rule.name] = (count + 1, least)
     rules = dict(sorted(rules.items()))
     print(f"n = {G.n}, m = {G.num_edges}")
     print(f"omega = {wv.omega}")
@@ -115,7 +120,7 @@ def _cmd_greedy(args, report: dict) -> int:
         "isolating": isolating,
         "precondition": precondition,
         "weights": wv.to_json_dict(),
-        "rules": {k: {"count": count, "min_slack": str(least)}
+        "rules": {k: {"count": count, "min_slack": str(Fraction(*least))}
                   for k, (count, least) in rules.items()},
         "trace": trace.to_json_dict(),
     }

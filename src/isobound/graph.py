@@ -8,7 +8,6 @@ construction and safe to share between concurrent workers.
 from __future__ import annotations
 
 from itertools import chain
-from math import isqrt
 from random import Random
 from typing import Iterable, Iterator
 
@@ -40,14 +39,22 @@ class Graph:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise _edge_error(n, u, v)
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in sets)
+
+    @classmethod
+    def _from_sorted(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """The Graph with adjacency adj, unchecked; only the parsers call
+        it. The caller guarantees adj holds n strictly increasing tuples,
+        adj[v] within [0, n) minus v, and u in adj[v] iff v in adj[u]."""
+        G = object.__new__(cls)
+        G.n = n
+        G.adj = adj
+        return G
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
@@ -58,7 +65,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -67,6 +74,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _edge_error(n: int, u: int, v: int) -> ValueError:
+    """Why (u, v) is no edge of a simple graph on [0, n)."""
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+    return ValueError(f"self-loop ({u}, {v}) is not allowed")
 
 
 def girth_at_least(G: Graph, g: int) -> bool:
@@ -149,11 +163,17 @@ def parse_graph6(text: str) -> Graph:
     The validity check is one translate that deletes every valid byte.
     A second translate marks each body byte other than "?" (no bits
     set), bytes.find skips from mark to mark, and _G6_BITS lists a marked
-    byte's set bits, so Python only visits bits that hold an edge;
-    math.isqrt recovers the column v from bit k = v(v-1)/2 + u. All
+    byte's set bits, so Python only visits bits that hold an edge. All
     per-pair work runs in C. A Graph6ParseError offset counts from the
     start of `text` as given, so stripped whitespace and the header
     count too.
+
+    Pair (u, v), u < v, is bit k = base + u of column v, base = v(v-1)/2,
+    and a running sum moves base along. Bits come in increasing k, so
+    appending v to adj[u] and u to adj[v] keeps each list sorted and
+    duplicate-free: w gets its u < w in column w, then its v > w from
+    later columns. u < v rules out loops, and the padding check keeps
+    every set bit inside the n(n-1)/2 pairs.
     """
     s = text.strip()
     lead = len(text) - len(text.lstrip())
@@ -192,15 +212,20 @@ def parse_graph6(text: str) -> Graph:
             raise Graph6ParseError("nonzero padding bits", lead + body_at + nbytes - 1)
     body = s[body_at:].encode("ascii")
     marks = body.translate(_G6_MARKS)
-    edges = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    v, base = 1, 0
     p = marks.find(b"!")
     while p >= 0:
         for b in _G6_BITS[body[p] - 63]:
             k = 6 * p + b
-            v = (1 + isqrt(8 * k + 1)) // 2
-            edges.append((k - v * (v - 1) // 2, v))
+            while k >= base + v:
+                base += v
+                v += 1
+            u = k - base
+            adj[u].append(v)
+            adj[v].append(u)
         p = marks.find(b"!", p + 1)
-    return Graph(n, edges)
+    return Graph._from_sorted(n, tuple(map(tuple, adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +238,7 @@ def is_edge_list(text: str) -> bool:
 
 def emit_edge_list(G: Graph) -> str:
     lines = [f"{G.n} {G.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
+    lines += [f"{u} {v}" for u, nbrs in enumerate(G.adj) for v in nbrs if v > u]
     return "\n".join(lines) + "\n"
 
 
@@ -233,13 +258,23 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"header 'n m' needs 0 <= n <= {MAX_ORDER} and m >= 0, got {rows[0]!r}")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    edges = []
+    # each edge goes straight into per-vertex lists; a malformed line
+    # raises at once, and the first bad edge only once every line parses
+    adj: list[list[int]] = [[] for _ in range(n)]
+    bad = None
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"expected edge line 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Graph(n, edges)
+        u, v = int(parts[0]), int(parts[1])
+        if 0 <= u < n and 0 <= v < n and u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+        elif bad is None:
+            bad = (u, v)
+    if bad is not None:
+        raise _edge_error(n, *bad)
+    return Graph._from_sorted(n, tuple(tuple(sorted(set(a))) for a in adj))
 
 
 # ---------------------------------------------------------------------------

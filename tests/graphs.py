@@ -39,6 +39,17 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
+# the largest iota/n known for minimum degree 4: the complement of C7
+# (4-regular, iota = 2, so 2/7) in general, and for triangle-free graphs
+# a connected 4-regular graph of girth 4 on 12 vertices (iota = 3, so 1/4)
+COMPLEMENT_OF_C7 = Graph(7, ((u, v) for u in range(7) for v in range(u + 2, 7) if v - u != 6))
+TRIANGLE_FREE_12 = Graph(12, [
+    (0, 2), (0, 6), (0, 7), (0, 10), (1, 3), (1, 6), (1, 8), (1, 9), (2, 8), (2, 9), (2, 11),
+    (3, 7), (3, 10), (3, 11), (4, 7), (4, 8), (4, 9), (4, 11), (5, 6), (5, 7), (5, 9), (5, 10),
+    (6, 11), (8, 10),
+])
+
+
 # one graph's text in each form the input-format rule must read; write
 # it as bytes, so that no newline is translated
 INPUT_FORMS = {

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from isobound import (__version__, chain, cli, emit_edge_list, emit_graph6, exact, prism_k4,
-                      random_bipartite_min_degree_graph, random_min_degree_graph)
+from isobound import (__version__, chain, cli, emit_edge_list, emit_graph6, exact,
+                      metacirculant_14, prism_k4, random_bipartite_min_degree_graph,
+                      random_min_degree_graph, random_regular_graph)
 from isobound.cli import main
 
-from graphs import INPUT_FORMS, TF, complete_graph, path_graph
+from graphs import (COMPLEMENT_OF_C7, INPUT_FORMS, TF, TRIANGLE_FREE_12, complete_graph,
+                    cycle_graph, path_graph)
 
 
 @pytest.fixture
@@ -229,6 +231,31 @@ def test_verify_rejects_wrong_header(chain_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "header_ok: false" in text and "verified: false" in text
     assert "xi_matches: true" in text and "partition_ok: true" in text
+
+
+@pytest.mark.parametrize("G, weights", [
+    (chain(prism_k4(), 3), None), (chain(metacirculant_14(), 2), None),
+    (random_regular_graph(40, 4, 1), None), (random_min_degree_graph(120, 5, 2), None),
+    (random_bipartite_min_degree_graph(80, 4, 3), TF), (COMPLEMENT_OF_C7, None),
+    (TRIANGLE_FREE_12, TF), (cycle_graph(100), None), (path_graph(100), None),
+])
+def test_greedy_report_least_slack_is_the_traces(G, weights, tmp_path):
+    # the report keeps each rule's least slack as an integer pair; its
+    # text must be the Fraction minimum over the trace's own steps
+    graph, run = tmp_path / "g.el", tmp_path / "run.json"
+    graph.write_text(emit_edge_list(G))
+    argv = ["greedy", "--in", str(graph), "--delta", "4", "--out", str(run)]
+    if weights is not None:
+        (tmp_path / "w.json").write_text(json.dumps(weights.to_json_dict()))
+        argv += ["--weights", str(tmp_path / "w.json")]
+    assert main(argv) == 0
+    results = json.loads(run.read_text())["results"]
+    steps = results["trace"]["steps"]
+    want = {}
+    for s in steps:
+        want.setdefault(s["rule"], []).append(Fraction(s["xi"]) - len(s["set"]))
+    assert results["rules"] == {rule: {"count": len(slacks), "min_slack": str(min(slacks))}
+                                for rule, slacks in sorted(want.items())}
 
 
 def test_greedy_and_verify_reports_time_their_phases(chain_file, tmp_path):

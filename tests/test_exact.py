@@ -1,17 +1,20 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isobound import (Graph, GadgetCertificate, SearchBudgetExceeded, exact, chain,
-                      certify_special_edge, exact_isolation_number, is_isolating, prism_k4,
-                      metacirculant_14, random_min_degree_graph, random_regular_graph)
+                      certify_special_edge, exact_isolation_number, greedy_isolating_set,
+                      is_isolating, prism_k4, metacirculant_14, random_min_degree_graph,
+                      random_regular_graph, verify_trace)
 from isobound.exact import _edge_masks, _greedy_cover_seed
 from isobound.greedy import _r5_set
 
-from graphs import complete_graph, cycle_graph, path_graph
+from graphs import (COMPLEMENT_OF_C7, TF, TRIANGLE_FREE_12, WV, complete_graph, cycle_graph,
+                    path_graph)
 from oracles import (brute_force_isolation, exact_isolation_number_by_lists,
-                     exact_isolation_number_recursive, greedy_cover_seed_by_rescan,
+                     exact_isolation_number_recursive, girth, greedy_cover_seed_by_rescan,
                      greedy_cover_seed_by_scan, is_isolating_direct,
                      path_cycle_min_isolating, random_graph, remove_vertices)
 
@@ -22,6 +25,18 @@ def test_known_values():
     assert exact_isolation_number(metacirculant_14().F).iota == 3
     assert exact_isolation_number(complete_graph(5)).iota == 1
     assert exact_isolation_number(Graph(3, [])).iota == 0
+
+
+@pytest.mark.parametrize("G, g, wv, iota", [(COMPLEMENT_OF_C7, 3, WV, 2),
+                                             (TRIANGLE_FREE_12, 4, TF, 3)])
+def test_extremal_records_meet_the_certified_bound(G, g, wv, iota):
+    # the best known iota/n for minimum degree 4 (2/7, and 1/4 with no
+    # triangle) is exact, and the certified greedy reaches floor(omega*n)
+    assert set(map(len, G.adj)) == {4} and girth(G) == g
+    assert brute_force_isolation(G)[0] == exact_isolation_number(G).iota == iota
+    S, trace = greedy_isolating_set(G, wv)
+    assert len(S) == math.floor(wv.omega * G.n) == iota
+    assert verify_trace(G, trace, wv)
 
 
 def test_witness_is_isolating_and_minimal():

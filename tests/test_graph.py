@@ -54,16 +54,19 @@ def test_neighbors_sorted_and_symmetric():
 
 def test_parsed_graph_holds_each_neighborhood_once():
     # a sorted tuple per vertex holds about 3.9 MB here; a frozenset
-    # beside each tuple brought it to about 8.3 MB
+    # beside each tuple brought it to about 8.3 MB. The lines go straight
+    # into per-vertex lists, so the peak is about 8.5 MB; an edge-tuple
+    # list and a set per vertex beside them brought it to 13.6 MB
     text = emit_edge_list(random_min_degree_graph(20000, 4, 1))
     tracemalloc.start()
     try:
         g = parse_edge_list(text)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g.n == 20000
     assert held < 6_000_000, held
+    assert peak < 11_000_000, peak
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,14 @@ def test_edge_list_and_graph6_input_checks():
         parse_edge_list(" \n\t\n")
     with pytest.raises(ValueError, match="expected edge line 'u v', got '0 1 2'"):
         parse_edge_list("3 1\n0 1 2\n")
+    # a malformed line raises before any bad edge, wherever it stands;
+    # of the bad edges, the first one read is named
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_edge_list("3 2\n0 5\n0 x\n")
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) has an endpoint outside \[0, 3\)"):
+        parse_edge_list("3 3\n0 1\n0 5\n1 1\n")
+    with pytest.raises(ValueError, match=r"self-loop \(1, 1\)"):
+        parse_edge_list("3 2\n1 1\n0 5\n")
     # the order is rejected before a body of n(n-1)/12 bytes is allocated
     with pytest.raises(ValueError, match=f"n <= {MAX_ORDER}"):
         emit_graph6(Graph(MAX_ORDER + 1, []))

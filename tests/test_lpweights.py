@@ -172,6 +172,23 @@ def test_row_evaluate_and_str():
     assert "2*omega" in str(row) and "beta2" not in str(row)
 
 
+def _rational_outcome(read, value):
+    try:
+        return read(value)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("value", ["3/10", "03/10", "0/7", "3/0", "-3/10", "+3/10", "3/-10",
+                                   "/3", "3/", "/", "3/10/2", " 3/10", "3 /10", "3",
+                                   "\u0663/\u0661\u0660", "3/\u00b2", 7])
+def test_parse_rational_reads_as_fraction_does(value):
+    # the ASCII "p/q" shortcut gives Fraction(value)'s value or its error
+    got = _rational_outcome(parse_rational, value)
+    assert got == _rational_outcome(F, value)
+    assert type(got) is F or got in (ValueError, ZeroDivisionError)
+
+
 def test_weight_json_rejects_bad_rationals():
     assert parse_rational("1/" + "7" * 998) == F(1, int("7" * 998))  # 1,000 characters
     with pytest.raises(ValueError, match="longer than 1000 characters"):

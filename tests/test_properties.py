@@ -52,7 +52,13 @@ def graphs_of_density(draw, orders):
 def test_graph6_matches_bitwise_oracle(G):
     s = emit_graph6(G)
     assert s == emit_graph6_bitwise(G)
-    assert parse_graph6(s) == parse_graph6_bitwise(s) == G
+    H = parse_graph6(s)
+    assert H == parse_graph6_bitwise(s) == G and _all_tuples(H)
+
+
+def _all_tuples(G: Graph) -> bool:
+    # the parsers build adj themselves, past __init__'s conversion
+    return type(G.adj) is tuple and all(type(a) is tuple for a in G.adj)
 
 
 def test_graph6_matches_bitwise_oracle_on_every_byte():
@@ -61,6 +67,7 @@ def test_graph6_matches_bitwise_oracle_on_every_byte():
         s = chr(63 + 4) + chr(63 + x)
         G = parse_graph6(s)
         assert G == parse_graph6_bitwise(s) and emit_graph6(G) == s
+        assert _all_tuples(G)
 
 
 def _parse_outcome(parse, s):
@@ -118,7 +125,28 @@ def test_graph6_errors_match_bitwise_oracle(kind, data):
 @PROPERTY
 @given(graphs(max_n=70))
 def test_edge_list_round_trip(G):
-    assert parse_edge_list(emit_edge_list(G)) == G
+    H = parse_edge_list(emit_edge_list(G))
+    assert H == G and _all_tuples(H)
+
+
+def _build_outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@PROPERTY
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=40))))
+def test_edge_list_parse_matches_the_validating_constructor(case):
+    # repeated, reversed, looped and out-of-range pairs in any order: the
+    # parser gives Graph(n, pairs)'s graph, or its error for the first bad pair
+    n, pairs = case
+    text = f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    got = _build_outcome(parse_edge_list, text)
+    assert got == _build_outcome(Graph, n, pairs)
+    assert not isinstance(got, Graph) or _all_tuples(got)
 
 
 @PROPERTY
