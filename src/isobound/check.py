@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, astuple, dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -51,8 +50,15 @@ def parse_rational(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class _Weights(NamedTuple):
+    omega: Fraction
+    beta1: Fraction
+    beta2: Fraction
+    beta3: Fraction
+    beta4: Fraction
+
+
+class WeightVector(_Weights):
     """Exact rational weights (omega, beta1..beta4).
 
     Relative to a partial isolating set D, a White vertex (outside N[D],
@@ -61,26 +67,23 @@ class WeightVector:
     every other vertex costs nothing. The drop of that total when D
     grows by A is xi(A).
 
-    Construction does not enforce the chain conditions, since feasibility
-    checking must be able to evaluate arbitrary vectors; the chain and
-    step rows of build_constraints state them.
+    Construction converts each weight with Fraction, so ints and strings
+    such as "3/10" are accepted; _replace and _make bypass that and need
+    Fractions. Construction does not enforce the chain conditions, since
+    feasibility checking must be able to evaluate arbitrary vectors; the
+    chain and step rows of build_constraints state them.
     """
 
-    omega: Fraction
-    beta1: Fraction
-    beta2: Fraction
-    beta3: Fraction
-    beta4: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in WEIGHT_NAMES:
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, omega, beta1, beta2, beta3, beta4):
+        return super().__new__(cls, *map(Fraction, (omega, beta1, beta2, beta3, beta4)))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-        return (self.omega, self.beta1, self.beta2, self.beta3, self.beta4)
+        return tuple(self)
 
     def to_json_dict(self) -> dict:
-        return {name: str(x) for name, x in zip(WEIGHT_NAMES, self.as_tuple())}
+        return {name: str(x) for name, x in zip(WEIGHT_NAMES, self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightVector":
@@ -94,8 +97,7 @@ class WeightVector:
             raise ValueError(f"malformed weight vector JSON: {e}") from None
 
 
-@dataclass(frozen=True)
-class LinearRow:
+class LinearRow(NamedTuple):
     """One inequality sum(coeffs * (omega, beta1..beta4)) >= rhs."""
 
     coeffs: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
@@ -110,8 +112,7 @@ class LinearRow:
         return f"{' + '.join(terms) or '0'} >= {self.rhs}"
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     witness: WeightVector  # an optimal point; witness.omega is the optimum
     tight_rows: tuple[int, ...]
     # one multiplier per row of the system; check_optimality reads them
@@ -139,8 +140,7 @@ class GreedyRule(IntEnum):
     R7 = 7
 
 
-@dataclass(frozen=True)
-class GreedyStep:
+class GreedyStep(NamedTuple):
     rule: GreedyRule
     vertices: tuple[int, ...]
     xi: Fraction
@@ -160,8 +160,7 @@ def _index(value) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(NamedTuple):
     """Audit trail of one run: the steps partition the final set D, and
     initial_weight − sum of step xi values telescopes to the final
     weight, which is zero once no White vertex remains."""
@@ -213,8 +212,7 @@ def is_isolating(G: Graph, S: Iterable[int]) -> bool:
     return all(dominated[v] or all(map(dom, nbrs)) for v, nbrs in enumerate(G.adj))
 
 
-@dataclass(frozen=True)
-class TraceVerification:
+class TraceVerification(NamedTuple):
     """Result of an independent trace replay; truthy only if everything holds.
 
     xi_matches: every recorded xi equals the replayed weight drop.
@@ -233,10 +231,10 @@ class TraceVerification:
     header_ok: bool
 
     def __bool__(self) -> bool:
-        return all(astuple(self))
+        return all(self)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "verified": bool(self)}
+        return {**self._asdict(), "verified": bool(self)}
 
 
 def verify_trace(G: Graph, trace: GreedyTrace, wv: WeightVector) -> TraceVerification:

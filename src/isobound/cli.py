@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,9 +46,12 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(text) if is_edge_list(text) else parse_graph6(text)
 
 
-def _load_json(path: str, what: str, *fields: str):
-    """A bare JSON value, or the first of fields set in a run report's results."""
-    data = json.loads(Path(path).read_text())
+def _read_json(path: str):
+    return json.loads(Path(path).read_text())
+
+
+def _pick(data, what: str, *fields: str):
+    """A bare JSON value as it is, or the first of fields set in a run report's results."""
     if isinstance(data, dict) and "results" in data:
         results = data["results"] if isinstance(data["results"], dict) else {}
         data = next(filter(None, map(results.get, fields)), None)
@@ -58,8 +60,8 @@ def _load_json(path: str, what: str, *fields: str):
     return data
 
 
-def _load_weights(path: str) -> WeightVector:
-    return WeightVector.from_json_dict(_load_json(path, "weight vector", "witness", "weights"))
+def _load_weights(data) -> WeightVector:
+    return WeightVector.from_json_dict(_pick(data, "weight vector", "witness", "weights"))
 
 
 def _fingerprint(G: Graph) -> dict:
@@ -84,7 +86,7 @@ class _Phases(dict):
 def _cmd_greedy(args, report: dict) -> int:
     phases = _Phases()
     G = _load_graph(args.infile)
-    wv = (_load_weights(args.weights) if args.weights
+    wv = (_load_weights(_read_json(args.weights)) if args.weights
           else solve_min_omega(build_constraints(args.delta, args.variant)).witness)
     phases.lap("load_s")
     S, trace = greedy_isolating_set(G, wv)
@@ -141,7 +143,7 @@ def _cmd_exact(args, report: dict) -> int:
         print(f"witness = {list(result.witness)}")
     print(f"explored = {result.explored}")
     report["input"] = {"graph": _fingerprint(G)}
-    report["results"] = {**asdict(result), "size_cap": args.cap}
+    report["results"] = {**result._asdict(), "size_cap": args.cap}
     return 0
 
 
@@ -162,7 +164,7 @@ def _cmd_lp_weights(args, report: dict) -> int:
 
 def _cmd_check_weights(args, report: dict) -> int:
     rows = build_constraints(args.delta, args.variant)
-    wv = _load_weights(args.weights)
+    wv = _load_weights(_read_json(args.weights))
     ok, violations = check_feasible(rows, wv)
     print(f"feasible: {str(ok).lower()}")
     for v in violations:
@@ -192,8 +194,11 @@ def _cmd_certify_edge(args, report: dict) -> int:
 def _cmd_verify_bound(args, report: dict) -> int:
     phases = _Phases()
     G = _load_graph(args.infile)
-    wv = _load_weights(args.weights)
-    trace = GreedyTrace.from_json_dict(_load_json(args.trace, "trace", "trace"))
+    # weights checked first; a report passed as both is read once
+    weights_doc = _read_json(args.weights)
+    wv = _load_weights(weights_doc)
+    trace_doc = weights_doc if args.trace == args.weights else _read_json(args.trace)
+    trace = GreedyTrace.from_json_dict(_pick(trace_doc, "trace", "trace"))
     phases.lap("load_s")
     outcome = verify_trace(G, trace, wv)
     phases.lap("replay_s")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
+from typing import NamedTuple
 
 from .check import is_isolating
 from .graph import Graph
@@ -19,8 +19,7 @@ class SearchBudgetExceeded(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Outcome of exact_isolation_number.
 
     Without a size cap, iota is the exact isolation number and witness a

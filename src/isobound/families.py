@@ -10,7 +10,7 @@ certificate covers exactly those four situations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .exact import exact_isolation_number
 from .graph import Graph, check_order
@@ -18,25 +18,30 @@ from .graph import Graph, check_order
 ORACLE_ORDER_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class Gadget:
+class _GadgetFields(NamedTuple):
     F: Graph
     special_edge: tuple[int, int]
     b: int
 
-    def __post_init__(self):
-        x, y = self.special_edge
-        if not (0 <= x < self.F.n and 0 <= y < self.F.n and y in self.F.adj[x]):
+
+class Gadget(_GadgetFields):
+    """F, its special edge and b, checked on construction (not by _replace)."""
+
+    __slots__ = ()
+
+    def __new__(cls, F, special_edge, b):
+        x, y = special_edge
+        if not (0 <= x < F.n and 0 <= y < F.n and y in F.adj[x]):
             raise ValueError(f"special edge ({x}, {y}) is not an edge of F")
-        degs = set(map(len, self.F.adj))
+        degs = set(map(len, F.adj))
         if len(degs) != 1:
             raise ValueError("gadget graph must be regular")
-        if self.b < 1:
-            raise ValueError(f"per-copy requirement must be >= 1, got {self.b}")
+        if b < 1:
+            raise ValueError(f"per-copy requirement must be >= 1, got {b}")
+        return super().__new__(cls, F, special_edge, b)
 
 
-@dataclass(frozen=True)
-class GadgetCertificate:
+class GadgetCertificate(NamedTuple):
     """The four exact values behind a special-edge claim.
 
     valid means every one of iota(F), iota(F−x), iota(F−y) and
@@ -56,7 +61,7 @@ class GadgetCertificate:
                    self.iota_f_minus_y, self.iota_f_minus_xy) >= self.b
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "valid": self.valid}
+        return {**self._asdict(), "valid": self.valid}
 
 
 def prism_k4() -> Gadget:

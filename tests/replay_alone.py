@@ -22,12 +22,18 @@ from pathlib import Path
 src, graph_file, report_file = map(Path, sys.argv[1:])
 if importlib.util.find_spec("isobound") is not None:
     sys.exit("the isobound package is importable")
-for name in ("graph", "check"):
+
+
+def load(name: str):
+    # check.py imports graph.py under TYPE_CHECKING only, so neither
+    # module needs the other, or an entry in sys.modules, at run time
     spec = importlib.util.spec_from_file_location(name, src / f"{name}.py")
-    # dataclasses look their class's module up in sys.modules
-    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-graph, check = sys.modules["graph"], sys.modules["check"]
+    return module
+
+
+graph, check = load("graph"), load("check")
 
 text = graph_file.read_text()
 G = graph.parse_edge_list(text) if graph.is_edge_list(text) else graph.parse_graph6(text)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,7 +54,7 @@ def test_lp_weights_uncertified_exits_1(monkeypatch, capsys):
     solve = cli.solve_min_omega
 
     def no_dual(rows):
-        return replace(solve(rows), dual=())
+        return solve(rows)._replace(dual=())
 
     # warm the lp-weights parser first: the patch must still take effect
     assert main(["lp-weights", "--delta", "4"]) == 0
@@ -93,6 +92,24 @@ def test_exact_report_counts_incumbent_updates(tmp_path, capsys):
     # stdout keeps its three lines; the new counts are in the report only
     assert capsys.readouterr().out.splitlines() == [
         "iota = 8", f"witness = {results['witness']}", "explored = 494"]
+
+
+# the results are ExactResult's fields in order, then size_cap
+@pytest.mark.parametrize("cap,results", [
+    (None, {"iota": 3, "witness": [0, 6, 9], "explored": 18, "seed_size": 4,
+            "incumbent_updates": 1, "dominated": 2}),
+    (3, {"iota": None, "witness": [0, 6, 9], "explored": 10, "seed_size": None,
+         "incumbent_updates": 1, "dominated": 2}),
+    (2, {"iota": None, "witness": None, "explored": 7, "seed_size": None,
+         "incumbent_updates": 0, "dominated": 0}),
+], ids=["exact", "cap-hit", "cap-miss"])
+def test_exact_report_results_are_golden(cap, results, tmp_path, capsys):
+    p, out = tmp_path / "rr16.g6", tmp_path / "r.json"
+    p.write_text(emit_graph6(random_regular_graph(16, 4, 3)) + "\n")
+    argv = ["exact", "--in", str(p), "--out", str(out)]
+    assert main(argv + ["--cap", str(cap)] * (cap is not None)) == 0
+    got = json.loads(out.read_text())["results"]
+    assert list(got.items()) == [*results.items(), ("size_cap", cap)]
 
 
 def test_greedy_below_precondition_still_isolates(tmp_path, capsys):
@@ -181,6 +198,37 @@ def test_verify_bound_states_the_bound_it_proves(chain_file, tmp_path, capsys):
                  "--weights", str(run)]) == 1
     out = capsys.readouterr().out
     assert "verified: false" in out and "bound:" not in out
+
+
+def test_verify_bound_reads_each_distinct_report_once(chain_file, tmp_path, monkeypatch,
+                                                     capsys):
+    # a greedy report passed as both --trace and --weights is read once, and
+    # the outcome is that of reading the same weights from another file
+    run, lp = tmp_path / "run.json", tmp_path / "lp.json"
+    assert main(["greedy", "--in", chain_file, "--delta", "4", "--out", str(run)]) == 0
+    assert main(["lp-weights", "--delta", "4", "--out", str(lp)]) == 0
+    capsys.readouterr()
+    reads = []
+    read = cli._read_json
+    monkeypatch.setattr(cli, "_read_json", lambda path: reads.append(path) or read(path))
+    outcomes = []
+    for weights, expected in ((run, [run]), (lp, [lp, run])):
+        reads.clear()
+        ver = tmp_path / f"ver-{weights.stem}.json"
+        assert main(["verify-bound", "--in", chain_file, "--trace", str(run),
+                     "--weights", str(weights), "--out", str(ver)]) == 0
+        assert reads == list(map(str, expected))
+        report = json.loads(ver.read_text())
+        outcomes.append((capsys.readouterr(), report["input"], report["results"]))
+    assert outcomes[0] == outcomes[1]
+    # the weights are checked before the trace is read
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"results": {}}))
+    reads.clear()
+    assert main(["verify-bound", "--in", chain_file, "--trace", str(tmp_path / "missing.json"),
+                 "--weights", str(empty)]) == 1
+    assert reads == [str(empty)]
+    assert capsys.readouterr().err == "error: report JSON carries no weight vector\n"
 
 
 def test_verify_rejects_repeated_vertex_in_a_step(chain_file, tmp_path, capsys):

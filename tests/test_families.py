@@ -144,3 +144,6 @@ def test_certificate_json():
     assert "chain_lower_bound_per_copy" not in d
     invalid = GadgetCertificate(3, 2, 3, 3, 3)
     assert invalid.to_json_dict()["valid"] is False
+    assert list(certify_special_edge(metacirculant_14()).to_json_dict().items()) == [
+        ("b", 3), ("iota_f", 3), ("iota_f_minus_x", 3), ("iota_f_minus_y", 3),
+        ("iota_f_minus_xy", 3), ("valid", True)]

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from isobound import (Graph, GreedyRule, GreedyTrace, build_constraints,
+from isobound import (Graph, GreedyRule, GreedyTrace, TraceVerification, build_constraints,
                       chain, exact_isolation_number,
                       greedy_isolating_set, is_isolating,
                       prism_k4, random_bipartite_min_degree_graph,
@@ -216,6 +216,22 @@ def test_trace_json_roundtrip():
     d["steps"][0]["rule"] = "R9"
     with pytest.raises(ValueError, match="unknown rule 'R9'"):
         GreedyTrace.from_json_dict(d)
+    # the whole trace JSON, in key order
+    assert list(greedy_isolating_set(prism_k4().F, WV)[1].to_json_dict().items()) == [
+        ("n", 8), ("initial_weight", "104/41"),
+        ("steps", [{"rule": "R1", "set": [0], "xi": "103/82", "size": 1},
+                   {"rule": "R5", "set": [7], "xi": "105/82", "size": 1}]),
+        ("final_set", [0, 7])]
+
+
+def test_trace_verification_holds_only_if_every_check_does():
+    names = ("xi_matches", "desirable", "isolating", "partition_ok", "header_ok")
+    assert TraceVerification(*[True] * 5)
+    for i in range(5):
+        flags = [j != i for j in range(5)]
+        outcome = TraceVerification(*flags)
+        assert not outcome
+        assert list(outcome.to_json_dict().items()) == [*zip(names, flags), ("verified", False)]
 
 
 def test_verify_trace_accepts_own_output():

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -189,6 +188,14 @@ def test_parse_rational_reads_as_fraction_does(value):
     assert type(got) is F or got in (ValueError, ZeroDivisionError)
 
 
+def test_weight_vector_reads_each_weight_as_a_fraction():
+    wv = WeightVector(1, "1/10", F(1, 10), 0, 0)
+    assert wv.as_tuple() == (F(1), F(1, 10), F(1, 10), F(0), F(0))
+    assert all(type(x) is F for x in wv.as_tuple())
+    assert repr(wv) == ("WeightVector(omega=Fraction(1, 1), beta1=Fraction(1, 10), "
+                        "beta2=Fraction(1, 10), beta3=Fraction(0, 1), beta4=Fraction(0, 1))")
+
+
 def test_weight_json_rejects_bad_rationals():
     assert parse_rational("1/" + "7" * 998) == F(1, int("7" * 998))  # 1,000 characters
     with pytest.raises(ValueError, match="longer than 1000 characters"):
@@ -210,6 +217,14 @@ def test_solution_and_system_json():
     assert WeightVector.from_json_dict(d["witness"]) == sol.witness
     assert d["tight_rows"] == list(sol.tight_rows)
     assert d["dual"] == [str(y) for y in sol.dual] and len(d["dual"]) == 22
+    # the whole report, in key order, with the witness nested
+    assert list(solve_min_omega(build_constraints(4, "triangle-free")).to_json_dict().items()) == [
+        ("status", "optimal"), ("optimal_omega", "3/10"),
+        ("witness", {"omega": "3/10", "beta1": "1/15", "beta2": "1/10", "beta3": "1/8",
+                     "beta4": "3/20"}),
+        ("tight_rows", [1, 3, 9, 11, 17]),
+        ("dual", ["0", "1/16", "0", "1/16", "0", "0", "0", "0", "0", "0", "0", "7/80", "0", "0",
+                  "0", "0", "0", "1/4", "0", "0"])]
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN, key=str))
@@ -320,19 +335,19 @@ def test_check_optimality_accepts_and_rejects():
         assert check_optimality(rows, sol), key
         i = next(i for i, y in enumerate(sol.dual) if y)
         negated = sol.dual[:i] + (-sol.dual[i],) + sol.dual[i + 1:]
-        assert not check_optimality(rows, replace(sol, dual=negated)), key
+        assert not check_optimality(rows, sol._replace(dual=negated)), key
         dropped = sol.dual[:i] + (F(0),) + sol.dual[i + 1:]
-        assert not check_optimality(rows, replace(sol, dual=dropped)), key
+        assert not check_optimality(rows, sol._replace(dual=dropped)), key
         # an all-zero dual has an empty support, so A^T y = 0
-        assert not check_optimality(rows, replace(sol, dual=(F(0),) * len(sol.dual))), key
+        assert not check_optimality(rows, sol._replace(dual=(F(0),) * len(sol.dual))), key
         # the shifted witness stays feasible, so only b.y = omega* fails
         up = sol.witness.omega + F(1, 10**6)
-        shifted = replace(sol, witness=replace(sol.witness, omega=up))
+        shifted = sol._replace(witness=sol.witness._replace(omega=up))
         assert check_feasible(rows, shifted.witness)[0]
         assert not check_optimality(rows, shifted), key
         for other, theirs in sols.items():
             if other != key:
-                assert not check_optimality(rows, replace(sol, dual=theirs.dual)), (key, other)
+                assert not check_optimality(rows, sol._replace(dual=theirs.dual)), (key, other)
         # step-eps2-le-beta1 is chain-beta1-nonneg minus chain-beta2-ge-beta1,
         # so this y still has A^T y = e_omega and b.y = omega*, but y < 0
         tags = [row.tag for row in rows]
@@ -341,10 +356,10 @@ def test_check_optimality_accepts_and_rejects():
         moved[tags.index("chain-beta2-ge-beta1")] -= 1
         moved[tags.index("step-eps2-le-beta1")] -= 1
         assert min(moved) < 0
-        assert not check_optimality(rows, replace(sol, dual=tuple(moved))), key
+        assert not check_optimality(rows, sol._replace(dual=tuple(moved))), key
         # a rhs-0 row keeps y >= 0 and b.y = omega* but breaks A^T y = e_omega
         extra = list(sol.dual)
         extra[tags.index("chain-beta1-nonneg")] += 1
-        assert not check_optimality(rows, replace(sol, dual=tuple(extra))), key
-        infeasible = replace(sol, witness=replace(sol.witness, beta1=F(0)))
+        assert not check_optimality(rows, sol._replace(dual=tuple(extra))), key
+        infeasible = sol._replace(witness=sol.witness._replace(beta1=F(0)))
         assert not check_optimality(rows, infeasible), key

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -246,10 +245,10 @@ def test_replay_sees_nudges_finer_than_the_weights(where, G, wv, data):
     if where == "xi":
         i = data.draw(st.integers(0, len(trace.steps) - 1))
         steps = list(trace.steps)
-        steps[i] = replace(steps[i], xi=steps[i].xi + nudge)
-        forged = replace(trace, steps=tuple(steps))
+        steps[i] = steps[i]._replace(xi=steps[i].xi + nudge)
+        forged = trace._replace(steps=tuple(steps))
     else:
-        forged = replace(trace, initial_weight=trace.initial_weight + nudge)
+        forged = trace._replace(initial_weight=trace.initial_weight + nudge)
     got = verify_trace(G, forged, wv)
     assert got == verify_trace_from_scratch(G, forged, wv)
     assert got.xi_matches == (where != "xi") and got.header_ok == (where == "xi")

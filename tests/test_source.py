@@ -59,6 +59,18 @@ def test_checkers_import_no_producer():
             assert _defined(ast.parse(path.read_text())) & trusted == set(), path.name
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # the records are NamedTuples, so a one-shot process never pays for
+    # dataclasses and the inspect module it imports. -I -S keep
+    # site-packages, whose start-up hooks may import either, out of it;
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps src/ free of bytecode
+    probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import isobound.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", probe],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 REPLAY_ALONE = Path(__file__).with_name("replay_alone.py")
 
 
