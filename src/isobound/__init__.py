@@ -8,14 +8,14 @@ solves small instances exactly, and builds the matching lower-bound
 families.
 """
 
-from .check import (GreedyRule, GreedyStep, GreedyTrace, LinearRow, LPSolution,
-                    RowViolation, TraceVerification, WeightVector, check_feasible,
-                    check_optimality, is_isolating, verify_trace)
+from .check import (Graph, Graph6ParseError, GreedyRule, GreedyStep, GreedyTrace, LinearRow,
+                    LPSolution, RowViolation, TraceVerification, WeightVector, check_feasible,
+                    check_optimality, girth_at_least, is_isolating, parse_edge_list, parse_graph6,
+                    verify_trace)
 from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
 from .families import (Gadget, GadgetCertificate, certify_special_edge, chain,
                        metacirculant_14, prism_k4)
-from .graph import (GenerationError, Graph, Graph6ParseError, emit_edge_list, emit_graph6,
-                    girth_at_least, parse_edge_list, parse_graph6,
+from .graph import (GenerationError, emit_edge_list, emit_graph6,
                     random_bipartite_min_degree_graph, random_min_degree_graph, random_regular_graph)
 from .greedy import greedy_isolating_set
 from .lpweights import build_constraints, solve_min_omega

@@ -30,13 +30,13 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .check import (GreedyTrace, WeightVector, check_feasible, check_optimality,
-                    is_isolating, verify_trace)
+from .check import (Graph, GreedyTrace, WeightVector, check_feasible, check_optimality,
+                    girth_at_least, is_edge_list, is_isolating, parse_edge_list, parse_graph6,
+                    verify_trace)
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
-from .graph import (GenerationError, Graph, emit_edge_list, emit_graph6, girth_at_least,
-                    is_edge_list, parse_edge_list, parse_graph6, random_bipartite_min_degree_graph,
-                    random_min_degree_graph, random_regular_graph)
+from .graph import (GenerationError, emit_edge_list, emit_graph6,
+                    random_bipartite_min_degree_graph, random_min_degree_graph, random_regular_graph)
 from .greedy import greedy_isolating_set
 from .lpweights import MIN_GIRTH, VARIANTS, build_constraints, solve_min_omega
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heapreplace
 from typing import NamedTuple
 
-from .check import is_isolating
-from .graph import Graph
+from .check import Graph, is_isolating
 
 NODE_BUDGET = 2_000_000
 

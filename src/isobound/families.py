@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .check import Graph
 from .exact import exact_isolation_number
-from .graph import Graph, check_order
+from .graph import check_order
 
 ORACLE_ORDER_LIMIT = 40
 

@@ -37,8 +37,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .check import GreedyRule, GreedyStep, GreedyTrace, WeightVector
-from .graph import Graph
+from .check import Graph, GreedyRule, GreedyStep, GreedyTrace, WeightVector
 
 # R1-R4 in the order tried: (rule, vertex pool: 1 for White, 0 for Blue,
 # lowest White degree); the first row with a hit picks its lowest vertex
@@ -177,8 +176,8 @@ class _GreedyEngine:
         # the scan position of R1-R4 (row, vertex), of R6 and of R7 (vertex)
         self.r = self.v = self.x = self.w = 0
         # the weights as integers over L, the lcm of their denominators
-        self.scale = math.lcm(*(x.denominator for x in wv.as_tuple()))
-        self.omega, *beta = (int(x * self.scale) for x in wv.as_tuple())
+        self.scale = math.lcm(*(x.denominator for x in wv))
+        self.omega, *beta = (int(x * self.scale) for x in wv)
         self.blue_weight = (0, *beta, beta[-1])
         # the R5 heap, from the first select past R1-R4 on
         self.r5: list[int] | None = None

@@ -27,7 +27,8 @@ from typing import Iterable
 from isobound import (ExactResult, Graph, Graph6ParseError, GreedyRule, GreedyStep,
                       GreedyTrace, LinearRow, LPSolution, RowViolation, SearchBudgetExceeded,
                       TraceVerification, WeightVector, exact, is_isolating)
-from isobound.graph import _G6_HEADER, MAX_ORDER, _encode_size
+from isobound.check import _G6_HEADER, MAX_ORDER
+from isobound.graph import _encode_size
 from isobound.lpweights import FEASIBLE_PROBE
 
 
@@ -116,7 +117,7 @@ def check_feasible_fraction(rows: tuple[LinearRow, ...], wv: WeightVector
                             ) -> tuple[bool, tuple[RowViolation, ...]]:
     """Every row's slack summed in Fraction: the slow path that check.py's
     integer check_feasible replaces."""
-    point = wv.as_tuple()
+    point = tuple(wv)
     slacks = ((i, row, row_slack(row, point)) for i, row in enumerate(rows))
     bad = tuple(RowViolation(i, row, s) for i, row, s in slacks if s < 0)
     return (not bad, bad)
@@ -252,7 +253,7 @@ def solve_min_omega_fraction(rows: tuple[LinearRow, ...]) -> LPSolution:
     for line, b in zip(T, basis):
         if b < m:
             dual[b] = line[m]
-    tight = tuple(i for i, row in enumerate(rows) if row_slack(row, witness.as_tuple()) == 0)
+    tight = tuple(i for i, row in enumerate(rows) if row_slack(row, tuple(witness)) == 0)
     return LPSolution(witness, tight, tuple(dual))
 
 
@@ -352,7 +353,7 @@ def solve_min_omega_two_phase(rows: tuple[LinearRow, ...]) -> LPSolution:
         if b < 5:
             point[b] = row[-1]
     witness = WeightVector(*point)
-    tight = tuple(i for i, row in enumerate(rows) if row_slack(row, witness.as_tuple()) == 0)
+    tight = tuple(i for i, row in enumerate(rows) if row_slack(row, tuple(witness)) == 0)
     return LPSolution(witness, tight, tuple(D[0][5:n_real]))
 
 

@@ -1,16 +1,18 @@
 """Replay a greedy report's trace with the trusted base alone.
 
-    python -I -S -B tests/replay_alone.py SRC GRAPH REPORT
+    python -I -S -B tests/replay_alone.py DIR GRAPH REPORT
 
-SRC is the isobound source directory. -I drops PYTHONPATH and the
-script's directory from the path, -S site-packages, so the package is
-not importable (the script stops if it is); graph.py and check.py are
-loaded from SRC by path instead. -I also ignores PYTHONDONTWRITEBYTECODE,
-so -B keeps SRC free of bytecode. GRAPH's format is decided by
-graph.is_edge_list, the rule the CLI applies. REPORT's trace is
-replayed twice: as written, and with its first xi raised by 1/1000003.
-Both outcomes are printed as one JSON list, and the exit code is 0 only
-if the first verifies and the second fails xi_matches.
+DIR holds check.py, the trusted base: the isobound source directory,
+or a directory with a copy of check.py and nothing else. -I drops
+PYTHONPATH and the script's directory from the path, -S site-packages,
+so the package is not importable (the script stops if it is); check.py
+is loaded from DIR by path instead. -I also ignores
+PYTHONDONTWRITEBYTECODE, so -B keeps DIR free of bytecode. GRAPH's
+format is decided by check.is_edge_list, the rule the CLI applies.
+REPORT's trace is replayed twice: as written, and with its first xi
+raised by 1/1000003. Both outcomes are printed as one JSON list, and
+the exit code is 0 only if the first verifies and the second fails
+xi_matches.
 """
 
 import importlib.util
@@ -19,24 +21,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-src, graph_file, report_file = map(Path, sys.argv[1:])
+base, graph_file, report_file = map(Path, sys.argv[1:])
 if importlib.util.find_spec("isobound") is not None:
     sys.exit("the isobound package is importable")
-
-
-def load(name: str):
-    # check.py imports graph.py under TYPE_CHECKING only, so neither
-    # module needs the other, or an entry in sys.modules, at run time
-    spec = importlib.util.spec_from_file_location(name, src / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-graph, check = load("graph"), load("check")
+spec = importlib.util.spec_from_file_location("check", base / "check.py")
+check = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(check)
 
 text = graph_file.read_text()
-G = graph.parse_edge_list(text) if graph.is_edge_list(text) else graph.parse_graph6(text)
+G = check.parse_edge_list(text) if check.is_edge_list(text) else check.parse_graph6(text)
 results = json.loads(report_file.read_text())["results"]
 wv = check.WeightVector.from_json_dict(results["weights"])
 genuine = check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)

@@ -6,7 +6,7 @@ from isobound import (Gadget, GadgetCertificate, Graph,
                       metacirculant_14, prism_k4)
 
 from isobound.families import ORACLE_ORDER_LIMIT
-from isobound.graph import MAX_ORDER
+from isobound.check import MAX_ORDER
 
 from graphs import complete_graph, is_connected
 from oracles import (brute_force_isolation, exact_isolation_number_recursive, girth,

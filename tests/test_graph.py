@@ -13,7 +13,7 @@ from isobound import (GenerationError, Graph, Graph6ParseError,
                       random_bipartite_min_degree_graph, random_min_degree_graph,
                       random_regular_graph)
 
-from isobound.graph import MAX_ORDER
+from isobound.check import MAX_ORDER
 
 from graphs import complete_graph, cycle_graph, is_connected, path_graph
 from oracles import girth, parse_graph6_bitwise, random_graph, triangles

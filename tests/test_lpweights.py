@@ -156,7 +156,7 @@ def test_tight_rows_have_zero_slack():
             rows = build_constraints(delta, variant)
             sol = solve_min_omega(rows)
             assert len(sol.tight_rows) >= 5, (delta, variant)
-            pt = sol.witness.as_tuple()
+            pt = tuple(sol.witness)
             for i, row in enumerate(rows):
                 if i in sol.tight_rows:
                     assert row_slack(row, pt) == 0, (delta, variant, i)
@@ -190,8 +190,8 @@ def test_parse_rational_reads_as_fraction_does(value):
 
 def test_weight_vector_reads_each_weight_as_a_fraction():
     wv = WeightVector(1, "1/10", F(1, 10), 0, 0)
-    assert wv.as_tuple() == (F(1), F(1, 10), F(1, 10), F(0), F(0))
-    assert all(type(x) is F for x in wv.as_tuple())
+    assert tuple(wv) == (F(1), F(1, 10), F(1, 10), F(0), F(0))
+    assert all(type(x) is F for x in wv)
     assert repr(wv) == ("WeightVector(omega=Fraction(1, 1), beta1=Fraction(1, 10), "
                         "beta2=Fraction(1, 10), beta3=Fraction(0, 1), beta4=Fraction(0, 1))")
 
@@ -253,7 +253,7 @@ def test_dual_simplex_matches_two_phase_on_degenerate_systems(delta, variant, da
     rows = build_constraints(delta, variant)
     n = len(rows)
     extra = [rows[i] for i in data.draw(st.lists(st.integers(0, n - 1), max_size=6))]
-    probe = FEASIBLE_PROBE.as_tuple()
+    probe = tuple(FEASIBLE_PROBE)
     for coeffs in data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 5), max_size=6)):
         below = data.draw(st.sampled_from([F(0), F(1, 20), F(1, 10), F(1)]))
         rhs = sum((c * x for c, x in zip(coeffs, probe)), -below)
@@ -288,7 +288,7 @@ def test_check_feasible_matches_fraction_oracle(variant):
     for delta in (*range(3, 61), 100, 200, 299):
         rows = build_constraints(delta, variant)
         wv = solve_min_omega(rows).witness
-        shaved = [WeightVector(*(x - F(1, 10**6) * (j == k) for j, x in enumerate(wv.as_tuple())))
+        shaved = [WeightVector(*(x - F(1, 10**6) * (j == k) for j, x in enumerate(wv)))
                   for k in range(5)]
         for point in (FEASIBLE_PROBE, wv, WV, TF, *shaved):
             want = check_feasible_fraction(rows, point)

@@ -222,7 +222,7 @@ def weight_vectors(draw):
 
 def _scale(wv):
     """L, the lcm of the weights' denominators."""
-    return math.lcm(*(x.denominator for x in wv.as_tuple()))
+    return math.lcm(*(x.denominator for x in wv))
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import ast
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,11 @@ CHECKERS = {"verify_trace", "TraceVerification", "check_feasible", "check_optima
 # the certificate types the checkers read, with their JSON readers
 CERTIFICATES = {"WEIGHT_NAMES", "_MAX_RATIONAL_CHARS", "parse_rational", "WeightVector",
                 "LinearRow", "LPSolution", "GreedyRule", "GreedyStep", "_index", "GreedyTrace"}
+# the graph type, its two parsers with the graph6 tables, the format
+# rule that picks between them, and the girth test
+GRAPH = {"Graph6ParseError", "Graph", "_from_sorted", "_edge_error", "MAX_ORDER", "_G6_HEADER",
+         "_G6_BYTES", "_G6_MARKS", "_G6_BITS", "parse_graph6", "is_edge_list",
+         "parse_edge_list", "girth_at_least"}
 
 
 def _defined(tree: ast.AST) -> set[str]:
@@ -37,22 +43,16 @@ def _defined(tree: ast.AST) -> set[str]:
 
 
 def test_checkers_import_no_producer():
-    # check.py is the trusted base: at run time it imports the standard
-    # library only, so no check can call the code whose output it checks;
-    # the TYPE_CHECKING block imports Graph, for annotations, and nothing else
+    # check.py is the trusted base: in any block it imports the standard
+    # library only, so no check can call the code whose output it checks
     tree = ast.parse((SRC / "check.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-            assert [ast.unparse(s) for s in node.body] == ["from .graph import Graph"]
-            node.body = []
-    offenders = [ast.unparse(node) for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)
-                 and (node.level or node.module.partition(".")[0] == "isobound")
-                 or isinstance(node, ast.Import)
-                 and any(a.name.partition(".")[0] == "isobound" for a in node.names)]
-    assert offenders == []
-    # and every checker and certificate type lives there alone
-    trusted = CHECKERS | CERTIFICATES
+    imported = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert {m for m in imported if m.partition(".")[0] not in sys.stdlib_module_names} == set()
+    # and every checker, certificate type and graph reader lives there alone
+    trusted = CHECKERS | CERTIFICATES | GRAPH
     assert trusted <= _defined(tree)
     for path in sorted(SRC.glob("*.py")):
         if path.name != "check.py":
@@ -75,11 +75,15 @@ REPLAY_ALONE = Path(__file__).with_name("replay_alone.py")
 
 
 def test_trusted_base_runs_alone(tmp_path):
-    # the replay script loads graph.py and check.py by path, without the
-    # package, and replays each report's trace as written and forged. It
-    # reads a graph by graph.is_edge_list, the CLI's format rule, so each
-    # form the CLI reads goes through it; -I ignores
-    # PYTHONDONTWRITEBYTECODE, so -B keeps src/ free of bytecode
+    # the replay script loads check.py by path, from a directory that
+    # holds a copy of it and nothing else, without the package, and
+    # replays each report's trace as written and forged. It reads a graph
+    # by check.is_edge_list, the CLI's format rule, so each form the CLI
+    # reads goes through it; -I ignores PYTHONDONTWRITEBYTECODE, so -B
+    # keeps the directory free of bytecode
+    base = tmp_path / "base"
+    base.mkdir()
+    shutil.copy(SRC / "check.py", base)
     G = random_min_degree_graph(60, 4, 1)
     texts = {"graph6": emit_graph6(G) + "\n", "edgelist": emit_edge_list(G),
              **{form: write(G) for form, write in INPUT_FORMS.items()}}
@@ -87,13 +91,14 @@ def test_trusted_base_runs_alone(tmp_path):
         graph_file, report = tmp_path / f"{form}.txt", tmp_path / f"{form}.json"
         graph_file.write_bytes(text.encode())
         assert main(["greedy", "--in", str(graph_file), "--delta", "4", "--out", str(report)]) == 0
-        run = subprocess.run([sys.executable, "-I", "-S", "-B", str(REPLAY_ALONE), str(SRC),
+        run = subprocess.run([sys.executable, "-I", "-S", "-B", str(REPLAY_ALONE), str(base),
                               str(graph_file), str(report)],
                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, (form, run.stderr)
         genuine, forged = json.loads(run.stdout)
         assert genuine["verified"]
         assert not forged["xi_matches"] and not forged["verified"]
+    assert [p.name for p in base.iterdir()] == ["check.py"]
 
 
 def test_all_names_exist_once():
