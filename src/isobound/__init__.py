@@ -10,7 +10,7 @@ families.
 
 from .check import (Graph, Graph6ParseError, GreedyRule, GreedyStep, GreedyTrace, LinearRow,
                     LPSolution, RowViolation, TraceVerification, WeightVector, check_feasible,
-                    check_optimality, girth_at_least, is_isolating, parse_edge_list, parse_graph6,
+                    check_optimality, in_class, is_isolating, parse_edge_list, parse_graph6,
                     verify_trace)
 from .exact import ExactResult, SearchBudgetExceeded, exact_isolation_number
 from .families import (Gadget, GadgetCertificate, certify_special_edge, chain,
@@ -46,8 +46,8 @@ __all__ = [
     "emit_edge_list",
     "emit_graph6",
     "exact_isolation_number",
-    "girth_at_least",
     "greedy_isolating_set",
+    "in_class",
     "is_isolating",
     "metacirculant_14",
     "parse_edge_list",

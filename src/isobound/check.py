@@ -1,4 +1,4 @@
-"""The trusted base: the graph type with its two parsers and the girth
+"""The trusted base: the graph type with its two parsers and the class
 test, the certificate types with their JSON readers, and the checks.
 
 It imports the standard library only, and the producers import the
@@ -90,8 +90,9 @@ def _edge_error(n: int, u: int, v: int) -> ValueError:
     return ValueError(f"self-loop ({u}, {v}) is not allowed")
 
 
-def girth_at_least(G: Graph, g: int) -> bool:
-    """Whether G has no cycle shorter than g, for g <= 5.
+def in_class(G: Graph, delta: int, g: int) -> bool:
+    """Whether G has minimum degree >= delta and no cycle shorter than g,
+    for g <= 5: the hypothesis of the class bound for (delta, g).
 
     O(sum of squared degrees) in C-level set work, with no BFS. A
     triangle is an edge whose ends share a neighbor. A C4 through v is a
@@ -99,7 +100,9 @@ def girth_at_least(G: Graph, g: int) -> bool:
     neighbors holds it twice (and v once per neighbor).
     """
     if g > 5:
-        raise ValueError(f"girth_at_least decides g <= 5, got {g}")
+        raise ValueError(f"in_class decides g <= 5, got {g}")
+    if min(map(len, G.adj), default=0) < delta:
+        return False
     adj = G.adj
     if g > 3:
         nbr_sets = list(map(set, adj))
@@ -227,22 +230,17 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"header 'n m' needs 0 <= n <= {MAX_ORDER} and m >= 0, got {rows[0]!r}")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    # each edge goes straight into per-vertex lists; a malformed line
-    # raises at once, and the first bad edge only once every line parses
+    # edges go straight into per-vertex lists; the first faulty line raises
     adj: list[list[int]] = [[] for _ in range(n)]
-    bad = None
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"expected edge line 'u v', got {ln!r}")
         u, v = int(parts[0]), int(parts[1])
-        if 0 <= u < n and 0 <= v < n and u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-        elif bad is None:
-            bad = (u, v)
-    if bad is not None:
-        raise _edge_error(n, *bad)
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise _edge_error(n, u, v)
+        adj[u].append(v)
+        adj[v].append(u)
     return Graph._from_sorted(n, tuple(tuple(sorted(set(a))) for a in adj))
 
 

@@ -31,7 +31,7 @@ except ImportError:
 
 from . import __version__
 from .check import (Graph, GreedyTrace, WeightVector, check_feasible, check_optimality,
-                    girth_at_least, is_edge_list, is_isolating, parse_edge_list, parse_graph6,
+                    in_class, is_edge_list, is_isolating, parse_edge_list, parse_graph6,
                     verify_trace)
 from .exact import SearchBudgetExceeded, exact_isolation_number
 from .families import Gadget, certify_special_edge, chain, metacirculant_14, prism_k4
@@ -92,8 +92,7 @@ def _cmd_greedy(args, report: dict) -> int:
     S, trace = greedy_isolating_set(G, wv)
     phases.lap("run_s")
     bound = math.floor(wv.omega * G.n)
-    precondition = (min(map(len, G.adj), default=0) >= args.delta
-                    and girth_at_least(G, MIN_GIRTH[args.variant]))
+    precondition = in_class(G, args.delta, MIN_GIRTH[args.variant])
     isolating = is_isolating(G, S)
     phases.lap("check_s")
     # per fired rule: its steps and the least slack xi - |A| among them,

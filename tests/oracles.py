@@ -76,7 +76,7 @@ def triangles(G: Graph) -> list[tuple[int, int, int]]:
 
 def girth(G: Graph) -> int | None:
     """Length of a shortest cycle, or None if the graph is acyclic: the
-    slow path that girth_at_least replaces in the CLI's precondition.
+    slow path that in_class replaces in the CLI's precondition.
 
     One BFS per root; the minimum over roots of the first non-tree edge
     closure is exact for unweighted graphs. u closes only edges to vertices

@@ -157,24 +157,25 @@ def test_greedy_report_counts_rules_and_least_slack(tmp_path, capsys):
     assert f"steps: {line}" in capsys.readouterr().out
 
 
-def test_greedy_asks_girth_at_least_for_the_variant_girth(chain_file, monkeypatch, capsys):
-    # the general variant asks for girth 3, which girth_at_least grants at once
+def test_greedy_asks_in_class_for_the_delta_and_variant_girth(chain_file, monkeypatch, capsys):
+    # the precondition line is in_class's answer for --delta and the
+    # variant's girth, and nothing else
     calls = []
 
-    def counted_girth_at_least(G, g):
-        calls.append((G.n, g))
+    def counted_in_class(G, delta, g):
+        calls.append((G.n, delta, g))
         return True
 
-    monkeypatch.setattr(cli, "girth_at_least", counted_girth_at_least)
+    monkeypatch.setattr(cli, "in_class", counted_in_class)
     assert main(["greedy", "--in", chain_file, "--delta", "4"]) == 0
     assert "precondition (min degree >= 4, general): true" in capsys.readouterr().out
-    assert calls == [(16, 3)]
+    assert calls == [(16, 4, 3)]
     main(["greedy", "--in", chain_file, "--delta", "4", "--variant", "triangle-free"])
     assert "triangle-free): true" in capsys.readouterr().out
-    assert calls == [(16, 3), (16, 4)]
+    assert calls == [(16, 4, 3), (16, 4, 4)]
     main(["greedy", "--in", chain_file, "--delta", "4", "--variant", "girth5"])
     assert "girth5): true" in capsys.readouterr().out
-    assert calls == [(16, 3), (16, 4), (16, 5)]
+    assert calls == [(16, 4, 3), (16, 4, 4), (16, 4, 5)]
 
 
 def test_verify_bound_states_the_bound_it_proves(chain_file, tmp_path, capsys):

@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from isobound import (GenerationError, Graph, Graph6ParseError,
-                      emit_edge_list, emit_graph6, girth_at_least, metacirculant_14,
+                      emit_edge_list, emit_graph6, in_class, metacirculant_14,
                       parse_edge_list, parse_graph6, prism_k4,
                       random_bipartite_min_degree_graph, random_min_degree_graph,
                       random_regular_graph)
@@ -217,9 +217,10 @@ def _random_high_girth(rng: random.Random, n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in adj[u]] + extra)
 
 
-def test_girth_at_least_matches_the_bfs_girth():
-    # the set-based test against the one-BFS-per-root oracle, for every g
-    # it decides, on forests (no cycle), sparse and dense random graphs,
+def test_in_class_matches_min_degree_and_bfs_girth():
+    # the set-based test against the minimum degree and the
+    # one-BFS-per-root oracle, for every delta up to 5 and every g it
+    # decides, on forests (no cycle), sparse and dense random graphs,
     # graphs grown without a triangle or C4 but for one last random edge,
     # and one named graph of girth 3, 4 and 5
     named = [prism_k4().F, metacirculant_14().F, _petersen()]
@@ -229,15 +230,22 @@ def test_girth_at_least_matches_the_bfs_girth():
               lambda rng, n: random_graph(rng, n, rng.uniform(1, 4) / max(n, 1)),
               lambda rng, n: random_graph(rng, n, rng.uniform(0.15, 0.6)))
     graphs = named + [makers[i % 4](rng, rng.randrange(41)) for i in range(2400)]
-    seen = Counter()
+    seen, lows = Counter(), Counter()
+    cases = [(d, g) for d in range(6) for g in (3, 4, 5)]
     for G in graphs:
         ref = girth(G) or float("inf")
+        low = min(map(len, G.adj), default=0)
         seen[min(ref, 6)] += 1
-        assert [girth_at_least(G, g) for g in (3, 4, 5)] == [ref >= g for g in (3, 4, 5)], G
-    # girth 3, 4, 5 and above each occur often enough to be tested
+        lows[min(low, 6)] += 1
+        assert ([in_class(G, d, g) for d, g in cases]
+                == [low >= d and ref >= g for d, g in cases]), G
+    # girth 3, 4, 5 and above, and minimum degree 0 to 5 and above, each
+    # occur often enough to be tested
     assert min(seen[g] for g in (3, 4, 5, 6)) >= 100, seen
-    with pytest.raises(ValueError):
-        girth_at_least(_petersen(), 6)
+    assert min(lows[d] for d in range(7)) >= 30, lows
+    for d in (0, 4):
+        with pytest.raises(ValueError):
+            in_class(_petersen(), d, 6)
 
 
 def test_profile_disconnected():
@@ -309,10 +317,11 @@ def test_edge_list_and_graph6_input_checks():
         parse_edge_list(" \n\t\n")
     with pytest.raises(ValueError, match="expected edge line 'u v', got '0 1 2'"):
         parse_edge_list("3 1\n0 1 2\n")
-    # a malformed line raises before any bad edge, wherever it stands;
-    # of the bad edges, the first one read is named
-    with pytest.raises(ValueError, match="invalid literal"):
+    # the first faulty line is named, a bad edge or a malformed line
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) has an endpoint outside \[0, 3\)"):
         parse_edge_list("3 2\n0 5\n0 x\n")
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_edge_list("3 2\n0 x\n0 5\n")
     with pytest.raises(ValueError, match=r"edge \(0, 5\) has an endpoint outside \[0, 3\)"):
         parse_edge_list("3 3\n0 1\n0 5\n1 1\n")
     with pytest.raises(ValueError, match=r"self-loop \(1, 1\)"):

@@ -135,16 +135,37 @@ def _build_outcome(build, *args):
         return type(e), str(e)
 
 
+# a malformed edge line, three tokens or a non-integer one, with the
+# error it raises
+_MALFORMED = st.one_of(
+    st.tuples(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 12)).map(
+        lambda t: ("%d %d %d" % t, "expected edge line 'u v', got '%d %d %d'" % t)),
+    st.tuples(st.sampled_from(["x", "1.5"]), st.integers(-1, 12), st.booleans()).map(
+        lambda t: (f"{t[0]} {t[1]}" if t[2] else f"{t[1]} {t[0]}",
+                   f"invalid literal for int() with base 10: {t[0]!r}")))
+
+
 @PROPERTY
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=40))))
+    st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), _MALFORMED), max_size=2))))
 def test_edge_list_parse_matches_the_validating_constructor(case):
-    # repeated, reversed, looped and out-of-range pairs in any order: the
-    # parser gives Graph(n, pairs)'s graph, or its error for the first bad pair
-    n, pairs = case
-    text = f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    # repeated, reversed, looped and out-of-range pairs in any order, with
+    # malformed lines at any position: the parser gives Graph(n, pairs)'s
+    # graph, or the error of the first faulty line, a bad pair's as Graph
+    # gives it
+    n, pairs, malformed = case
+    lines = list(pairs)
+    for at, bad in malformed:
+        lines.insert(at, bad)
+    first = next((i for i, ln in enumerate(lines) if isinstance(ln[0], str)), len(lines))
+    want = _build_outcome(Graph, n, lines[:first])
+    if first < len(lines) and isinstance(want, Graph):
+        want = (ValueError, lines[first][1])
+    text = f"{n} {len(lines)}\n" + "".join(
+        (ln[0] if isinstance(ln[0], str) else "%d %d" % ln) + "\n" for ln in lines)
     got = _build_outcome(parse_edge_list, text)
-    assert got == _build_outcome(Graph, n, pairs)
+    assert got == want
     assert not isinstance(got, Graph) or _all_tuples(got)
 
 

@@ -23,16 +23,50 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
+# replays the report's trace as written and with its first xi raised by
+# 1/1000003; prints the optimize flag, whether the genuine trace
+# verifies, whether the forged one's xi matches, and two class answers
+OPTIMIZED_REPLAY = """
+import json, sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from isobound import check
+G = check.parse_edge_list(open(sys.argv[2]).read())
+results = json.load(open(sys.argv[3]))["results"]
+wv = check.WeightVector.from_json_dict(results["weights"])
+genuine = check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)
+step = results["trace"]["steps"][0]
+step["xi"] = str(Fraction(step["xi"]) + Fraction(1, 1000003))
+forged = check.verify_trace(G, check.GreedyTrace.from_json_dict(results["trace"]), wv)
+print(json.dumps([sys.flags.optimize, bool(genuine), forged.xi_matches,
+                  check.in_class(G, 4, 3), check.in_class(G, G.n, 3)]))
+"""
+
+
+def test_replay_verifies_with_asserts_stripped(tmp_path):
+    # the checks raise rather than assert, so python -O judges a genuine
+    # and a forged trace as the default interpreter does; -B keeps
+    # src/ free of the optimized bytecode
+    graph_file, report = tmp_path / "g.txt", tmp_path / "run.json"
+    graph_file.write_text(emit_edge_list(random_min_degree_graph(60, 4, 1)))
+    assert main(["greedy", "--in", str(graph_file), "--delta", "4", "--out", str(report)]) == 0
+    run = subprocess.run([sys.executable, "-O", "-B", "-c", OPTIMIZED_REPLAY, str(SRC.parent),
+                          str(graph_file), str(report)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [1, True, False, True, False]
+
+
 CHECKERS = {"verify_trace", "TraceVerification", "check_feasible", "check_optimality",
             "RowViolation", "is_isolating"}
 # the certificate types the checkers read, with their JSON readers
 CERTIFICATES = {"WEIGHT_NAMES", "_MAX_RATIONAL_CHARS", "parse_rational", "WeightVector",
                 "LinearRow", "LPSolution", "GreedyRule", "GreedyStep", "_index", "GreedyTrace"}
 # the graph type, its two parsers with the graph6 tables, the format
-# rule that picks between them, and the girth test
+# rule that picks between them, and the class test
 GRAPH = {"Graph6ParseError", "Graph", "_from_sorted", "_edge_error", "MAX_ORDER", "_G6_HEADER",
          "_G6_BYTES", "_G6_MARKS", "_G6_BITS", "parse_graph6", "is_edge_list",
-         "parse_edge_list", "girth_at_least"}
+         "parse_edge_list", "in_class"}
 
 
 def _defined(tree: ast.AST) -> set[str]:
